@@ -2,7 +2,7 @@
 
 Each suite returns a list of (name, passed, detail) rows; everything derives
 from one integer seed so that a fixed seed reproduces the report byte for
-byte in single-threaded mode.
+byte.
 """
 
 from __future__ import annotations

@@ -155,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="config file (overrides $ARITHTHETA_CONFIG)")
     ap.add_argument("--out", choices=("table", "json"), default="table")
     ap.add_argument("--order", help="bundled order name (d1, d6, d10) or JSON path")
-    ap.add_argument("--threads", type=int, default=1, help="1 guarantees determinism")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("theta-deg", help="degree series coefficients")

@@ -7,7 +7,6 @@ A config file is JSON with optional keys:
       "quadrature": {QuadratureSpec fields},
       "seed": 1729,
       "out": "table" | "json",
-      "threads": 1,
       "identities": {
         "hodge_degree": "1/12",
         "degree_tables": {"6": {"1": "1/2", ...}},
@@ -38,7 +37,6 @@ class RunConfig:
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
     seed: int = 1729
     out: str = "table"
-    threads: int = 1
     hodge_degree: Fraction = Fraction(1, 12)
     degree_tables: dict = field(default_factory=dict)
     scan_limit: int = 300
@@ -73,7 +71,6 @@ def load_config(path: str | None = None) -> RunConfig:
         order=data.get("order", cfg.order),
         seed=int(data.get("seed", cfg.seed)),
         out=data.get("out", cfg.out),
-        threads=int(data.get("threads", cfg.threads)),
         hodge_degree=Fraction(ident.get("hodge_degree", cfg.hodge_degree)),
         degree_tables=tables,
         scan_limit=int(ident.get("scan_limit", cfg.scan_limit)),

@@ -29,7 +29,13 @@ from .errors import (
     QuadratureFailure,
     SingularEvaluation,
 )
-from .lattice import TraceZeroLattice, enumerate_by_majorant, majorant, model_coordinates_float
+from .lattice import (
+    TraceZeroLattice,
+    enumerate_by_majorant,
+    majorant,
+    model_coordinates_float,
+    with_norm,
+)
 
 # Euler-Mascheroni constant, 30 certified digits (mpmath, 40 dps).
 EULER_GAMMA = 0.577215664901532860606512090082
@@ -94,8 +100,10 @@ DEFAULT_SPEC = QuadratureSpec()
 def beta1(r: float) -> float:
     """beta_1(r) = integral_1^oo e^(-r u) du / u, the exponential integral E_1.
 
-    Power series around 0 for r <= 1, continued fraction for r > 1; relative
-    accuracy is a little better than 1e-13 across (0, 745].
+    Power series around 0 for r <= 1, continued fraction for r > 1.  The
+    relative error is below 3e-14 on (0, 700]: against mpmath it is at most
+    1.5e-14, for r a little above 1, where the fraction converges slowest.
+    Above 700 the value is 0, an absolute error below E_1(700) < 1e-306.
     """
     if not r > 0:
         raise NonpositiveArgument(f"beta1 needs r > 0, got {r}")
@@ -146,7 +154,11 @@ def _beta1_cf(r: float) -> float:
 
 
 def beta1_vec(r: np.ndarray) -> np.ndarray:
-    """Vectorized beta1 on positive arrays (same series/fraction split)."""
+    """Vectorized beta1 on positive arrays (same series/fraction split).
+
+    Relative error below 3e-14 on (0, 700], as for beta1 (at most 1.9e-14
+    against mpmath, just above r = 1), and 0 above 700.
+    """
     r = np.asarray(r, dtype=float)
     out = np.empty_like(r)
     small = r <= 1.0
@@ -323,6 +335,11 @@ def big_xi(
     the majorant.  The truncation bound is doubled (a few times) if the
     certificate does not reach abs_tol at the configured value.
 
+    One pass: the majorant and its eigenvalues are built once and serve the
+    tail bound at every doubling and the enumeration; the enumerated vectors
+    are filtered by Q(x) = t in exact integer arithmetic, and the accepted
+    terms are summed one by one in enumeration order.
+
     For t > 0, terms with R below the singular floor: an exact zero raises
     SingularEvaluation, a positive value below the floor is excluded from
     the sum and reported in the result.
@@ -334,9 +351,13 @@ def big_xi(
     if not v > 0:
         raise PreconditionViolation("v must be positive")
     coords = model_coordinates_float(lat)
+    m = majorant(lat, z)
+    lam = np.linalg.eigvalsh(m) * (1.0 - 1e-9)
+    if lam[0] <= 0:
+        raise QuadratureFailure("majorant lost positivity")
     bound = spec.truncation_majorant_bound
     for _ in range(7):
-        tail = _tail_bound(lat, z, t, v, bound)
+        tail = _tail_bound(lam, t, v, bound)
         if tail <= spec.abs_tol:
             break
         bound *= 2.0
@@ -344,38 +365,31 @@ def big_xi(
         raise QuadratureFailure(
             f"tail bound {tail:.3g} above abs_tol at majorant bound {bound}"
         )
-    pts = [
-        n
-        for n in enumerate_by_majorant(lat, z, bound, cap=spec.enumeration_cap)
-        if lat.q_value(n) == t
-    ]
+    pts = with_norm(lat, enumerate_by_majorant(lat, z, bound, cap=spec.enumeration_cap, form=m), t)
     value = 0.0
     excluded = []
-    u0, v0 = float(z.u), float(z.v)
+    zf = UHPoint(float(z.u), float(z.v))
     for n in pts:
         vec = coords @ np.array(n, dtype=float)
-        r = float(r_value(tuple(vec), UHPoint(u0, v0)))
+        r = r_value(vec.tolist(), zf)
         if r == 0.0:
             raise SingularEvaluation(f"z lies on the divisor of {n}")
         if r < spec.singular_r_floor:
-            excluded.append(tuple(n))
+            excluded.append(n)
             continue
         value += beta1(TWO_PI * v * r)
     return BigXiResult(value=value, tail_bound=tail, terms=len(pts), excluded=tuple(excluded))
 
 
-def _tail_bound(lat: TraceZeroLattice, z: UHPoint, t: int, v: float, bound: float) -> float:
+def _tail_bound(lam: np.ndarray, t: int, v: float, bound: float) -> float:
     """Rigorous bound for the sum over majorant values above `bound`.
 
-    Points with majorant value M have R = (M - 2t)/4, and the number with
-    M <= X is at most prod_i (2 sqrt(X / lambda_i) + 1) for the eigenvalues
-    lambda_i of the majorant form.  Dyadic shells then give a convergent
+    lam holds the eigenvalues of the majorant form, shrunk by a relative
+    1e-9 against rounding.  Points with majorant value M have
+    R = (M - 2t)/4, and the number with M <= X is at most
+    prod_i (2 sqrt(X / lambda_i) + 1).  Dyadic shells then give a convergent
     series dominating the tail of beta_1(2 pi v R) <= e^-r / r.
     """
-    m = majorant(lat, z)
-    lam = np.linalg.eigvalsh(m) * (1.0 - 1e-9)
-    if lam[0] <= 0:
-        raise QuadratureFailure("majorant lost positivity")
     if bound <= 2 * t + 1:
         return math.inf
     total = 0.0

@@ -317,6 +317,11 @@ def is_regular(t_mat, p: int, d: int) -> bool:
     fp = fundamental_prime(t_mat, d)
     if fp != p:
         raise PreconditionViolation(f"{p} is not the fundamental prime of T (got {fp})")
+    return _regular_at(t_mat, p, d)
+
+
+def _regular_at(t_mat, p: int, d: int) -> bool:
+    """is_regular for a p already known to be the fundamental prime of T."""
     if d % p:
         return True
     entries = (t_mat[0][0], t_mat[0][1], t_mat[1][1])
@@ -326,7 +331,7 @@ def is_regular(t_mat, p: int, d: int) -> bool:
 def classify(t_mat, d: int, scan_limit: int = 300) -> CycleClassification:
     tm = ((int(t_mat[0][0]), int(t_mat[0][1])), (int(t_mat[1][0]), int(t_mat[1][1])))
     p = fundamental_prime(tm, d, scan_limit=scan_limit)
-    reg = None if p is None else is_regular(tm, p, d)
+    reg = None if p is None else _regular_at(tm, p, d)
     return CycleClassification(
         t_matrix=tm,
         fundamental_prime=p,

@@ -3,7 +3,10 @@
 The trace-zero part L of an order carries the integral ternary form
 Q(x) = nu(x), of signature (1, 2) for indefinite algebras and (3, 0) for
 definite ones.  All lattice data is exact; floating point appears only in
-the majorant and its enumeration, where every accepted point is re-checked.
+the majorant and its enumeration.  Enumeration evaluates the form on all
+candidates at once and re-checks, one by one, every candidate whose value
+lies within rounding distance of the bound; norms are filtered exactly, as
+n^T G n = 2t in integers.
 """
 
 from __future__ import annotations
@@ -11,8 +14,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from importlib import resources
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
@@ -154,7 +159,7 @@ class TraceZeroLattice:
     def discriminant(self) -> int:
         return self.algebra.discriminant
 
-    @property
+    @cached_property
     def is_definite(self) -> bool:
         return self.algebra.is_definite
 
@@ -174,6 +179,16 @@ class TraceZeroLattice:
         return sum(
             left[i] * self.gram[i][j] * right[j] for i in range(3) for j in range(3)
         )
+
+    @cached_property
+    def gram_array(self) -> np.ndarray:
+        """The gram matrix as a read-only int64 array."""
+        return _read_only(np.array(self.gram, dtype=np.int64))
+
+    @cached_property
+    def model_coordinates_array(self) -> np.ndarray:
+        """model_coordinates as a read-only float array (indefinite lattices)."""
+        return _read_only(np.array([[float(e) for e in row] for row in model_coordinates(self)]))
 
     def gram_fractions(self) -> list[list[Fraction]]:
         return [[Fraction(self.gram[i][j]) for j in range(3)] for i in range(3)]
@@ -266,7 +281,13 @@ def model_coordinates(lat: TraceZeroLattice):
 
 
 def model_coordinates_float(lat: TraceZeroLattice) -> np.ndarray:
-    return np.array([[float(e) for e in row] for row in model_coordinates(lat)])
+    """model_coordinates in floats; the lattice's cached, read-only array."""
+    return lat.model_coordinates_array
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def is_split_model(lat: TraceZeroLattice) -> bool:
@@ -299,23 +320,41 @@ def majorant(lat: TraceZeroLattice, z) -> np.ndarray:
     zr, zi = u * u - v * v, 2 * u * v
     rowr = gamma * zr - 2 * alpha * u - beta
     rowi = gamma * zi - 2 * alpha * v
-    g = np.array(lat.gram, dtype=float)
-    m = g + (np.outer(rowr, rowr) + np.outer(rowi, rowi)) / (v * v)
+    m = lat.gram_array + (np.outer(rowr, rowr) + np.outer(rowi, rowi)) / (v * v)
     return 0.5 * (m + m.T)
 
 
-def enumerate_by_majorant(lat: TraceZeroLattice, z, bound: float, cap: int = 2_000_000):
+def enumerate_by_majorant(
+    lat: TraceZeroLattice, z, bound: float, cap: int = 2_000_000, form: np.ndarray | None = None
+):
     """All nonzero integer coordinate vectors with majorant value <= bound.
 
-    Complete by construction: depth-first search over a Cholesky
-    triangularization with slack-padded integer ranges, then an exact float
-    re-check of the quadratic form on every candidate.
+    Complete by construction: Cholesky range bounds with slack-padded integer
+    ranges give every candidate, and a candidate is accepted exactly when
+    float(n @ m @ n) <= bound (see _enumerate_form).  The list is ordered by
+    n3, then n2, then n1.  `form` is majorant(lat, z), if the caller has it.
     """
-    m = majorant(lat, z)
+    m = majorant(lat, z) if form is None else form
     return _enumerate_form(m, bound, cap)
 
 
+# Candidates evaluated per array pass; bounds the memory of large enumerations.
+_CHUNK = 1 << 17
+
+
 def _enumerate_form(m: np.ndarray, bound: float, cap: int = 2_000_000):
+    """Nonzero n with float(n @ m @ n) <= bound, as int tuples in (n3, n2, n1) order.
+
+    The n3 range and, per n3, the n2 range come from the Cholesky factor,
+    padded against rounding; every (n3, n2) row then spans an n1 range, and
+    the form is evaluated on all candidates in one array pass.  That sum and
+    the scalar n @ m @ n each lie within 1.2e-15 |n|^T |m| |n| of the exact
+    value, and |n|^T |m| |n| <= ||m||_F |n|^2 <= ||m||_F value / lambda_min.
+    So the array value decides a candidate unless it lies within `band` of
+    the bound, which covers twice that gap with room to spare, and the
+    scalar expression decides the rest: the accepted set is exactly that of
+    a scalar check of every candidate.
+    """
     if bound <= 0:
         return []
     eigs = np.linalg.eigvalsh(m)
@@ -324,48 +363,79 @@ def _enumerate_form(m: np.ndarray, bound: float, cap: int = 2_000_000):
     predicted = 4.19 * bound**1.5 / math.sqrt(float(np.linalg.det(m))) + 8 * bound / eigs[0] + 27
     if predicted > cap:
         raise BoundTooLarge(f"predicted {predicted:.3g} points exceeds cap {cap}")
-    ell = np.linalg.cholesky(m)
-    u = ell.T  # value = || u @ n ||^2
-    out = []
+    # value = || U n ||^2 for the upper triangular U = L^T; its entries as floats.
+    (u00, u01, u02), (_, u11, u12), (_, _, u22) = np.linalg.cholesky(m).T.tolist()
     pad = 1e-9 * (1.0 + abs(bound))
-    lim3 = math.floor(math.sqrt(bound * (1 + 1e-12)) / u[2, 2] + 1e-9) + 1
-    for n3 in range(-lim3, lim3 + 1):
-        r3 = u[2, 2] * n3
-        rem2 = bound - r3 * r3
-        if rem2 < -pad:
-            continue
-        c2 = u[1, 2] * n3
-        half2 = math.sqrt(max(rem2, 0.0)) / u[1, 1]
-        center2 = -c2 / u[1, 1]
-        for n2 in range(math.floor(center2 - half2 - 1e-9), math.ceil(center2 + half2 + 1e-9) + 1):
-            r2 = u[1, 1] * n2 + c2
-            rem1 = rem2 - r2 * r2
-            if rem1 < -pad:
-                continue
-            c1 = u[0, 1] * n2 + u[0, 2] * n3
-            half1 = math.sqrt(max(rem1, 0.0)) / u[0, 0]
-            center1 = -c1 / u[0, 0]
-            for n1 in range(math.floor(center1 - half1 - 1e-9), math.ceil(center1 + half1 + 1e-9) + 1):
-                if n1 == 0 and n2 == 0 and n3 == 0:
-                    continue
-                n = (n1, n2, n3)
-                val = float(np.array(n) @ m @ np.array(n))
-                if val <= bound:
-                    out.append(n)
-                    if len(out) > 2 * cap:
-                        raise BoundTooLarge("enumeration exceeded twice the safety cap")
+    lim3 = math.floor(math.sqrt(bound * (1 + 1e-12)) / u22 + 1e-9) + 1
+    n3 = np.arange(-lim3, lim3 + 1, dtype=float)
+    r3 = u22 * n3
+    rem2 = bound - r3 * r3
+    keep = rem2 >= -pad
+    n3, rem2 = n3[keep], rem2[keep]
+    c2 = u12 * n3
+    half2 = np.sqrt(np.maximum(rem2, 0.0)) / u11
+    center2 = -c2 / u11
+    row, n2 = _spread(center2 - half2 - 1e-9, center2 + half2 + 1e-9)
+    n3, rem2, c2 = n3[row], rem2[row], c2[row]
+    r2 = u11 * n2 + c2
+    rem1 = rem2 - r2 * r2
+    keep = rem1 >= -pad
+    n3, n2, rem1 = n3[keep], n2[keep], rem1[keep]
+    c1 = u01 * n2 + u02 * n3
+    half1 = np.sqrt(np.maximum(rem1, 0.0)) / u00
+    center1 = -c1 / u00
+    lo1 = center1 - half1 - 1e-9
+    hi1 = center1 + half1 + 1e-9
+    # Rows per pass: a row holds at most (hi - lo) + 3 integers.
+    step = max(1, _CHUNK // (int((hi1 - lo1).max(initial=0.0)) + 3))
+    band = 1e-12 * (1.0 + abs(bound)) + 8e-15 * bound * math.sqrt(float((m * m).sum())) / eigs[0]
+    out = []
+    for s in range(0, lo1.size, step):
+        row, n1 = _spread(lo1[s : s + step], hi1[s : s + step])
+        cols = (n1, n2[s : s + step][row], n3[s : s + step][row])
+        cand = np.stack(cols, axis=1)[(cols[0] != 0.0) | (cols[1] != 0.0) | (cols[2] != 0.0)]
+        val = ((cand @ m) * cand).sum(axis=1)
+        accept = val <= bound - band
+        for k in np.flatnonzero(np.abs(val - bound) <= band):
+            n = cand[k].astype(np.int64)
+            accept[k] = float(n @ m @ n) <= bound
+        out.extend(zip(*cand[accept].astype(np.int64).T.tolist()))
+        if len(out) > 2 * cap:
+            raise BoundTooLarge("enumeration exceeded twice the safety cap")
     return out
+
+
+def _spread(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every integer floor(lo[r]) .. ceil(hi[r]) of every row r, in row order.
+
+    Returns the row index of each integer and the integer, as a float.
+    """
+    start = np.floor(lo)
+    counts = np.maximum(np.ceil(hi) - start + 1.0, 0.0).astype(np.int64)
+    row = np.repeat(np.arange(counts.size), counts)
+    first = np.cumsum(counts) - counts
+    return row, start[row] + (np.arange(row.size) - first[row])
+
+
+def with_norm(lat: TraceZeroLattice, pts, t: int) -> list:
+    """The vectors n of pts with Q(n) = t, in order, decided exactly as n^T G n == 2t.
+
+    int64 arithmetic is exact while max|n_i|^2 * sum|G_ij| and |2t| stay below
+    2^62; beyond that the Python-int inner product decides.
+    """
+    if not pts:
+        return []
+    arr = np.fromiter(chain.from_iterable(pts), dtype=np.int64, count=3 * len(pts)).reshape(-1, 3)
+    g = lat.gram_array
+    if int(np.abs(arr).max()) ** 2 * int(np.abs(g).sum()) < 2**62 and abs(2 * t) < 2**62:
+        keep = ((arr @ g) * arr).sum(axis=1) == 2 * t
+        return list(compress(pts, keep.tolist()))
+    return [n for n in pts if lat.inner(n, n) == 2 * t]
 
 
 def representation_count(lat: TraceZeroLattice, t: int) -> int:
     """|{x in L : Q(x) = t}| for a definite lattice, by complete enumeration."""
-    if not lat.is_definite:
-        raise PreconditionViolation("representation_count needs a definite lattice")
-    if t <= 0:
-        return 0
-    g = np.array(lat.gram, dtype=float)
-    pts = _enumerate_form(g, 2 * t * (1 + 1e-12) + 1e-9)
-    return sum(1 for n in pts if lat.q_value(n) == t)
+    return len(vectors_of_norm(lat, t))
 
 
 def vectors_of_norm(lat: TraceZeroLattice, t: int):
@@ -376,7 +446,7 @@ def vectors_of_norm(lat: TraceZeroLattice, t: int):
         return []
     g = np.array(lat.gram, dtype=float)
     pts = _enumerate_form(g, 2 * t * (1 + 1e-12) + 1e-9)
-    return [n for n in pts if lat.q_value(n) == t]
+    return with_norm(lat, pts, t)
 
 
 def weighted_orbit_degree(lat: TraceZeroLattice, t: int) -> Fraction:

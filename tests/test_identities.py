@@ -15,7 +15,7 @@ from ariththeta.errors import (
     UnsupportedDiscriminant,
 )
 from ariththeta.greens import QuadratureSpec, UHPoint, big_xi
-from ariththeta.numtheory import kronecker_symbol
+from ariththeta.numtheory import is_squarefree, kronecker_symbol
 
 
 # --- degree series -------------------------------------------------------------
@@ -69,13 +69,9 @@ def test_arch_degree_hyperbolic_area():
 
 def test_arch_degree_green_sum_converges(lat_d1):
     spec = QuadratureSpec(rel_tol=2e-3, abs_tol=5e-5, truncation_majorant_bound=16.0)
-    cache = {}
 
     def g(z):
-        key = (round(z.u, 12), round(z.v, 12))
-        if key not in cache:
-            cache[key] = big_xi(lat_d1, -2, 1.0, z, spec).value
-        return cache[key]
+        return big_xi(lat_d1, -2, 1.0, z, spec).value
 
     res = idn.arithmetic_degree_archimedean(g, spec)
     assert res.value > 0
@@ -104,13 +100,9 @@ def test_arch_degree_detects_square_divergence(lat_d1):
     # so the orbifold integral diverges; the cusp certification must fail
     # rather than return a number.
     spec = QuadratureSpec(rel_tol=5e-3, abs_tol=2e-4, truncation_majorant_bound=16.0)
-    cache = {}
 
     def g(z):
-        key = (round(z.u, 12), round(z.v, 12))
-        if key not in cache:
-            cache[key] = big_xi(lat_d1, -1, 1.0, z, spec).value
-        return cache[key]
+        return big_xi(lat_d1, -1, 1.0, z, spec).value
 
     with pytest.raises(QuadratureFailure):
         idn.arithmetic_degree_archimedean(g, spec)
@@ -236,3 +228,33 @@ def test_classify_shape():
     assert c.fundamental_prime == 3 and c.regular and c.supersingular_support
     c2 = idn.classify(((9, 0), (0, 9)), 6)
     assert c2.fundamental_prime == 3 and c2.regular is False
+
+
+CLASSIFY_GRID_T = [
+    ((1, 0), (0, 1)),
+    ((1, 0), (0, 2)),
+    ((2, 1), (1, 2)),
+    ((1, 0), (0, 3)),
+    ((3, 1), (1, 2)),
+    ((2, 1), (1, 5)),
+    ((4, 0), (0, 4)),
+    ((4, 2), (2, 8)),
+    ((9, 0), (0, 9)),
+    ((9, 3), (3, 9)),
+    ((25, 0), (0, 25)),
+]
+
+
+def test_classify_agrees_with_fundamental_prime_and_is_regular():
+    squarefree = [d for d in range(1, 31) if d == 1 or is_squarefree(d)]
+    regular_seen = set()
+    for d in squarefree:
+        for t_mat in CLASSIFY_GRID_T:
+            c = idn.classify(t_mat, d)
+            p = idn.fundamental_prime(t_mat, d)
+            assert c.fundamental_prime == p
+            assert c.supersingular_support == (p is not None)
+            assert c.regular == (None if p is None else idn.is_regular(t_mat, p, d))
+            regular_seen.add(c.regular)
+    # The grid reaches every outcome.
+    assert regular_seen == {None, True, False}

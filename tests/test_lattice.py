@@ -1,7 +1,6 @@
 """Orders as data, trace-zero lattices, majorants and enumeration."""
 
 import json
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +16,11 @@ from ariththeta.lattice import (
     load_order,
     majorant,
     model_coordinates,
+    model_coordinates_float,
     representation_count,
     trace_zero_lattice,
     vectors_of_norm,
+    with_norm,
 )
 
 
@@ -187,6 +188,58 @@ def test_enumeration_matches_brute_force_random(lat_d1, brute_force_ball, u, v, 
     got = sorted(at.enumerate_by_majorant(lat_d1, z, bound))
     expect = brute_force_ball(majorant(lat_d1, z), bound)
     assert got == expect
+
+
+@pytest.mark.parametrize("name", ["lat_d6", "lat_d10"])
+@pytest.mark.parametrize(
+    "u,v,bound", [(0.0, 1.0, 12.0), (0.3, 0.5, 20.0), (-1.2, 0.35, 30.0), (0.45, 2.2, 48.0)]
+)
+def test_enumeration_matches_brute_force_d6_d10(request, brute_force_ball, name, u, v, bound):
+    lat = request.getfixturevalue(name)
+    z = UHPoint(u, v)
+    got = at.enumerate_by_majorant(lat, z, bound)
+    expect = brute_force_ball(majorant(lat, z), bound)
+    assert sorted(got) == expect and len(got) > 0
+    # Ordered by n3, then n2, then n1.
+    assert got == sorted(got, key=lambda n: (n[2], n[1], n[0]))
+
+
+@pytest.mark.parametrize("name,u,v", [("lat_d1", 0.0, 1.0), ("lat_d6", 0.3, 0.5), ("lat_d10", -0.7, 1.4)])
+def test_enumeration_bound_equal_to_a_vector_value(request, brute_force_ball, name, u, v):
+    # A bound equal to the scalar value of a lattice vector puts that vector
+    # on the boundary: it is accepted at the bound and refused one float
+    # below it, as the scalar check float(n @ m @ n) <= bound decides.
+    lat = request.getfixturevalue(name)
+    z = UHPoint(u, v)
+    m = majorant(lat, z)
+    n = at.enumerate_by_majorant(lat, z, 20.0)[-1]
+    bound = float(np.array(n) @ m @ np.array(n))
+    below = float(np.nextafter(bound, 0.0))
+    at_bound = at.enumerate_by_majorant(lat, z, bound)
+    under = at.enumerate_by_majorant(lat, z, below)
+    assert n in at_bound and n not in under
+    assert sorted(at_bound) == brute_force_ball(m, bound)
+    assert sorted(under) == brute_force_ball(m, below)
+
+
+def test_with_norm_matches_q_value(lat_d1, lat_d6, lat_d10):
+    rng = np.random.default_rng(5)
+    for lat in (lat_d1, lat_d6, lat_d10):
+        pts = [tuple(int(x) for x in row) for row in rng.integers(-9, 10, size=(400, 3))]
+        # Coordinates this large leave int64 and go to Python integers.
+        pts += [(2**31 + 1, 5, -3), (-(2**40), 2**40, 1)]
+        for t in {lat.q_value(n) for n in pts[:40] + pts[-2:]}:
+            assert with_norm(lat, pts, int(t)) == [n for n in pts if lat.q_value(n) == t]
+
+
+def test_cached_arrays_are_read_only(lat_d6):
+    c = model_coordinates_float(lat_d6)
+    assert c is lat_d6.model_coordinates_array
+    assert np.array_equal(c, [[float(e) for e in row] for row in model_coordinates(lat_d6)])
+    assert lat_d6.gram_array.tolist() == [list(row) for row in lat_d6.gram]
+    for arr in (c, lat_d6.gram_array):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0
 
 
 def test_enumeration_cap(lat_d1):
