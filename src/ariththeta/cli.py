@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .binforms import hurwitz_class_number
 from .config import RunConfig, load_config
-from .errors import ArithThetaError
+from .errors import ArithThetaError, PreconditionViolation
 from .greens import UHPoint, big_xi
 from .identities import classify, degree_series
 from .lattice import BUNDLED_ORDERS, trace_zero_lattice
@@ -27,6 +27,53 @@ def _emit(args, op: str, rows) -> None:
             left = " ".join(f"{k}={v}" for k, v in inp.items())
             tail = f"  (err <= {err})" if err is not None else ""
             print(f"{left:24s} {value}{tail}")
+
+
+def _numbers(kind, count: int):
+    """argparse type: exactly `count` comma-separated values of `kind`."""
+
+    def parse(text: str) -> tuple:
+        parts = text.split(",")
+        try:
+            if len(parts) != count:
+                raise ValueError
+            return tuple(kind(c) for c in parts)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {count} comma-separated {kind.__name__}s, got {text!r}"
+            ) from None
+
+    return parse
+
+
+def _point(text: str) -> UHPoint:
+    """argparse type for --z: "u,v" or "u,v,sheet" with v > 0 and sheet +-1."""
+    parts = text.split(",")
+    try:
+        if len(parts) not in (2, 3):
+            raise ValueError
+        sheet = int(parts[2]) if len(parts) == 3 else 1
+        return UHPoint(float(parts[0]), float(parts[1]), sheet)
+    except (ValueError, PreconditionViolation):
+        raise argparse.ArgumentTypeError(
+            f'expected "u,v" or "u,v,sheet" with v > 0 and sheet +-1, got {text!r}'
+        ) from None
+
+
+def _nonnegative(text: str) -> int:
+    """argparse type for --n: an integer >= 0."""
+    try:
+        n = int(text)
+        if n < 0:
+            raise ValueError
+        return n
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}") from None
+
+
+def _echo(values) -> str:
+    """Parsed numbers back to comma-separated input text, 1.0 written as 1."""
+    return ",".join(repr(c).removesuffix(".0") for c in values)
 
 
 def _lattice_from(args, cfg: RunConfig):
@@ -54,16 +101,15 @@ def cmd_theta_deg(args, cfg: RunConfig) -> int:
 
 def cmd_green(args, cfg: RunConfig) -> int:
     lat = _lattice_from(args, cfg)
-    parts = [float(p) for p in args.z.split(",")]
-    sheet = int(parts[2]) if len(parts) > 2 else 1
-    z = UHPoint(parts[0], parts[1], sheet)
+    z = args.z
     res = big_xi(lat, args.t, args.v, z, cfg.quadrature)
+    shown = (z.u, z.v) if z.sheet == 1 else (z.u, z.v, z.sheet)
     _emit(
         args,
         "green",
         [
             (
-                {"t": args.t, "v": args.v, "z": args.z},
+                {"t": args.t, "v": args.v, "z": _echo(shown)},
                 f"{res.value:.12g}",
                 f"{res.tail_bound:.3g}",
             )
@@ -78,12 +124,10 @@ def cmd_lambda(args, cfg: RunConfig) -> int:
 
     lat = _lattice_from(args, cfg)
     coords = model_coordinates_float(lat)
-    n1 = [int(c) for c in args.x1.split(",")]
-    n2 = [int(c) for c in args.x2.split(",")]
-    x1 = coords @ np.array(n1, dtype=float)
-    x2 = coords @ np.array(n2, dtype=float)
+    x1 = coords @ np.array(args.x1, dtype=float)
+    x2 = coords @ np.array(args.x2, dtype=float)
     if args.v:
-        v11, v12, v22 = (float(c) for c in args.v.split(","))
+        v11, v12, v22 = args.v
         from .starprod import _square_root
 
         a = _square_root(np.array([[v11, v12], [v12, v22]]), "symmetric")
@@ -96,7 +140,7 @@ def cmd_lambda(args, cfg: RunConfig) -> int:
         "lambda",
         [
             (
-                {"x1": args.x1, "x2": args.x2, "v": args.v or "1,0,1"},
+                {"x1": _echo(args.x1), "x2": _echo(args.x2), "v": _echo(args.v or (1, 0, 1))},
                 f"{res.value:.12g}",
                 f"{res.err:.3g}",
             )
@@ -106,8 +150,8 @@ def cmd_lambda(args, cfg: RunConfig) -> int:
 
 
 def cmd_classify(args, cfg: RunConfig) -> int:
-    t1, m, t2 = (int(c) for c in args.T.split(","))
-    res = classify(((t1, m), (m, t2)), args.D, scan_limit=cfg.scan_limit)
+    t1, m, t2 = args.T
+    res = classify(((t1, m), (m, t2)), args.D)
     value = {
         "fundamental_prime": res.fundamental_prime,
         "regular": res.regular,
@@ -116,7 +160,7 @@ def cmd_classify(args, cfg: RunConfig) -> int:
     if args.out == "json":
         print(
             json.dumps(
-                {"op": "classify", "input": {"T": args.T, "D": args.D}, "value": value, "err": None}
+                {"op": "classify", "input": {"T": _echo(args.T), "D": args.D}, "value": value, "err": None}
             )
         )
     else:
@@ -165,22 +209,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("green", help="truncated Green-function sum")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--v", type=float, default=1.0)
-    p.add_argument("--z", required=True, help='point "u,v" or "u,v,sheet"')
+    p.add_argument("--z", type=_point, required=True, help='point "u,v" or "u,v,sheet"')
     p.set_defaults(func=cmd_green)
 
     p = sub.add_parser("lambda", help="star-product height of a lattice pair")
-    p.add_argument("--x1", required=True, help='integer lattice coordinates "a,b,c"')
-    p.add_argument("--x2", required=True)
-    p.add_argument("--v", help='symmetric positive matrix "v11,v12,v22"')
+    p.add_argument(
+        "--x1", type=_numbers(int, 3), required=True, help='integer lattice coordinates "a,b,c"'
+    )
+    p.add_argument("--x2", type=_numbers(int, 3), required=True)
+    p.add_argument("--v", type=_numbers(float, 3), help='symmetric positive matrix "v11,v12,v22"')
     p.set_defaults(func=cmd_lambda)
 
     p = sub.add_parser("classify", help="fundamental prime and regularity of T")
-    p.add_argument("--T", required=True, help='matrix "t1,m,t2"')
+    p.add_argument("--T", type=_numbers(int, 3), required=True, help='matrix "t1,m,t2"')
     p.add_argument("--D", type=int, required=True)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("hurwitz", help="Hurwitz class number H(n)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_nonnegative, required=True)
     p.set_defaults(func=cmd_hurwitz)
 
     p = sub.add_parser("check", help="run a named verification suite")

@@ -6,11 +6,9 @@ A config file is JSON with optional keys:
       "order": "d1" | path to an order JSON file,
       "quadrature": {QuadratureSpec fields},
       "seed": 1729,
-      "out": "table" | "json",
       "identities": {
         "hodge_degree": "1/12",
-        "degree_tables": {"6": {"1": "1/2", ...}},
-        "scan_limit": 300
+        "degree_tables": {"6": {"1": "1/2", ...}}
       }
     }
 
@@ -36,10 +34,8 @@ class RunConfig:
     order: str = "d1"
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
     seed: int = 1729
-    out: str = "table"
     hodge_degree: Fraction = Fraction(1, 12)
     degree_tables: dict = field(default_factory=dict)
-    scan_limit: int = 300
 
     def load_order(self) -> Order:
         if self.order in BUNDLED_ORDERS:
@@ -70,8 +66,6 @@ def load_config(path: str | None = None) -> RunConfig:
         cfg,
         order=data.get("order", cfg.order),
         seed=int(data.get("seed", cfg.seed)),
-        out=data.get("out", cfg.out),
         hodge_degree=Fraction(ident.get("hodge_degree", cfg.hodge_degree)),
         degree_tables=tables,
-        scan_limit=int(ident.get("scan_limit", cfg.scan_limit)),
     )

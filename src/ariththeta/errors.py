@@ -66,7 +66,3 @@ class UnsupportedDiscriminant(ArithThetaError):
 
 class NotSquarefree(ArithThetaError):
     """A squarefree integer was required."""
-
-
-class InconclusiveScan(ArithThetaError):
-    """A bounded prime scan ended without covering all mandatory candidates."""

@@ -9,7 +9,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
-    InconclusiveScan,
     NotSquarefree,
     PreconditionViolation,
     QuadratureFailure,
@@ -20,7 +19,7 @@ from .lattice import TraceZeroLattice, weighted_orbit_degree
 from .numtheory import (
     factorint,
     is_squarefree,
-    primes_up_to,
+    primes_up_to,  # noqa: F401  unused; perfbench/tracing.py wraps this attribute by name
     splits_in_quadratic_field,
     valuation,
 )
@@ -249,39 +248,29 @@ def _binary_diag(t_mat) -> tuple[Fraction, Fraction]:
     return (t1, det / t1)
 
 
-def _twin_hasse_at(ram_fin: frozenset[int], p: int, ell: int) -> int:
-    """Hasse invariant of the trace-zero ternary space of the p-twin at ell.
+def _hasse_b_at(ram_fin: frozenset[int], ell: int) -> int:
+    """Hasse invariant of the trace-zero ternary space of B at ell.
 
-    For B' = (a, b) the trace-zero space is <-a, -b, ab>, whose Hasse
-    invariant collapses to (-1,-1)_ell (a,b)_ell; the twin has (a,b)_ell = -1
-    exactly on ram(B) xor {p}.
+    For B = (a, b) the trace-zero space is <-a, -b, ab>, whose Hasse
+    invariant collapses to (-1,-1)_ell (a,b)_ell, and (a,b)_ell = -1 exactly
+    on ram(B).  A definite twin of B at p differs from this only at ell = p.
     """
-    eps = -1 if (ell in ram_fin) != (ell == p) else 1
+    eps = -1 if ell in ram_fin else 1
     minus_one_pair = -1 if ell == 2 else 1
     return eps * minus_one_pair
 
 
-def _represents_twin_locally(diag_u, ram_fin, p: int, ell: int) -> bool:
-    """T embeds in the twin ternary space over Q_ell.
-
-    The twin space has square determinant, so the forced complement is
-    d = det(U) mod squares and the embedding exists iff the Hasse invariants
-    of U + <d> and of the twin space agree at ell.
-    """
-    u1, u2 = diag_u
-    d = u1 * u2
-    cand = [u1, u2, d]
-    return _hasse(cand, ell) == _twin_hasse_at(ram_fin, p, ell)
-
-
-def fundamental_prime(t_mat, d: int, scan_limit: int = 300) -> int | None:
+def fundamental_prime(t_mat, d: int) -> int | None:
     """The unique prime p whose definite twin space represents T, or None.
 
-    Decided by local representability: Hasse invariants of T against the
-    ternary twin space at every relevant place, over a bounded prime scan.
-    A scan limit below the mandatory divisor primes raises InconclusiveScan
-    instead of silently reporting absence.  (At the infinite place both T
-    and the twin space are positive definite, so no condition arises there.)
+    T embeds in a ternary space of square determinant over Q_ell iff the
+    Hasse invariant of U + <det U> (U a diagonalization of T) equals the
+    space's own.  The twin at p has B's invariant except at ell = p, so p
+    passes iff Diff(T, B), the set of places where U + <det U> disagrees
+    with B, is exactly {p} (Kudla-Rapoport-Yang).  Outside
+    {2} u primes(D t1 det T) every symbol is trivial and B's invariant is 1,
+    so Diff lies in that set.  (At the infinite place both T and the twin
+    space are positive definite, so no condition arises there.)
     """
     t1 = int(t_mat[0][0])
     m = int(t_mat[0][1])
@@ -292,24 +281,11 @@ def fundamental_prime(t_mat, d: int, scan_limit: int = 300) -> int | None:
     if d < 1 or not (d == 1 or is_squarefree(d)):
         raise NotSquarefree(f"{d} is not squarefree")
     ram_fin = frozenset(factorint(d)) if d > 1 else frozenset()
-    diag_u = _binary_diag(t_mat)
-    mandatory = {2} | set(factorint(d)) | set(factorint(t1)) | set(factorint(det))
-    if max(mandatory) > scan_limit:
-        raise InconclusiveScan(
-            f"scan limit {scan_limit} below mandatory prime {max(mandatory)}"
-        )
-    candidates = sorted(set(primes_up_to(scan_limit)) | mandatory)
-    passers = []
-    for p in candidates:
-        places = sorted(mandatory | {p})
-        if all(_represents_twin_locally(diag_u, ram_fin, p, ell) for ell in places):
-            passers.append(p)
-            if len(passers) > 1:
-                raise InconclusiveScan(
-                    f"two candidate primes {passers} pass the local test; "
-                    "this contradicts uniqueness"
-                )
-    return passers[0] if passers else None
+    u1, u2 = _binary_diag(t_mat)
+    cand = [u1, u2, u1 * u2]
+    mandatory = {2} | ram_fin | set(factorint(t1)) | set(factorint(det))
+    diff = [ell for ell in sorted(mandatory) if _hasse(cand, ell) != _hasse_b_at(ram_fin, ell)]
+    return diff[0] if len(diff) == 1 else None
 
 
 def is_regular(t_mat, p: int, d: int) -> bool:
@@ -328,9 +304,9 @@ def _regular_at(t_mat, p: int, d: int) -> bool:
     return not all(int(e) % (p * p) == 0 for e in entries)
 
 
-def classify(t_mat, d: int, scan_limit: int = 300) -> CycleClassification:
+def classify(t_mat, d: int) -> CycleClassification:
     tm = ((int(t_mat[0][0]), int(t_mat[0][1])), (int(t_mat[1][0]), int(t_mat[1][1])))
-    p = fundamental_prime(tm, d, scan_limit=scan_limit)
+    p = fundamental_prime(tm, d)
     reg = None if p is None else _regular_at(tm, p, d)
     return CycleClassification(
         t_matrix=tm,

@@ -213,7 +213,7 @@ def test_criterion_8_classification():
             if t1 * t2 - m * m > 0:
                 break
         t_mat = ((t1, m), (m, t2))
-        p = idn.fundamental_prime(t_mat, d)  # raises InconclusiveScan on a double hit
+        p = idn.fundamental_prime(t_mat, d)  # the one prime of Diff(T, B), or None
         if small:
             small_checked += 1
             cands = sorted({2, 3, 5, 7, 11, 13} | ({p} if p else set()))

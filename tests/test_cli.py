@@ -83,6 +83,29 @@ def test_usage_error_exit_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--T", "1,0", "--D", "1"],
+        ["green", "--t", "-1", "--z", "0"],
+        ["green", "--t", "-1", "--z", "a,b"],
+        ["lambda", "--x1", "0,1", "--x2", "1,0,0"],
+        ["hurwitz", "--n", "-3"],
+    ],
+)
+def test_malformed_arguments_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_classify_cli_large_fundamental_prime(capsys):
+    assert main(["classify", "--T", "2,0,1013", "--D", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "fundamental_prime=1013 regular=True" in out
+
+
 def test_check_zagier_passes(capsys):
     assert main(["check", "zagier", "--seed", "1"]) == 0
     out = capsys.readouterr().out

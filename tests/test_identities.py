@@ -8,7 +8,6 @@ import pytest
 import ariththeta as at
 from ariththeta import identities as idn
 from ariththeta.errors import (
-    InconclusiveScan,
     NotSquarefree,
     PreconditionViolation,
     QuadratureFailure,
@@ -75,8 +74,11 @@ def test_arch_degree_green_sum_converges(lat_d1):
 
     res = idn.arithmetic_degree_archimedean(g, spec)
     assert res.value > 0
-    finer = QuadratureSpec(rel_tol=1e-3, abs_tol=2.5e-5, truncation_majorant_bound=16.0)
+    # The value is far below the first abs_tol, so only an abs_tol near the
+    # value itself refines the quadrature (5,026 nodes against 4,044).
+    finer = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-8, truncation_majorant_bound=16.0)
     res2 = idn.arithmetic_degree_archimedean(g, finer)
+    assert res2.err < res.err
     assert abs(res.value - res2.value) <= 4 * (res.err + res2.err)
 
 
@@ -211,9 +213,63 @@ def test_fundamental_prime_rejects_bad_t():
         idn.fundamental_prime(((1, 2), (2, 1)), 6)
 
 
-def test_fundamental_prime_scan_limit_guard():
-    with pytest.raises(InconclusiveScan):
-        idn.fundamental_prime(((1009, 0), (0, 1009)), 1, scan_limit=100)
+def test_fundamental_prime_large_entries_need_no_limit():
+    assert idn.fundamental_prime(((1009, 0), (0, 1009)), 1) == 2
+    assert idn.fundamental_prime(((1009, 0), (0, 1009)), 6) == 3
+    # The fundamental prime itself can be large.
+    assert idn.fundamental_prime(((2, 0), (0, 1013)), 1) == 1013
+    c = idn.classify(((2, 0), (0, 1013)), 1)
+    assert c.fundamental_prime == 1013 and c.regular is True and c.supersingular_support
+
+
+def _scan_oracle(t_mat, d: int, limit: int) -> int | None:
+    """The prime-scan rule: every prime up to `limit` and every prime of
+    2 D t1 det T is a candidate p, tested at those primes and p.
+
+    T = <t1, det/t1> up to squares, so U + <det U> is <t1, t1 det, det>; the
+    p-twin's trace-zero space has Hasse invariant (-1,-1)_l (a,b)_l with
+    (a,b)_l = -1 exactly on the primes of D xor {p}.
+    """
+    from ariththeta.numtheory import factorint
+    from ariththeta.quatalg import hilbert_symbol
+
+    (t1, m), (_, t2) = t_mat
+    det = t1 * t2 - m * m
+    diag = (t1, t1 * det, det)
+    ram = set(factorint(d)) if d > 1 else set()
+    mandatory = {2} | ram | set(factorint(t1)) | set(factorint(det))
+    primes = [q for q in range(2, limit + 1) if factorint(q) == {q: 1}]
+    passers = []
+    for p in sorted(set(primes) | mandatory):
+        ok = True
+        for ell in sorted(mandatory | {p}):
+            lhs = 1
+            for i in range(3):
+                for j in range(i + 1, 3):
+                    lhs *= hilbert_symbol(diag[i], diag[j], ell)
+            twin = (-1 if (ell in ram) != (ell == p) else 1) * (-1 if ell == 2 else 1)
+            ok = ok and lhs == twin
+        if ok:
+            passers.append(p)
+    assert len(passers) <= 1, (t_mat, d, passers)
+    return passers[0] if passers else None
+
+
+def test_fundamental_prime_matches_prime_scan():
+    squarefree = [d for d in range(1, 31) if d == 1 or is_squarefree(d)]
+    found = set()
+    for d in squarefree:
+        for t1 in range(1, 7):
+            for t2 in range(t1, 7):
+                for m in range(0, 4):
+                    if t1 * t2 - m * m <= 0:
+                        continue
+                    t_mat = ((t1, m), (m, t2))
+                    p = idn.fundamental_prime(t_mat, d)
+                    assert p == _scan_oracle(t_mat, d, 40), (t_mat, d)
+                    found.add(p)
+    # Both outcomes occur, and primes outside {2, 3, 5} occur.
+    assert None in found and found - {None, 2, 3, 5}
 
 
 def test_is_regular():
