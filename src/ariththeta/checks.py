@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import binforms
+from .errors import UnsupportedDiscriminant
 from .greens import EULER_GAMMA, QuadratureSpec, beta1
 from .identities import degree_series
 from .lattice import TraceZeroLattice
@@ -150,10 +151,13 @@ def suite_beta1(seed: int, spec: QuadratureSpec) -> list[Row]:
     return rows
 
 
-def suite_zagier(lat: TraceZeroLattice, hodge_degree: Fraction) -> list[Row]:
+def suite_zagier(lat: TraceZeroLattice) -> list[Row]:
+    """deg Z(t) = H(4t) and constant term zeta(-1): a statement about the split model."""
+    if lat.discriminant != 1:
+        raise UnsupportedDiscriminant("the Zagier correspondence is checked on the split model only")
     rows: list[Row] = []
-    series = degree_series(lat, v=1.0, n=50, hodge_degree=hodge_degree)
-    ok0 = series.coefficient(0) == -hodge_degree
+    series = degree_series(lat, v=1.0, n=50)
+    ok0 = series.coefficient(0) == Fraction(-1, 12)
     rows.append(("zagier:constant-term", ok0, f"coefficient(0) = {series.coefficient(0)}"))
     for t in range(1, 51):
         h = binforms.hurwitz_class_number(4 * t)
@@ -240,17 +244,11 @@ def suite_a_independence(
 SUITES = ("beta1", "zagier", "o2-invariance", "symmetry", "a-independence")
 
 
-def run_suite(
-    name: str,
-    lat: TraceZeroLattice,
-    seed: int,
-    spec: QuadratureSpec,
-    hodge_degree: Fraction = Fraction(1, 12),
-) -> list[Row]:
+def run_suite(name: str, lat: TraceZeroLattice, seed: int, spec: QuadratureSpec) -> list[Row]:
     if name == "beta1":
         return suite_beta1(seed, spec)
     if name == "zagier":
-        return suite_zagier(lat, hodge_degree)
+        return suite_zagier(lat)
     if name == "o2-invariance":
         return suite_o2_invariance(seed, spec)
     if name == "symmetry":
@@ -260,6 +258,6 @@ def run_suite(
     if name == "full":
         rows: list[Row] = []
         for s in SUITES:
-            rows.extend(run_suite(s, lat, seed, spec, hodge_degree))
+            rows.extend(run_suite(s, lat, seed, spec))
         return rows
     raise ValueError(f"unknown suite {name!r}; choose from {SUITES + ('full',)}")

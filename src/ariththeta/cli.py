@@ -29,18 +29,23 @@ def _emit(args, op: str, rows) -> None:
             print(f"{left:24s} {value}{tail}")
 
 
-def _numbers(kind, count: int):
-    """argparse type: exactly `count` comma-separated values of `kind`."""
+def _numbers(kind, count: int, positive_definite: bool = False):
+    """argparse type: exactly `count` comma-separated values of `kind`,
+    with positive_definite forming a positive definite matrix "a,b,c" = ((a, b), (b, c))."""
+    shape = " forming a positive definite matrix" if positive_definite else ""
 
     def parse(text: str) -> tuple:
         parts = text.split(",")
         try:
             if len(parts) != count:
                 raise ValueError
-            return tuple(kind(c) for c in parts)
+            values = tuple(kind(c) for c in parts)
+            if positive_definite and not (values[0] > 0 and values[0] * values[2] > values[1] ** 2):
+                raise ValueError
+            return values
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"expected {count} comma-separated {kind.__name__}s, got {text!r}"
+                f"expected {count} comma-separated {kind.__name__}s{shape}, got {text!r}"
             ) from None
 
     return parse
@@ -87,11 +92,7 @@ def _lattice_from(args, cfg: RunConfig):
 
 def cmd_theta_deg(args, cfg: RunConfig) -> int:
     lat = _lattice_from(args, cfg)
-    table = cfg.degree_tables.get(lat.discriminant)
-    n = max(args.max_t, 1)
-    series = degree_series(
-        lat, v=args.v, n=n, hodge_degree=cfg.hodge_degree, degree_table=table
-    )
+    series = degree_series(lat, v=args.v, n=max(args.max_t, 1))
     rows = []
     for t in range(0, args.max_t + 1):
         rows.append(({"t": t}, str(series.coefficient(t)), None))
@@ -180,7 +181,7 @@ def cmd_hurwitz(args, cfg: RunConfig) -> int:
 def cmd_check(args, cfg: RunConfig) -> int:
     lat = _lattice_from(args, cfg)
     seed = args.seed if args.seed is not None else cfg.seed
-    rows = checks.run_suite(args.suite, lat, seed, cfg.quadrature, cfg.hodge_degree)
+    rows = checks.run_suite(args.suite, lat, seed, cfg.quadrature)
     failures = 0
     for name, ok, detail in rows:
         status = "PASS" if ok else "FAIL"
@@ -217,11 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--x1", type=_numbers(int, 3), required=True, help='integer lattice coordinates "a,b,c"'
     )
     p.add_argument("--x2", type=_numbers(int, 3), required=True)
-    p.add_argument("--v", type=_numbers(float, 3), help='symmetric positive matrix "v11,v12,v22"')
+    pd_matrix = _numbers(float, 3, positive_definite=True)
+    p.add_argument("--v", type=pd_matrix, help='positive definite matrix "v11,v12,v22"')
     p.set_defaults(func=cmd_lambda)
 
     p = sub.add_parser("classify", help="fundamental prime and regularity of T")
-    p.add_argument("--T", type=_numbers(int, 3), required=True, help='matrix "t1,m,t2"')
+    pd_matrix = _numbers(int, 3, positive_definite=True)
+    p.add_argument("--T", type=pd_matrix, required=True, help='positive definite matrix "t1,m,t2"')
     p.add_argument("--D", type=int, required=True)
     p.set_defaults(func=cmd_classify)
 
@@ -241,7 +244,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except (OSError, ValueError) as exc:
+    except (OSError, TypeError, ValueError, ArithThetaError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return 2
     try:

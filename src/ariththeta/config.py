@@ -1,28 +1,27 @@
 """Run configuration for the command-line tool.
 
-A config file is JSON with optional keys:
+A config file is a JSON object with three optional keys:
 
     {
       "order": "d1" | path to an order JSON file,
       "quadrature": {QuadratureSpec fields},
-      "seed": 1729,
-      "identities": {
-        "hodge_degree": "1/12",
-        "degree_tables": {"6": {"1": "1/2", ...}}
-      }
+      "seed": 1729
     }
 
-The environment variable ARITHTHETA_CONFIG may point at such a file.
+Any other key, at the top or inside "quadrature", raises ConfigError naming
+it.  The degree series takes nothing from the config: its coefficients and
+constant term follow from the order.  The environment variable
+ARITHTHETA_CONFIG may point at such a file.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .errors import ConfigError
 from .greens import QuadratureSpec
 from .lattice import BUNDLED_ORDERS, Order, bundled_order, load_order
 
@@ -34,8 +33,6 @@ class RunConfig:
     order: str = "d1"
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
     seed: int = 1729
-    hodge_degree: Fraction = Fraction(1, 12)
-    degree_tables: dict = field(default_factory=dict)
 
     def load_order(self) -> Order:
         if self.order in BUNDLED_ORDERS:
@@ -46,6 +43,13 @@ class RunConfig:
         return load_order(path)
 
 
+def _check_keys(section: str, data, known) -> None:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{section} must be a JSON object")
+    if unknown := sorted(set(data) - set(known)):
+        raise ConfigError(f"unknown {section} keys {unknown}; known keys: {known}")
+
+
 def load_config(path: str | None = None) -> RunConfig:
     """Config from an explicit path, else $ARITHTHETA_CONFIG, else defaults."""
     if path is None:
@@ -54,18 +58,11 @@ def load_config(path: str | None = None) -> RunConfig:
         return RunConfig()
     with open(path) as fh:
         data = json.load(fh)
-    cfg = RunConfig()
-    if "quadrature" in data:
-        cfg = replace(cfg, quadrature=QuadratureSpec(**data["quadrature"]))
-    ident = data.get("identities", {})
-    tables = {
-        int(d): {int(t): Fraction(c) for t, c in tab.items()}
-        for d, tab in ident.get("degree_tables", {}).items()
-    }
-    return replace(
-        cfg,
-        order=data.get("order", cfg.order),
-        seed=int(data.get("seed", cfg.seed)),
-        hodge_degree=Fraction(ident.get("hodge_degree", cfg.hodge_degree)),
-        degree_tables=tables,
+    _check_keys("config", data, [f.name for f in fields(RunConfig)])
+    quadrature = data.get("quadrature", {})
+    _check_keys("quadrature", quadrature, [f.name for f in fields(QuadratureSpec)])
+    return RunConfig(
+        order=data.get("order", RunConfig.order),
+        quadrature=QuadratureSpec(**quadrature),
+        seed=int(data.get("seed", RunConfig.seed)),
     )

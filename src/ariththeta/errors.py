@@ -17,13 +17,6 @@ class AlgebraMismatch(ArithThetaError):
     """Arithmetic attempted between elements of different algebras."""
 
 
-class SearchExhausted(ArithThetaError):
-    """A bounded structure-constant search hit its bound without a hit.
-
-    Signals the bound, not nonexistence.
-    """
-
-
 class DegenerateOrder(ArithThetaError):
     """Trace-zero intersection of an order failed to have rank 3."""
 
@@ -61,7 +54,11 @@ class QuadratureFailure(ArithThetaError):
 
 
 class UnsupportedDiscriminant(ArithThetaError):
-    """Orbit machinery exists only for the split (discriminant 1) model."""
+    """Orbits and the Zagier check need the split model; degrees need a maximal order."""
+
+
+class ConfigError(ArithThetaError):
+    """A config file has an unknown key or a section of the wrong shape."""
 
 
 class NotSquarefree(ArithThetaError):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import binforms
 from .errors import (
     NotSquarefree,
     PreconditionViolation,
@@ -15,8 +16,9 @@ from .errors import (
     UnsupportedDiscriminant,
 )
 from .greens import DEFAULT_SPEC, QuadratureSpec, UHPoint
-from .lattice import TraceZeroLattice, weighted_orbit_degree
+from .lattice import TraceZeroLattice
 from .numtheory import (
+    eichler_symbol,
     factorint,
     is_squarefree,
     primes_up_to,  # noqa: F401  unused; perfbench/tracing.py wraps this attribute by name
@@ -50,40 +52,38 @@ class DegreeSeries:
         return self.coefficients.get(t, Fraction(0))
 
 
-def degree_series(
-    lat: TraceZeroLattice,
-    v: float,
-    n: int,
-    hodge_degree: Fraction = Fraction(1, 12),
-    degree_table: dict[int, Fraction] | None = None,
-) -> DegreeSeries:
-    """Degrees of the arithmetic cycle classes as a q-series, indices -N..N.
+def degree_series(lat: TraceZeroLattice, v: float, n: int) -> DegreeSeries:
+    """Degrees of the special cycles Z(t) of a maximal order as a q-series, indices -N..N.
 
-    Positive coefficients are unit-orbit degrees of the special divisors
-    (split model), the constant term is -hodge_degree, and negative indices
-    vanish because purely archimedean classes have zero generic-fiber degree.
-    For discriminant > 1 an explicit (unverified) degree table must be
-    supplied via configuration.
+    Eichler's count of optimal embeddings (Voight, Quaternion Algebras, ch. 30):
+    deg Z(t) = sum over f^2 | 4t with d = -4t/f^2 a discriminant of
+    2 h(d)/w(d) prod_{p | D} (1 - {d/p}), {d/p} the Eichler symbol.  A reduced
+    form of discriminant -4t and content f is f times a primitive form of
+    discriminant d, so one pass over the forms of -4t covers every f; at D = 1
+    the sum is H(4t).  The constant term is zeta_D(-1) = -hodge_degree and
+    negative indices vanish.  Other levels need other local factors.
     """
     if n < 1:
         raise PreconditionViolation("N must be >= 1")
     if not v > 0:
         raise PreconditionViolation("v must be positive")
+    d = lat.discriminant
+    level = lat.order.reduced_discriminant()
+    if level != d:
+        raise UnsupportedDiscriminant(
+            f"degrees need a maximal order; reduced discriminant {level} is not D = {d}"
+        )
+    primes = list(factorint(d)) if d > 1 else []
     coeffs: dict[int, Fraction] = {t: Fraction(0) for t in range(-n, 0)}
-    coeffs[0] = -hodge_degree
-    if lat.discriminant == 1:
-        for t in range(1, n + 1):
-            coeffs[t] = weighted_orbit_degree(lat, t)
-    else:
-        if degree_table is None:
-            raise UnsupportedDiscriminant(
-                "degrees for discriminant > 1 must come from a configured table"
-            )
-        for t in range(1, n + 1):
-            if t not in degree_table:
-                raise UnsupportedDiscriminant(f"degree table has no entry for t = {t}")
-            coeffs[t] = Fraction(degree_table[t])
-    return DegreeSeries(v=v, coefficients=coeffs, hodge_degree=hodge_degree)
+    coeffs[0] = zeta_db_at_minus1(d)
+    for t in range(1, n + 1):
+        total = Fraction(0)
+        for form in binforms.reduced_classes(-4 * t):
+            f = math.gcd(*form)
+            local = math.prod(1 - eichler_symbol(-4 * t // (f * f), p) for p in primes)
+            total += Fraction(2 * local, binforms.automorphism_count(form))
+        coeffs[t] = total
+    return DegreeSeries(v=v, coefficients=coeffs, hodge_degree=-coeffs[0])
 
 
 @dataclass(frozen=True)

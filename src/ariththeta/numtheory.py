@@ -133,6 +133,11 @@ def kronecker_symbol(a: int, n: int) -> int:
     return sign * jacobi_symbol(a, n)
 
 
+def eichler_symbol(d: int, p: int) -> int:
+    """Eichler symbol {d/p} of a discriminant d: 1 if p divides its conductor, else (d|p)."""
+    return 1 if (d // field_discriminant(d)) % (p * p) == 0 else kronecker_symbol(d, p)
+
+
 def field_discriminant(m: int) -> int:
     """Discriminant of Q(sqrt(m)) for m not a square; m is reduced to its squarefree part."""
     m = squarefree_part(m)

@@ -12,11 +12,13 @@ enters this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import count
 
-from .errors import AlgebraMismatch, SearchExhausted, ZeroStructureConstant
+from .errors import AlgebraMismatch, ZeroStructureConstant
 from .numtheory import factorint, is_prime, rational_valuation
 
 Rational = Fraction | int
@@ -238,47 +240,41 @@ class QuaternionElement:
         return "Quat(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-def definite_twin(alg: QuaternionAlgebra, p: int, search_bound: int = 60) -> QuaternionAlgebra:
-    """Definite algebra whose finite ramification is ram(alg) xor {p}.
+def _least_prime_partner(a: int, target: frozenset[int]) -> QuaternionAlgebra:
+    """(a, q) for a > 0, else (a, -q), with q the least prime whose ramified set is target.
 
-    Found by searching structure constants (a', b') with |a'|, |b'| up to
-    search_bound.  Exhausting the bound raises SearchExhausted; that signals
-    the bound, not nonexistence.
+    Here |a| is the product of target, of even size for a > 0 and odd size
+    for a < 0, and such a q exists.  For a prime q prime to 2a, the symbol
+    (a, +-q) at an odd l | a is the Legendre symbol of +-q mod l, and at 2 it
+    depends on q mod 8 only.  So -1 at every l in target and +1 at 2 if 2 is
+    not in target fix q in a nonempty set of classes prime to 8a (at 2,
+    q = 5 mod 8 for a > 0 and q = 3 mod 8 for a < 0), where Dirichlet's
+    theorem supplies a prime.  The symbol is +1 away from 2aq and sign(a) at
+    infinity, so the places other than q carry an even number of -1s, and
+    Hilbert reciprocity forces +1 at q as well.
     """
+    for q in count(2):
+        if is_prime(q):
+            alg = QuaternionAlgebra(Fraction(a), Fraction(q if a > 0 else -q))
+            if alg.ramified_primes == target:
+                return alg
+
+
+def definite_twin(alg: QuaternionAlgebra, p: int) -> QuaternionAlgebra:
+    """Definite (-D', -q) ramified at S = ram(alg) xor {p}, D' = prod S; q as in _least_prime_partner."""
     if alg.is_definite:
         raise ValueError("definite_twin expects an indefinite algebra")
     if not is_prime(p):
         raise ValueError(f"not a prime: {p}")
     target = frozenset(alg.ramified_primes ^ {p})
-    for height in range(1, search_bound + 1):
-        for ap in range(1, height + 1):
-            for bp in range(1, height + 1):
-                if max(ap, bp) != height:
-                    continue
-                cand = QuaternionAlgebra(Fraction(-ap), Fraction(-bp))
-                if cand.ramified_primes == target:
-                    return cand
-    raise SearchExhausted(
-        f"no definite (a', b') with ramification {sorted(target)} and "
-        f"|a'|, |b'| <= {search_bound}"
-    )
+    return _least_prime_partner(-math.prod(target), target)
 
 
-def indefinite_algebra_of_discriminant(d: int, search_bound: int = 60) -> QuaternionAlgebra:
-    """Indefinite algebra with squarefree discriminant d (even number of primes)."""
-    if d == 1:
-        return make_algebra(1, 1)
-    target = frozenset(factorint(d))
-    if any(e > 1 for e in factorint(d).values()):
-        raise ValueError("discriminant must be squarefree")
-    for height in range(1, search_bound + 1):
-        for ap in range(-height, height + 1):
-            for bp in range(-height, height + 1):
-                if ap == 0 or bp == 0 or max(abs(ap), abs(bp)) != height:
-                    continue
-                if ap < 0 and bp < 0:
-                    continue
-                cand = QuaternionAlgebra(Fraction(ap), Fraction(bp))
-                if cand.ramified_primes == target:
-                    return cand
-    raise SearchExhausted(f"no indefinite algebra of discriminant {d} within {search_bound}")
+def indefinite_algebra_of_discriminant(d: int) -> QuaternionAlgebra:
+    """Indefinite (d, q) of squarefree discriminant d (even number of primes); q as in _least_prime_partner."""
+    primes = factorint(d) if d > 1 else {}
+    if d < 1 or any(e > 1 for e in primes.values()):
+        raise ValueError("discriminant must be squarefree and positive")
+    if len(primes) % 2:
+        raise ValueError(f"{d} has an odd number of prime factors")
+    return _least_prime_partner(d, frozenset(primes))

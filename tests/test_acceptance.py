@@ -154,7 +154,7 @@ def _twin_pair_search(d: int, p: int, t_mat, max_den: int = 4) -> bool:
     represents T.
     """
     alg = indefinite_algebra_of_discriminant(d)
-    tw = definite_twin(alg, p, search_bound=max(60, 3 * p))
+    tw = definite_twin(alg, p)
     d1, d2, d3 = int(-tw.a), int(-tw.b), int(tw.a * tw.b)
 
     def vecs(k):

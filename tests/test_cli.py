@@ -91,6 +91,8 @@ def test_usage_error_exit_2():
         ["green", "--t", "-1", "--z", "a,b"],
         ["lambda", "--x1", "0,1", "--x2", "1,0,0"],
         ["hurwitz", "--n", "-3"],
+        ["classify", "--T", "1,2,1", "--D", "6"],
+        ["lambda", "--x1", "0,1,1", "--x2", "1,0,0", "--v", "1,2,1"],
     ],
 )
 def test_malformed_arguments_are_usage_errors(argv, capsys):
@@ -122,17 +124,12 @@ def test_check_beta1_deterministic_bytes():
 
 def test_config_file_roundtrip(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "seed": 4,
-                "identities": {"hodge_degree": "1/6"},
-            }
-        )
-    )
+    cfg.write_text(json.dumps({"seed": 4, "order": "d10"}))
+    assert main(["--config", str(cfg), "check", "beta1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("(seed 4)")
     assert main(["--config", str(cfg), "theta-deg", "--max-t", "1"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0].split()[-1] == "-1/6"
+    assert out[0].split()[-1] == "-1/3"
 
 
 def test_config_quadrature_section(tmp_path):
@@ -150,22 +147,57 @@ def test_config_quadrature_section(tmp_path):
 
 def test_config_env_var(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"identities": {"hodge_degree": "1/24"}}))
+    cfg.write_text(json.dumps({"order": "d6"}))
     monkeypatch.setenv("ARITHTHETA_CONFIG", str(cfg))
     assert main(["theta-deg", "--max-t", "0"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0].split()[-1] == "-1/24"
+    assert out[0].split()[-1] == "-1/6"
 
 
-def test_degree_table_config_for_d6(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(
-        json.dumps({"identities": {"degree_tables": {"6": {"1": "1/3", "2": "2/3"}}}})
-    )
-    assert main(["--config", str(cfg), "--order", "d6", "theta-deg", "--max-t", "2"]) == 0
+@pytest.mark.parametrize(
+    "order,expected",
+    [
+        ("d6", "-1/6 1 0 2/3 1 0 2 0 0 1 4 0 2/3"),
+        ("d10", "-1/3 0 2 4/3 0 2 0 0 2 0 2 0 4/3"),
+    ],
+)
+def test_theta_deg_without_config(order, expected, capsys, monkeypatch):
+    monkeypatch.delenv("ARITHTHETA_CONFIG", raising=False)
+    assert main(["--order", order, "theta-deg", "--max-t", "12"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert [line.split()[-1] for line in out] == ["-1/12", "1/3", "2/3"]
+    assert [line.split()[-1] for line in out] == expected.split()
 
 
-def test_d6_without_table_fails_cleanly(capsys):
-    assert main(["--order", "d6", "theta-deg", "--max-t", "2"]) == 1
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"identities": {"hodge_degree": "1/6"}},
+        {"hodge_degree": "1/12"},
+        {"quadrature": {"abs_tl": 1e-9}},
+        ["order", "d6"],
+    ],
+)
+def test_unknown_config_key_is_a_usage_error(data, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["--config", str(cfg), "theta-deg", "--max-t", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err
+    if isinstance(data, dict):
+        key = next(iter(data.get("quadrature", data)))
+        assert repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "data", [{"quadrature": {"abs_tol": -1.0}}, {"quadrature": {"rel_tol": "x"}}, {"seed": [1]}]
+)
+def test_bad_config_value_is_a_usage_error(data, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["--config", str(cfg), "theta-deg", "--max-t", "1"]) == 2
+    assert "bad config" in capsys.readouterr().err
+
+
+def test_check_zagier_refuses_d6(capsys):
+    assert main(["--order", "d6", "check", "zagier"]) == 1
+    assert "UnsupportedDiscriminant" in capsys.readouterr().err

@@ -14,7 +14,13 @@ from ariththeta.errors import (
     UnsupportedDiscriminant,
 )
 from ariththeta.greens import QuadratureSpec, UHPoint, big_xi
-from ariththeta.numtheory import is_squarefree, kronecker_symbol
+from ariththeta.lattice import (
+    load_order,
+    representation_count,
+    trace_zero_lattice,
+    weighted_orbit_degree,
+)
+from ariththeta.numtheory import eichler_symbol, is_squarefree, kronecker_symbol
 
 
 # --- degree series -------------------------------------------------------------
@@ -36,17 +42,48 @@ def test_degree_series_v_independent(lat_d1):
         assert a.coefficient(t) == b.coefficient(t)
 
 
-def test_degree_series_needs_table_for_d6(lat_d6):
+def test_degree_series_d1_equals_orbit_count(lat_d1):
+    # Independent route: unit-group orbits on {Q = t} weighted by 1/stabilizer.
+    s = idn.degree_series(lat_d1, v=1.0, n=200)
+    for t in range(1, 201):
+        assert s.coefficient(t) == weighted_orbit_degree(lat_d1, t), t
+
+
+HALF = "1/2"
+CLASS_NUMBER_ONE_ORDERS = {
+    2: ("-1", "-1", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [HALF, HALF, HALF, HALF]]),
+    3: ("-1", "-3", [[1, 0, 0, 0], [0, 1, 0, 0], [HALF, 0, HALF, 0], [0, HALF, 0, HALF]]),
+    7: ("-1", "-7", [[1, 0, 0, 0], [0, 1, 0, 0], [HALF, 0, HALF, 0], [0, HALF, 0, HALF]]),
+}
+
+
+@pytest.mark.parametrize("d", sorted(CLASS_NUMBER_ONE_ORDERS))
+def test_degree_series_definite_class_number_one(d):
+    # A definite maximal order O of class number one has mass 1/|O^x| = (D-1)/24,
+    # so deg Z(t) counts the vectors of norm t: 2 (D-1)/24 r(t), with r(0) = 1.
+    a, b, basis = CLASS_NUMBER_ONE_ORDERS[d]
+    order = load_order({"a": a, "b": b, "discriminant": d, "basis": basis})
+    assert order.reduced_discriminant() == d
+    lat = trace_zero_lattice(order)
+    s = idn.degree_series(lat, v=1.0, n=39)
+    assert s.coefficient(0) == Fraction(2 * (d - 1), 24)
+    for t in range(1, 40):
+        assert s.coefficient(t) == Fraction(2 * (d - 1), 24) * representation_count(lat, t), (d, t)
+
+
+def test_degree_series_eichler_symbol_at_the_conductor(lat_d6):
+    # d = -12 has conductor 2, so at D = 6 its term vanishes; the plain
+    # Kronecker symbol (-12|2) = 0 would add 1 and give 5/3.
+    assert eichler_symbol(-12, 2) == 1 and kronecker_symbol(-12, 2) == 0
+    assert idn.degree_series(lat_d6, v=1.0, n=3).coefficient(3) == Fraction(2, 3)
+
+
+def test_degree_series_refuses_non_maximal_orders():
+    # The Lipschitz order Z<1, i, j, ij> has reduced discriminant 4 in the algebra of D = 2.
+    basis = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    lip = load_order({"a": "-1", "b": "-1", "discriminant": 2, "basis": basis})
     with pytest.raises(UnsupportedDiscriminant):
-        idn.degree_series(lat_d6, v=1.0, n=2)
-    table = {1: Fraction(1, 3), 2: Fraction(2, 3)}
-    s = idn.degree_series(lat_d6, v=1.0, n=2, degree_table=table)
-    assert s.coefficient(2) == Fraction(2, 3)
-
-
-def test_degree_series_hodge_degree_knob(lat_d1):
-    s = idn.degree_series(lat_d1, v=1.0, n=1, hodge_degree=Fraction(5, 7))
-    assert s.coefficient(0) == Fraction(-5, 7)
+        idn.degree_series(trace_zero_lattice(lip), v=1.0, n=2)
 
 
 # --- archimedean degree ---------------------------------------------------------

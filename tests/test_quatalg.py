@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ariththeta.errors import AlgebraMismatch, SearchExhausted, ZeroStructureConstant
-from ariththeta.numtheory import factorint, is_squarefree, rational_diagonal
+from ariththeta.errors import AlgebraMismatch, ZeroStructureConstant
+from ariththeta.numtheory import factorint, is_prime, is_squarefree, rational_diagonal
 from ariththeta.quatalg import (
     INFINITE_PLACE,
     definite_twin,
@@ -217,11 +217,13 @@ def test_definite_twin_examples():
     split = make_algebra(1, 1)
     tw2 = definite_twin(split, 2)
     assert tw2.is_definite and sorted(tw2.ramified_primes) == [2]
-    assert (tw2.a, tw2.b) == (-1, -1)
+    assert (tw2.a, tw2.b) == (-2, -2)
 
     d6 = make_algebra(-1, 3)
     assert sorted(definite_twin(d6, 2).ramified_primes) == [3]
-    assert sorted(definite_twin(d6, 5).ramified_primes) == [2, 3, 5]
+    tw5 = definite_twin(d6, 5)
+    assert sorted(tw5.ramified_primes) == [2, 3, 5]
+    assert (tw5.a, tw5.b) == (-30, -3)
 
 
 def test_definite_twin_requires_indefinite():
@@ -229,15 +231,36 @@ def test_definite_twin_requires_indefinite():
         definite_twin(make_algebra(-1, -1), 2)
 
 
-def test_definite_twin_search_bound_raises():
-    with pytest.raises(SearchExhausted):
-        definite_twin(make_algebra(1, 1), 61, search_bound=5)
-
-
 @pytest.mark.parametrize("d,p", [(1, 2), (1, 3), (6, 2), (6, 5), (10, 2), (10, 7)])
 def test_twin_involution_on_ramification(d, p):
     alg = indefinite_algebra_of_discriminant(d)
-    tw = definite_twin(alg, p, search_bound=90)
+    tw = definite_twin(alg, p)
     # Twice-twinned finite ramification returns to the original set.
     again = frozenset(tw.ramified_primes ^ {p})
     assert again == alg.ramified_primes
+
+
+def test_constructions_cover_every_discriminant():
+    # Every squarefree indefinite D in [6, 400): (D, q) with q prime.
+    ds = [d for d in range(6, 400) if is_squarefree(d) and len(factorint(d)) % 2 == 0]
+    assert len(ds) == 121
+    for d in ds:
+        alg = indefinite_algebra_of_discriminant(d)
+        assert alg.is_indefinite and alg.ramified_primes == frozenset(factorint(d)), d
+        assert alg.a == d and is_prime(alg.b), d
+    # The twin grid: every indefinite D <= 400 (D = 1 included) and every p <= 59.
+    grid = [1] + ds
+    primes = [p for p in range(2, 60) if is_prime(p)]
+    for d in grid:
+        alg = indefinite_algebra_of_discriminant(d)
+        for p in primes:
+            tw = definite_twin(alg, p)
+            target = alg.ramified_primes ^ {p}
+            assert tw.is_definite and tw.ramified_primes == target, (d, p)
+            assert tw.a == -math.prod(target) and is_prime(-tw.b), (d, p)
+
+
+@pytest.mark.parametrize("d", [0, 2, 12, 30])
+def test_indefinite_algebra_rejects_bad_discriminants(d):
+    with pytest.raises(ValueError):
+        indefinite_algebra_of_discriminant(d)
