@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import PreconditionViolation
+
 
 def discriminant(form: tuple[int, int, int]) -> int:
     a, b, c = form
@@ -28,7 +30,7 @@ def reduce_form(form: tuple[int, int, int]) -> tuple[int, int, int]:
     """SL2(Z)-canonical reduced representative of a positive definite form."""
     a, b, c = form
     if a <= 0 or discriminant(form) >= 0:
-        raise ValueError("reduce_form needs a positive definite form")
+        raise PreconditionViolation("reduce_form needs a positive definite form")
     while True:
         # Normalize: -a < b <= a.
         if not (-a < b <= a):
@@ -50,7 +52,7 @@ def reduce_form(form: tuple[int, int, int]) -> tuple[int, int, int]:
 def reduced_classes(disc: int) -> list[tuple[int, int, int]]:
     """All reduced positive definite forms of the given negative discriminant."""
     if disc >= 0:
-        raise ValueError("need a negative discriminant")
+        raise PreconditionViolation("need a negative discriminant")
     out = []
     b = disc % 2
     while b * b <= -disc // 3:
@@ -96,7 +98,7 @@ def hurwitz_class_number(n: int):
     from fractions import Fraction
 
     if n < 0:
-        raise ValueError("H(n) needs n >= 0")
+        raise PreconditionViolation("H(n) needs n >= 0")
     if n == 0:
         return Fraction(-1, 12)
     if n % 4 not in (0, 3):
@@ -118,7 +120,7 @@ def hurwitz_class_number_boxdedup(n: int):
     from fractions import Fraction
 
     if n < 0:
-        raise ValueError("H(n) needs n >= 0")
+        raise PreconditionViolation("H(n) needs n >= 0")
     if n == 0:
         return Fraction(-1, 12)
     if n % 4 not in (0, 3):

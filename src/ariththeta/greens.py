@@ -164,26 +164,34 @@ def beta1_vec(r: np.ndarray) -> np.ndarray:
     small = r <= 1.0
     if np.any(small):
         rs = r[small]
+        neg = np.negative(rs)
+        tmp = np.empty_like(rs)
         acc = -EULER_GAMMA - np.log(rs)
         term = np.ones_like(rs)
         for k in range(1, 24):
-            term *= -rs / k
-            acc -= term / k
+            term *= np.divide(neg, k, out=tmp)
+            acc -= np.divide(term, k, out=tmp)
         out[small] = acc
     if np.any(~small):
         rl = r[~small]
-        f = rl + 1.0
-        c = f.copy()
+        rl1 = rl + 1.0
+        f = rl1.copy()
+        c = rl1.copy()
         d = np.zeros_like(rl)
+        bn = np.empty_like(rl)
+        tmp = np.empty_like(rl)
+        zero = np.empty(rl.shape, dtype=bool)
         for n in range(1, 80):
             an = -(n * n)
-            bn = rl + 1.0 + 2.0 * n
-            d = bn + an * d
-            np.copyto(d, 1e-300, where=d == 0)
-            c = bn + an / c
-            np.copyto(c, 1e-300, where=c == 0)
-            d = 1.0 / d
-            f *= c * d
+            np.add(rl1, 2.0 * n, out=bn)
+            np.multiply(an, d, out=d)
+            d += bn
+            np.copyto(d, 1e-300, where=np.equal(d, 0, out=zero))
+            np.divide(an, c, out=c)
+            c += bn
+            np.copyto(c, 1e-300, where=np.equal(c, 0, out=zero))
+            np.divide(1.0, d, out=d)
+            f *= np.multiply(c, d, out=tmp)
         with np.errstate(over="ignore"):
             out[~small] = np.where(rl > 700, 0.0, np.exp(-np.minimum(rl, 745.0)) / f)
     return out

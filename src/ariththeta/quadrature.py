@@ -19,13 +19,13 @@ _N4, _W4 = np.polynomial.legendre.leggauss(4)
 _N8, _W8 = np.polynomial.legendre.leggauss(8)
 
 
-def _grid(nodes, weights, u0, u1, v0, v1):
-    su, sv = (u1 - u0) / 2.0, (v1 - v0) / 2.0
-    uu = u0 + su * (nodes + 1.0)
-    vv = v0 + sv * (nodes + 1.0)
-    um, vm = np.meshgrid(uu, vv, indexing="ij")
-    wm = su * sv * np.outer(weights, weights)
-    return um.ravel(), vm.ravel(), wm.ravel()
+# Reference nodes on [0, 2]^2 and product weights of one cell: the 4x4 rule
+# in the first 16 places, the 8x8 rule in the last 64, each in meshgrid "ij"
+# order.  A cell scales them by its half-sides.
+_REF_U = np.concatenate([np.repeat(_N4 + 1.0, 4), np.repeat(_N8 + 1.0, 8)])
+_REF_V = np.concatenate([np.tile(_N4 + 1.0, 4), np.tile(_N8 + 1.0, 8)])
+_REF_W = np.concatenate([np.outer(_W4, _W4).ravel(), np.outer(_W8, _W8).ravel()])
+_N4_NODES = _N4.size**2
 
 
 @dataclass
@@ -36,29 +36,20 @@ class _Cell:
     v1: float
     value: float = 0.0
     err: float = 0.0
+    depth: int = 0
 
 
 def _evaluate(f: Callable, cells: list[_Cell]) -> None:
     """Fill value/err of cells with one batched integrand call."""
     if not cells:
         return
-    us, vs, ws, offs = [], [], [], []
-    pos = 0
-    for c in cells:
-        for nodes, weights in ((_N4, _W4), (_N8, _W8)):
-            u, v, w = _grid(nodes, weights, c.u0, c.u1, c.v0, c.v1)
-            us.append(u)
-            vs.append(v)
-            ws.append(w)
-            offs.append((pos, pos + u.size))
-            pos += u.size
-    vals = f(np.concatenate(us), np.concatenate(vs))
-    wall = np.concatenate(ws)
-    for k, c in enumerate(cells):
-        a4, b4 = offs[2 * k]
-        a8, b8 = offs[2 * k + 1]
-        i4 = float(np.dot(vals[a4:b4], wall[a4:b4]))
-        i8 = float(np.dot(vals[a8:b8], wall[a8:b8]))
+    u0, u1, v0, v1 = np.array([(c.u0, c.u1, c.v0, c.v1) for c in cells]).T[:, :, None]
+    su, sv = (u1 - u0) / 2.0, (v1 - v0) / 2.0
+    vals = f((u0 + su * _REF_U).ravel(), (v0 + sv * _REF_V).ravel()).reshape(len(cells), -1)
+    wall = (su * sv) * _REF_W
+    for c, val, w in zip(cells, vals, wall):
+        i4 = float(np.dot(val[:_N4_NODES], w[:_N4_NODES]))
+        i8 = float(np.dot(val[_N4_NODES:], w[_N4_NODES:]))
         c.value = i8
         c.err = abs(i8 - i4)
 
@@ -107,6 +98,7 @@ def adaptive_integrate(
             if hit and max(c.u1 - c.u0, c.v1 - c.v0) > force_size:
                 queue.extend(_split(c))
             else:
+                c.depth = 0  # depth counts from the pre-split cells
                 final.append(c)
         cells = final
     _evaluate(f, cells)
@@ -114,7 +106,6 @@ def adaptive_integrate(
     counter = len(cells)
     heap = [(-c.err, i, c) for i, c in enumerate(cells)]
     heapq.heapify(heap)
-    depth = {id(c): 0 for c in cells}
     n_leaves = len(cells)
     while True:
         total_value = sum(c.value for _, _, c in heap)
@@ -139,13 +130,9 @@ def adaptive_integrate(
             return total_value, sum(-e for e, _, _ in heap)
         children = []
         for cell in batch:
-            d = depth.get(id(cell), 0)
-            if d >= max_depth:
+            if cell.depth >= max_depth:
                 raise QuadratureFailure("max subdivision depth reached")
-            kids = _split(cell)
-            for k in kids:
-                depth[id(k)] = d + 1
-            children.extend(kids)
+            children.extend(_split(cell))
         _evaluate(f, children)
         for k in children:
             counter += 1
@@ -156,9 +143,10 @@ def adaptive_integrate(
 def _split(c: _Cell) -> list[_Cell]:
     um = 0.5 * (c.u0 + c.u1)
     vm = 0.5 * (c.v0 + c.v1)
+    d = c.depth + 1
     return [
-        _Cell(c.u0, um, c.v0, vm),
-        _Cell(um, c.u1, c.v0, vm),
-        _Cell(c.u0, um, vm, c.v1),
-        _Cell(um, c.u1, vm, c.v1),
+        _Cell(c.u0, um, c.v0, vm, depth=d),
+        _Cell(um, c.u1, c.v0, vm, depth=d),
+        _Cell(c.u0, um, vm, c.v1, depth=d),
+        _Cell(um, c.u1, vm, c.v1, depth=d),
     ]

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count
 
-from .errors import AlgebraMismatch, ZeroStructureConstant
+from .errors import AlgebraMismatch, NotSquarefree, PreconditionViolation, ZeroStructureConstant
 from .numtheory import factorint, is_prime, rational_valuation
 
 Rational = Fraction | int
@@ -41,7 +41,7 @@ def hilbert_symbol(a: Rational, b: Rational, place) -> int:
         return -1 if (a < 0 and b < 0) else 1
     p = int(place)
     if not is_prime(p):
-        raise ValueError(f"not a prime: {p}")
+        raise PreconditionViolation(f"not a prime: {p}")
     alpha = rational_valuation(a, p)
     beta = rational_valuation(b, p)
     u = a / Fraction(p) ** alpha  # p-unit parts
@@ -219,10 +219,6 @@ class QuaternionElement:
         x0, x1, x2, x3 = self.coeffs
         return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
 
-    @property
-    def is_trace_zero(self) -> bool:
-        return self.coeffs[0] == 0
-
     def quadratic_value(self) -> Fraction:
         """Q(x) = nu(x), meaningful on the trace-zero space."""
         return self.norm()
@@ -230,9 +226,6 @@ class QuaternionElement:
     def inner(self, other: "QuaternionElement") -> Fraction:
         """(x, y) = nu(x + y) - nu(x) - nu(y), so (x, x) = 2 Q(x)."""
         return (self + other).norm() - self.norm() - other.norm()
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def __repr__(self) -> str:
         names = ("", "i", "j", "ij")
@@ -263,18 +256,20 @@ def _least_prime_partner(a: int, target: frozenset[int]) -> QuaternionAlgebra:
 def definite_twin(alg: QuaternionAlgebra, p: int) -> QuaternionAlgebra:
     """Definite (-D', -q) ramified at S = ram(alg) xor {p}, D' = prod S; q as in _least_prime_partner."""
     if alg.is_definite:
-        raise ValueError("definite_twin expects an indefinite algebra")
+        raise PreconditionViolation("definite_twin expects an indefinite algebra")
     if not is_prime(p):
-        raise ValueError(f"not a prime: {p}")
+        raise PreconditionViolation(f"not a prime: {p}")
     target = frozenset(alg.ramified_primes ^ {p})
     return _least_prime_partner(-math.prod(target), target)
 
 
 def indefinite_algebra_of_discriminant(d: int) -> QuaternionAlgebra:
     """Indefinite (d, q) of squarefree discriminant d (even number of primes); q as in _least_prime_partner."""
+    if d < 1:
+        raise PreconditionViolation(f"discriminant must be positive, got {d}")
     primes = factorint(d) if d > 1 else {}
-    if d < 1 or any(e > 1 for e in primes.values()):
-        raise ValueError("discriminant must be squarefree and positive")
+    if any(e > 1 for e in primes.values()):
+        raise NotSquarefree(f"{d} is not squarefree")
     if len(primes) % 2:
-        raise ValueError(f"{d} has an odd number of prime factors")
+        raise PreconditionViolation(f"{d} has an odd number of prime factors")
     return _least_prime_partner(d, frozenset(primes))

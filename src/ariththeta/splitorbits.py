@@ -31,16 +31,10 @@ def inner(v: Vec, w: Vec) -> int:
     return sum(v[i] * G_STD[i][j] * w[j] for i in range(3) for j in range(3))
 
 
-def form_of_vector(v: Vec) -> tuple[int, int, int]:
-    """Binary form gamma u^2 - 2 alpha u w - beta w^2 attached to a vector."""
-    a, b, g = v
-    return (g, -2 * a, -b)
-
-
 def vector_of_form(form: tuple[int, int, int]) -> Vec:
     a, b, c = form
     if b % 2:
-        raise ValueError("needs an even middle coefficient")
+        raise PreconditionViolation("needs an even middle coefficient")
     return (-b // 2, -c, a)
 
 
@@ -48,7 +42,7 @@ def canonical_orbit_form(v: Vec) -> tuple[int, int, int]:
     """Reduced positive form labelling the conjugation orbit of v (Q(v) > 0)."""
     a, b, g = v
     if g == 0:
-        raise ValueError("vector with gamma = 0 has Q <= 0")
+        raise PreconditionViolation("vector with gamma = 0 has Q <= 0")
     if g < 0:
         # Conjugating by diag(1, -1) sends (alpha, beta, gamma) to (alpha, -beta, -gamma).
         a, b, g = a, -b, -g
@@ -58,7 +52,7 @@ def canonical_orbit_form(v: Vec) -> tuple[int, int, int]:
 def orbit_reps(t: int) -> list[Vec]:
     """One vector per unit-group orbit on {Q = t}, t > 0."""
     if t < 1:
-        raise ValueError("t must be positive")
+        raise PreconditionViolation("t must be positive")
     return [vector_of_form(f) for f in binforms.reduced_classes(-4 * t)]
 
 
@@ -67,7 +61,7 @@ def conj_action(g: Mat2) -> tuple[tuple[int, int, int], ...]:
     p, q, r, s = g
     d = p * s - q * r
     if abs(d) != 1:
-        raise ValueError("need |det| = 1")
+        raise PreconditionViolation("need |det| = 1")
     rows = (
         (p * s + q * r, -p * r, q * s),
         (-2 * p * q, p * p, -q * q),
@@ -92,7 +86,7 @@ def _solve_binary_value(a: int, b: int, c: int, value: int) -> list[tuple[int, i
     """All integer (m, n) with a m^2 + b mn + c n^2 = value, for a definite form."""
     disc = b * b - 4 * a * c
     if disc >= 0:
-        raise ValueError("form must be definite")
+        raise PreconditionViolation("form must be definite")
     if a < 0:
         a, b, c, value = -a, -b, -c, -value
     if value < 0:
@@ -128,7 +122,7 @@ def commuting_units(v: Vec) -> list[Mat2]:
     ]
     kernel = integer_kernel(rows)
     if len(kernel) != 2:
-        raise ValueError(f"centralizer rank {len(kernel)} != 2 for {v}")
+        raise PreconditionViolation(f"centralizer rank {len(kernel)} != 2 for {v}")
     e1 = tuple(kernel[0])
     e2 = tuple(kernel[1])
     fa, fb, fc = _det_form_on_plane(e1, e2)  # positive definite norm form
@@ -153,7 +147,7 @@ def anticommuting_flips(v: Vec) -> list[Mat2]:
     if len(kernel) == 0:
         return []
     if len(kernel) != 2:
-        raise ValueError(f"anticommutant rank {len(kernel)} != 2 for {v}")
+        raise PreconditionViolation(f"anticommutant rank {len(kernel)} != 2 for {v}")
     e1 = tuple(kernel[0])
     e2 = tuple(kernel[1])
     fa, fb, fc = _det_form_on_plane(e1, e2)  # negative definite for Q(v) > 0

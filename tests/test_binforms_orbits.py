@@ -17,6 +17,7 @@ from ariththeta.binforms import (
     reduce_form,
     reduced_classes,
 )
+from ariththeta.errors import PreconditionViolation
 
 
 def test_hurwitz_hand_values():
@@ -26,6 +27,12 @@ def test_hurwitz_hand_values():
     assert hurwitz_class_number(0) == Fraction(-1, 12)
     assert hurwitz_class_number(1) == 0
     assert hurwitz_class_number(2) == 0
+
+
+def test_hurwitz_rejects_negative_n():
+    for route in (hurwitz_class_number, hurwitz_class_number_boxdedup):
+        with pytest.raises(PreconditionViolation):
+            route(-3)
 
 
 def test_hurwitz_two_routes_agree_to_200():

@@ -1,0 +1,96 @@
+"""adaptive_integrate called directly: pinned results, exact rules, failures.
+
+The pinned values are bit for bit what the per-cell grid construction gave
+before nodes were built in one broadcast per batch; the batched nodes,
+weights and per-cell sums must reproduce them exactly.
+"""
+
+import numpy as np
+import pytest
+
+from ariththeta.errors import QuadratureFailure
+from ariththeta.quadrature import adaptive_integrate
+
+
+def _counted(f):
+    """f and a one-element list holding the number of points it was given."""
+    points = [0]
+
+    def g(u, v):
+        points[0] += u.size
+        return f(u, v)
+
+    return g, points
+
+
+def _bump(u, v):
+    # Narrow Gaussian times the hyperbolic measure: the 8x6 start refines.
+    return np.exp(-((u - 0.3) ** 2 + (v - 1.1) ** 2) / 0.01) / v**2
+
+
+def _step(u, v):
+    # A jump across a slanted line, which no cell size resolves.
+    return np.where(u + 0.37 * v > 0.2, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs,expected,points",
+    [
+        ({}, (0.02629228806381644, 5.799004492943229e-11), 32320),
+        (
+            {"force_points": ((0.3, 1.1),), "force_size": 0.05},
+            (0.026292288063816442, 2.2990968545521022e-11),
+            37840,
+        ),
+    ],
+)
+def test_refined_integral_is_pinned(kwargs, expected, points):
+    f, seen = _counted(_bump)
+    value, err = adaptive_integrate(f, -1.0, 1.0, 0.5, 2.0, abs_tol=1e-10, rel_tol=1e-9, **kwargs)
+    assert (value, err) == expected
+    assert seen[0] == points
+    # 48 start cells of 80 nodes: the integrand needed refinement.
+    assert points > 48 * 80
+
+
+def test_degree_seven_product_is_exact_for_both_rules():
+    rng = np.random.default_rng(7)
+    p = np.polynomial.Polynomial(rng.uniform(-1, 1, 8))
+    q = np.polynomial.Polynomial(rng.uniform(-1, 1, 8))
+    u0, u1, v0, v1 = -0.7, 1.3, 0.2, 2.1
+    exact = (p.integ()(u1) - p.integ()(u0)) * (q.integ()(v1) - q.integ()(v0))
+    f, seen = _counted(lambda u, v: p(u) * q(v))
+    value, err = adaptive_integrate(f, u0, u1, v0, v1, abs_tol=1e-12, rel_tol=1e-12)
+    # The 4-point rule is exact to degree 7, so no cell is split.
+    assert seen[0] == 48 * 80
+    assert abs(value - exact) <= 1e-13 * max(1.0, abs(exact))
+    assert err <= 1e-13 * max(1.0, abs(exact))
+
+
+def test_max_cells_failure():
+    f, seen = _counted(_step)
+    with pytest.raises(QuadratureFailure, match="above tolerance .* with 231 cells"):
+        adaptive_integrate(f, -1.0, 1.0, 0.0, 1.0, abs_tol=1e-12, rel_tol=0.0, max_cells=200)
+    assert seen[0] == 23360
+
+
+@pytest.mark.parametrize("max_depth,points", [(2, 8320), (3, 11840)])
+def test_max_depth_failure(max_depth, points):
+    f, seen = _counted(_step)
+    with pytest.raises(QuadratureFailure, match="max subdivision depth reached"):
+        adaptive_integrate(f, -1.0, 1.0, 0.0, 1.0, abs_tol=1e-12, rel_tol=0.0, max_depth=max_depth)
+    assert seen[0] == points
+
+
+def test_depth_counts_from_the_pre_split_cells():
+    # The cells pre-split around the force point are three halvings deep
+    # but start at depth 0: with max_depth=1 each may still be split once
+    # (6800 points before the failure; 4560 if pre-splits counted), and
+    # max_depth=3 is enough to finish.
+    force = {"force_points": ((0.3, 1.1),), "force_size": 0.05}
+    f, seen = _counted(_bump)
+    with pytest.raises(QuadratureFailure, match="max subdivision depth reached"):
+        adaptive_integrate(f, -1.0, 1.0, 0.5, 2.0, abs_tol=1e-10, rel_tol=1e-9, max_depth=1, **force)
+    assert seen[0] == 6800
+    value, err = adaptive_integrate(_bump, -1.0, 1.0, 0.5, 2.0, abs_tol=1e-10, rel_tol=1e-9, max_depth=3, **force)
+    assert (value, err) == (0.026292288063816442, 2.2990968545521022e-11)

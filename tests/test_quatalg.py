@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ariththeta.errors import AlgebraMismatch, ZeroStructureConstant
+from ariththeta.errors import (
+    AlgebraMismatch,
+    NotSquarefree,
+    PreconditionViolation,
+    ZeroStructureConstant,
+)
 from ariththeta.numtheory import factorint, is_prime, is_squarefree, rational_diagonal
 from ariththeta.quatalg import (
     INFINITE_PLACE,
@@ -227,8 +232,10 @@ def test_definite_twin_examples():
 
 
 def test_definite_twin_requires_indefinite():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionViolation):
         definite_twin(make_algebra(-1, -1), 2)
+    with pytest.raises(PreconditionViolation):
+        definite_twin(make_algebra(1, 1), 4)
 
 
 @pytest.mark.parametrize("d,p", [(1, 2), (1, 3), (6, 2), (6, 5), (10, 2), (10, 7)])
@@ -262,5 +269,6 @@ def test_constructions_cover_every_discriminant():
 
 @pytest.mark.parametrize("d", [0, 2, 12, 30])
 def test_indefinite_algebra_rejects_bad_discriminants(d):
-    with pytest.raises(ValueError):
+    # 0 is not positive, 12 is not squarefree, 2 and 30 have an odd number of primes.
+    with pytest.raises(NotSquarefree if d == 12 else PreconditionViolation):
         indefinite_algebra_of_discriminant(d)
