@@ -65,15 +65,24 @@ def _point(text: str) -> UHPoint:
         ) from None
 
 
-def _nonnegative(text: str) -> int:
-    """argparse type for --n: an integer >= 0."""
-    try:
-        n = int(text)
-        if n < 0:
-            raise ValueError
-        return n
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}") from None
+def _checked(kind, ok, what: str):
+    """argparse type: one value of `kind` for which ok(value) holds, described as `what`."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_nonnegative = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_nonzero = _checked(int, lambda n: n != 0, "a nonzero integer")
+_positive = _checked(float, lambda x: 0 < x < float("inf"), "a finite number > 0")
 
 
 def _echo(values) -> str:
@@ -203,13 +212,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("theta-deg", help="degree series coefficients")
-    p.add_argument("--v", type=float, default=1.0)
-    p.add_argument("--max-t", type=int, required=True)
+    p.add_argument("--v", type=_positive, default=1.0)
+    p.add_argument("--max-t", type=_nonnegative, required=True)
     p.set_defaults(func=cmd_theta_deg)
 
     p = sub.add_parser("green", help="truncated Green-function sum")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--v", type=float, default=1.0)
+    p.add_argument("--t", type=_nonzero, required=True)
+    p.add_argument("--v", type=_positive, default=1.0)
     p.add_argument("--z", type=_point, required=True, help='point "u,v" or "u,v,sheet"')
     p.set_defaults(func=cmd_green)
 

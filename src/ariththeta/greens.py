@@ -69,7 +69,6 @@ class QuadratureSpec:
     rel_tol: float = 4e-5
     abs_tol: float = 4e-7
     truncation_majorant_bound: float = 48.0
-    singular_ball_radius: float = 0.016
     max_cells: int = 14000
     max_depth: int = 34
     singular_r_floor: float = 1e-12
@@ -80,13 +79,10 @@ class QuadratureSpec:
             "rel_tol",
             "abs_tol",
             "truncation_majorant_bound",
-            "singular_ball_radius",
             "singular_r_floor",
         ):
             if not getattr(self, name) > 0:
                 raise PreconditionViolation(f"{name} must be positive")
-        if not self.singular_ball_radius < 1:
-            raise PreconditionViolation("singular_ball_radius must be < 1")
         if self.max_cells <= 0 or self.max_depth <= 0:
             raise PreconditionViolation("grid limits must be positive")
 
@@ -253,63 +249,30 @@ def xi(x, z: UHPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     return beta1(TWO_PI * r)
 
 
-def _p_data(x, u, v):
-    """p, p' and |p|^2 for p(z) = gamma z^2 - 2 alpha z - beta at z = u + iv."""
-    alpha, beta, gamma = (float(c) for c in x)
-    z = u + 1j * v
-    p = gamma * z * z - 2 * alpha * z - beta
-    pp = 2 * gamma * z - 2 * alpha
-    return p, pp
+def ddc_xi_vec(x, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Density of the Kudla-Millson form omega(x) = dd^c xi(x, .) + delta_{D_x}.
 
-
-def ddc_xi(x, z: UHPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Density of dd^c xi(x, .) against hyperbolic measure, away from D_x.
-
-    With A = |grad R|^2 and B = Laplace R in the hyperbolic metric, the value
-    is exp(-2 pi R) ((1 + 2 pi R) A - R B) / (4 pi R^2); the two leading
-    singular parts cancel, so the density extends smoothly across D_x even
-    though this pointwise formula is used only off the divisor.
+    Against hyperbolic measure it is exp(-2 pi R) (2 (R + Q(x)) - 1/(2 pi)),
+    smooth everywhere, D_x included.  Off D_x the density of dd^c xi is
+    exp(-2 pi R) ((1 + 2 pi R) |grad R|^2 - R Laplace R) / (4 pi R^2), and R
+    is radial (t sinh^2 d about the CM point for t = Q(x) > 0, |t| cosh^2 d
+    about the geodesic for t < 0), so |grad R|^2 = 4 R (R + t) and
+    Laplace R = 6 R + 4 t, which reduce it to the closed form.
     """
-    val = ddc_xi_vec(x, np.array([float(z.u)]), np.array([float(z.v)]), spec)
-    return float(val[0])
-
-
-def ddc_xi_vec(
-    x,
-    u: np.ndarray,
-    v: np.ndarray,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    clamp_floor: float | None = None,
-) -> np.ndarray:
-    p, pp = _p_data(x, u, v)
-    pabs2 = (p * p.conjugate()).real
-    r = pabs2 / (4.0 * v * v)
-    if clamp_floor is None:
-        if np.any(r < spec.singular_r_floor):
-            raise OnSingularLocus("evaluation point on a divisor D_x")
-    else:
-        # Quadrature masks excise the divisor; clamping keeps masked nodes finite.
-        r = np.maximum(r, clamp_floor)
-    # Hyperbolic |grad R|^2 and Laplacian of R.
-    q = pp + 1j * p / v
-    a = pabs2 * (q * q.conjugate()).real / (4.0 * v * v)
-    b = (pp * pp.conjugate()).real + 2.0 * (pp * p.conjugate()).imag / v + 1.5 * pabs2 / (v * v)
-    two_pi_r = TWO_PI * r
-    with np.errstate(over="ignore", under="ignore"):
-        out = np.exp(-np.minimum(two_pi_r, 745.0)) * ((1.0 + two_pi_r) * a - r * b) / (
-            4.0 * math.pi * r * r
-        )
-    return out
+    r = _r_vec(x, u, v)
+    return np.exp(-TWO_PI * r) * (2.0 * (r + q_model(x)) - 1.0 / TWO_PI)
 
 
 def xi_vec(x, u: np.ndarray, v: np.ndarray, floor: float = 1e-300) -> np.ndarray:
-    """Vectorized xi for quadrature; points with R below floor return +inf."""
+    """Vectorized xi for quadrature; R is raised to floor, so xi stays finite on D_x."""
+    return beta1_vec(TWO_PI * np.maximum(_r_vec(x, u, v), floor))
+
+
+def _r_vec(x, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     alpha, beta, gamma = (float(c) for c in x)
     re = gamma * (u * u - v * v) - 2 * alpha * u - beta
     im = 2 * v * (gamma * u - alpha)
-    r = (re * re + im * im) / (4.0 * v * v)
-    r = np.maximum(r, floor)
-    return beta1_vec(TWO_PI * r)
+    return (re * re + im * im) / (4.0 * v * v)
 
 
 # --- the truncated theta sums ----------------------------------------------

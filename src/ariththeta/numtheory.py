@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import PreconditionViolation
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -36,7 +38,7 @@ def primes_up_to(limit: int) -> list[int]:
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization of |n| by trial division; factorint(0) raises."""
     if n == 0:
-        raise ValueError("cannot factor 0")
+        raise PreconditionViolation("cannot factor 0")
     n = abs(n)
     out: dict[int, int] = {}
     for p in (2, 3):
@@ -58,7 +60,7 @@ def factorint(n: int) -> dict[int, int]:
 def valuation(n: int, p: int) -> int:
     """p-adic valuation of n != 0."""
     if n == 0:
-        raise ValueError("valuation of 0")
+        raise PreconditionViolation("valuation of 0")
     v = 0
     n = abs(n)
     while n % p == 0:
@@ -97,7 +99,7 @@ def is_square(n: int) -> bool:
 def jacobi_symbol(a: int, n: int) -> int:
     """Jacobi symbol (a|n) for odd positive n."""
     if n <= 0 or n % 2 == 0:
-        raise ValueError("jacobi_symbol needs odd positive n")
+        raise PreconditionViolation("jacobi_symbol needs odd positive n")
     a %= n
     result = 1
     while a != 0:
@@ -142,7 +144,7 @@ def field_discriminant(m: int) -> int:
     """Discriminant of Q(sqrt(m)) for m not a square; m is reduced to its squarefree part."""
     m = squarefree_part(m)
     if m in (0, 1):
-        raise ValueError("not a quadratic field")
+        raise PreconditionViolation("not a quadratic field")
     return m if m % 4 == 1 else 4 * m
 
 
@@ -162,7 +164,7 @@ def integer_kernel(rows: list[list[int]]) -> list[list[int]]:
     of the kernel, which is automatically saturated.
     """
     if not rows:
-        raise ValueError("need at least one row")
+        raise PreconditionViolation("need at least one row")
     k = len(rows[0])
     a = [list(r) for r in rows]
     u = [[1 if i == j else 0 for j in range(k)] for i in range(k)]

@@ -65,14 +65,10 @@ def adaptive_integrate(
     max_cells: int = 6000,
     max_depth: int = 30,
     initial: tuple[int, int] = (8, 6),
-    force_points: tuple = (),
-    force_size: float = 0.0,
 ) -> tuple[float, float]:
     """Integrate f(u, v) over the rectangle; returns (value, error_bound).
 
-    f must accept equal-length arrays and include any measure factor.  Cells
-    containing a force point are pre-split until their sides are below
-    force_size, which keeps small excision masks resolved.
+    f must accept equal-length arrays and include any measure factor.
     """
     nu, nv = initial
     cells = []
@@ -86,21 +82,6 @@ def adaptive_integrate(
                     v0 + (v1 - v0) * (iv + 1) / nv,
                 )
             )
-    if force_points and force_size > 0:
-        final = []
-        queue = cells
-        while queue:
-            c = queue.pop()
-            hit = any(
-                c.u0 - 1e-12 <= pu <= c.u1 + 1e-12 and c.v0 - 1e-12 <= pv <= c.v1 + 1e-12
-                for pu, pv in force_points
-            )
-            if hit and max(c.u1 - c.u0, c.v1 - c.v0) > force_size:
-                queue.extend(_split(c))
-            else:
-                c.depth = 0  # depth counts from the pre-split cells
-                final.append(c)
-        cells = final
     _evaluate(f, cells)
 
     counter = len(cells)

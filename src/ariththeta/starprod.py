@@ -2,14 +2,20 @@
 
 The height of a pair of Green functions is realized as
 
-    Lambda(x1, x2) = [delta term] + integral over D of ddc_xi(x1) . xi(x2),
+    Lambda(x1, x2) = [delta term] + integral over D of omega(x1) . xi(x2),
 
-the delta term being xi(x1) evaluated at the divisor of x2 when Q(x2) > 0
-(attached to x1's divisor instead when only Q(x1) > 0, and absent when both
-norms are negative).  The smooth integral excises hyperbolic balls around
-each divisor point and extrapolates the radius to zero by one Richardson
-step with two radii.  Both sheets of D contribute; for real vectors they
-agree, hence the overall factor 2.
+with omega(x) = dd^c xi(x) + delta_{D_x} the Kudla-Millson form, whose
+density is smooth (greens.ddc_xi_vec).  The delta term is xi(x1) evaluated
+at the divisor of x2 when Q(x2) > 0 (attached to x1's divisor instead when
+only Q(x1) > 0, and absent when both norms are negative).  Both sheets of D
+contribute; for real vectors they agree, hence the overall factor 2.
+
+The integrand's one singular point is the log point of xi(x2), moved to i.
+A smooth cut-off chi of the distance to i splits it: chi f is integrated on
+a disc in geodesic polar coordinates, (1 - chi) f, which vanishes to fourth
+order at i, by one adaptive integral over a box in z = e^s (x + i) whose
+exterior holds a proved share of the tolerance.  Pairs of two negative
+vectors have no singular point and only the box.
 """
 
 from __future__ import annotations
@@ -28,11 +34,14 @@ from .errors import (
 )
 from .greens import (
     DEFAULT_SPEC,
+    TWO_PI,
     QuadratureSpec,
+    beta1,
     cm_point,
     ddc_xi_vec,
     geodesic_endpoints,
     q_model,
+    r_value,
     xi,
     xi_vec,
 )
@@ -40,6 +49,12 @@ from .lattice import TraceZeroLattice, is_split_model
 from .quadrature import adaptive_integrate
 
 Vec3 = tuple[float, float, float]
+
+# Hyperbolic radius of the disc about the log point of xi(y2) on which the
+# cut-off chi = 1 - S(d / DISC_RADIUS) falls from 1 to 0.
+DISC_RADIUS = 0.5
+_RADIAL_NODES = 24
+_MAX_ANGLES = 1024
 
 
 @dataclass(frozen=True)
@@ -98,57 +113,126 @@ class ZhatResult:
         return self.value
 
 
-def _features(vec: Vec3) -> list[tuple[float, float]]:
-    """Representative points in the closed half-plane marking where R is small."""
-    t = q_model(vec)
-    if t > 0:
-        p = cm_point(vec)
-        return [(p.u, p.v)]
-    ends = geodesic_endpoints(vec)
-    if ends is None:
-        return []
-    a, b = ends
-    if math.isinf(b):
-        return [(a, 0.3), (a, 1.0), (a, 3.0)]
-    lo, hi = min(a, b), max(a, b)
-    mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return [(lo, 0.0), (hi, 0.0), (mid, rad)]
+def _smoothstep(x: np.ndarray) -> np.ndarray:
+    """S(x) = 35x^4 - 84x^5 + 70x^6 - 20x^7; S(0) = 0, S(1) = 1, and the first
+    three derivatives vanish at both ends."""
+    x2 = x * x
+    return x2 * x2 * (35.0 + x * (-84.0 + x * (70.0 - 20.0 * x)))
 
 
-def _hyperbolic_dist(p: tuple[float, float], q: tuple[float, float]) -> float:
-    du2 = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
-    return math.acosh(1.0 + du2 / (2.0 * p[1] * q[1]))
+def _radial_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Radii and weights of chi(r) sinh(r) dr on [0, DISC_RADIUS] by n-point
+    Gauss-Legendre in s, r = DISC_RADIUS s^2, which smooths r log r at 0."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    s = 0.5 * (x + 1.0)
+    r = DISC_RADIUS * s * s
+    return r, w * DISC_RADIUS * s * np.sinh(r) * (1.0 - _smoothstep(s * s))
 
 
-def _ball_mask(u: np.ndarray, v: np.ndarray, center: tuple[float, float], rho: float):
-    """Points inside the hyperbolic ball of radius rho about center."""
-    cu, cv = center
-    ec_v = cv * math.cosh(rho)
-    er = cv * math.sinh(rho)
-    return (u - cu) ** 2 + (v - ec_v) ** 2 <= er * er
+_R_FULL, _W_FULL = _radial_rule(_RADIAL_NODES)
+_R_HALF, _W_HALF = _radial_rule(_RADIAL_NODES // 2)
 
 
-def _anchor_point(vec: Vec3) -> tuple[float, float]:
-    """A point of the half-plane marking the divisor geometry of vec."""
-    t = q_model(vec)
-    if t > 0:
-        p = cm_point(vec)
-        return (p.u, p.v)
-    ends = geodesic_endpoints(vec)
-    a, b = ends
-    if math.isinf(b):
-        return (a, 1.0)
-    return (0.5 * (a + b), 0.5 * abs(b - a))
+def _disc_integral(y1: Vec3, y2: Vec3, abs_tol: float, rel_tol: float) -> tuple[float, float]:
+    """Integral of chi omega(y1) xi(y2) over the disc of radius DISC_RADIUS about i.
+
+    Geodesic polar coordinates about i: (r, theta) is the point
+    (sinh r sin theta, 1) / (cosh r - sinh r cos theta).  xi(y2) is radial,
+    E_1(2 pi Q(y2) sinh^2 r), so it is taken once per radius, at theta = 0.
+    The angle mean of omega(y1) is taken by the trapezoid rule, doubled until
+    two sums agree (spectral, omega being smooth and periodic in theta); the
+    radius by Gauss-Legendre with _RADIAL_NODES nodes, checked against half
+    as many.  The error is the sum of both differences.
+    """
+    n = _R_FULL.size
+    r = np.concatenate([_R_FULL, _R_HALF])[:, None]
+    ch, sh = np.cosh(r), np.sinh(r)
+    xi_r = xi_vec(y2, np.zeros(r.size), np.exp(r[:, 0]))  # theta = 0 is the point i e^r
+    weights = TWO_PI * np.concatenate([_W_FULL, _W_HALF]) * xi_r
+
+    def ring_means(theta):
+        v = 1.0 / (ch - sh * np.cos(theta))
+        u = (sh * np.sin(theta) * v).ravel()
+        v = np.broadcast_to(v, (r.size, theta.size)).ravel()
+        return ddc_xi_vec(y1, u, v).reshape(r.size, theta.size).mean(axis=1)
+
+    m = 8
+    means = ring_means(np.arange(m) * (TWO_PI / m))
+    while True:
+        finer = 0.5 * (means + ring_means((np.arange(m) + 0.5) * (TWO_PI / m)))
+        m *= 2
+        value = float(np.dot(weights[:n], finer[:n]))
+        e_angle = abs(value - float(np.dot(weights[:n], means[:n])))
+        means = finer
+        if e_angle <= max(abs_tol, rel_tol * abs(value)):
+            break
+        if m >= _MAX_ANGLES:
+            raise QuadratureFailure(f"lambda_star disc: angle error {e_angle:.3g} at {m} angles")
+    e_radius = abs(value - float(np.dot(weights[n:], means[n:])))
+    return value, e_angle + e_radius
 
 
-def _recenter(vec: Vec3, u0: float, v0: float) -> Vec3:
-    """Apply the isometry z -> (z - u0)/v0 to the vector (exact Q-preserving)."""
+def _moved(vec: Vec3, g) -> Vec3:
+    """The vector of vec after the isometry z -> g z, g real 2x2 with det > 0.
+
+    The matrix [[alpha, beta], [gamma, -alpha]] goes to g X g^-1, so Q and the
+    pairing are unchanged and the divisor moves by z -> g z.
+    """
     al, be, ga = vec
-    return (
-        al - u0 * ga,
-        (2 * u0 * al + be - u0 * u0 * ga) / v0,
-        v0 * ga,
-    )
+    m = np.asarray(g, dtype=float)
+    x = m @ np.array([[al, be], [ga, -al]]) @ np.linalg.inv(m)
+    return (float(x[0, 0]), float(x[0, 1]), float(x[1, 0]))
+
+
+def _log_point_box(y1: Vec3, y2: Vec3, eps: float) -> tuple[float, float, float, float]:
+    """Box in (x, s) holding the ball B(i, D) outside which the integral of
+    |omega(y1) xi(y2)| is at most eps, when xi(y2) has its log point at i.
+
+    |omega(y1)| <= M = 2 |Q(y1)| + 0.3 (the density is e^{-2 pi R} times
+    2 (R + Q) - 1/(2 pi), and 2 R e^{-2 pi R} <= 1/(pi e)), and
+    xi(y2) = E_1(a sinh^2 d) with a = 2 pi Q(y2).  With E_1(x) <= e^{-x}/x,
+    Y = sinh D >= 1 and sinh d dd <= d(sinh d), the mass beyond D is at most
+    M pi e^{-a Y^2} / (a^2 Y^2), which is below eps once
+    a Y^2 >= log(M pi / (a^2 eps)).  B(i, D) lies in |x| <= sinh D,
+    |s| <= D.
+    """
+    m = 2.0 * abs(q_model(y1)) + 0.3
+    a = TWO_PI * q_model(y2)
+    y = math.sqrt(max(1.0, math.log(m * math.pi / (a * a * eps)) / a))
+    d = math.asinh(y)
+    return -y, y, -d, d
+
+
+def _geodesic_box(y1: Vec3, y2: Vec3, eps: float) -> tuple[float, float, float, float]:
+    """Box in (x, s) outside which the integral of |omega(y1) xi(y2)| is at
+    most eps, when y1's geodesic is the imaginary axis and Q(y2) < 0.
+
+    There R(y1) = |t1| (1 + x^2), so with a1 = 2 pi |t1|,
+    |omega(y1)| <= (2 |t1| x^2 + 1/(2 pi)) e^{-a1 (1 + x^2)}, whose integral
+    over x is at most e^{-a1} / sqrt(pi a1).  For y2 = (alpha, beta, gamma),
+    2 sqrt(R(y2)) = |gamma e^s (x + i)^2 - 2 alpha (x + i) - beta e^{-s}|.
+    With N = 2|alpha| + 2 sqrt(R*) + sqrt|beta gamma| and c = sqrt(1 + x^2),
+    R(y2) >= R* (1 + sigma)^2 at s = log(N / |gamma|) + sigma and at
+    s = -log(c N / |beta|) - sigma, sigma >= 0, so beyond those the
+    integral of xi(y2) <= E_1(2 pi R) <= e^{-2 pi R} / (2 pi R) over s is at
+    most T = e^{-2 pi R*} / (8 pi^2 R*^2) on either side.  Between them
+    xi(y2) <= E_1(2 pi |t2|), so its integral over s is at most
+    P + E_1(2 pi |t2|) log(1 + |x|) with P = E_1(2 pi |t2|) log(N^2 / |beta gamma|) + 2 T.
+    R* makes the s tails of |x| <= X below eps / 2, and X, by
+    int_X^oo x^3 e^{-a1 x^2} dx <= e^{-a1 X^2 / 2} / a1^2, the part |x| > X.
+    """
+    t1 = abs(q_model(y1))
+    a1 = TWO_PI * t1
+    al, be, ga = (abs(c) for c in y2)
+    if be * ga == 0.0:
+        raise QuadratureFailure("the two geodesics share an endpoint")
+    r_star = max(1.0, math.log(math.exp(-a1) / (2.0 * math.pi**2.5 * math.sqrt(a1) * eps)) / TWO_PI)
+    n = 2.0 * al + 2.0 * math.sqrt(r_star) + math.sqrt(be * ga)
+    e1 = beta1(TWO_PI * abs(q_model(y2)))
+    p = e1 * math.log(n * n / (be * ga)) + 2.0 * math.exp(-TWO_PI * r_star) / (8.0 * math.pi**2 * r_star**2)
+    c = 4.0 * (2.0 * t1 + 1.0 / TWO_PI) * (p + e1) * math.exp(-a1) / (a1 * a1 * eps)
+    x = math.sqrt(max(1.0, 2.0 * math.log(c) / a1))
+    return -x, x, -math.log(math.sqrt(1.0 + x * x) * n / be), math.log(n / ga)
 
 
 def lambda_star(pair: PairConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> LambdaResult:
@@ -166,10 +250,9 @@ def lambda_star(pair: PairConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> Lambda
         # component can be avoided by scaling the pair (e.g. by a square root
         # of a generic v), never by this routine.
         raise PreconditionViolation("pair has an isotropic component")
-    if q1 > 0 and q2 > 0:
-        z1, z2 = cm_point(pair.x1), cm_point(pair.x2)
-        if _hyperbolic_dist((z1.u, z1.v), (z2.u, z2.v)) < 1e-10:
-            raise SingularConfiguration("the two divisors coincide")
+    # R(x1, z2) = Q(x1) sinh^2 d(z1, z2): the divisors are within 1e-10.
+    if q1 > 0 and q2 > 0 and r_value(pair.x1, cm_point(pair.x2)) < 1e-20 * q1:
+        raise SingularConfiguration("the two divisors coincide")
     # Delta term attaches to x2's divisor when Q(x2) > 0, else to x1's.
     if q2 > 0:
         y1, y2 = pair.x1, pair.x2
@@ -177,131 +260,52 @@ def lambda_star(pair: PairConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> Lambda
         y1, y2 = pair.x2, pair.x1
     else:
         y1, y2 = pair.x1, pair.x2
-    # Recenter by a hyperbolic isometry (the integral is invariant exactly):
-    # the anchor divisor moves to i, which keeps all feature scales of order 1
-    # no matter how skewed the incoming representatives are.
-    u0, v0 = _anchor_point(y2 if q_model(y2) > 0 else y1)
-    y1 = _recenter(y1, u0, v0)
-    y2 = _recenter(y2, u0, v0)
-    delta_upper = 0.0
-    if q_model(y2) > 0:
-        delta_upper = xi(y1, cm_point(y2), spec)
-
-    rho0 = spec.singular_ball_radius
-    masks = []
-    force = []
-    for vec in (y1, y2):
-        if q_model(vec) > 0:
-            p = cm_point(vec)
-            masks.append((p.u, p.v))
-            force.append((p.u, p.v))
-
-    feats = _features(y1) + _features(y2)
-    endpoints = []
-    for vec in (y1, y2):
-        ends = geodesic_endpoints(vec)
-        if ends is not None:
-            endpoints.extend(e for e in ends if not math.isinf(e))
-    u_lo = min(f[0] for f in feats) - 2.5
-    u_hi = max(f[0] for f in feats) + 2.5
-    v_hi = max(max(f[1] for f in feats) * 3.5, 3.5)
-    v_lo = min(min((f[1] for f in feats if f[1] > 0), default=0.3) / 6.0, 0.08)
-
-    def integrand(rho):
-        def f(u, v):
-            vals = ddc_xi_vec(y1, u, v, spec, clamp_floor=1e-280)
-            vals = vals * xi_vec(y2, u, v)
-            vals = vals / (v * v)
-            for center in masks:
-                vals = np.where(_ball_mask(u, v, center, rho), 0.0, vals)
-            return vals
-
-        return f
-
-    # Expand the window until a dense boundary scan is negligible.  The scan
-    # clusters extra abscissas near geodesic endpoints, where the integrand
-    # hides in strips of width comparable to the height above the axis.
-    probe = integrand(rho0)
-    tol_here = max(spec.abs_tol, 1e-4 * spec.rel_tol)
-
-    def edge_u_samples():
-        base = np.linspace(u_lo, u_hi, 161)
-        extra = [base]
-        for r in endpoints:
-            if u_lo < r < u_hi:
-                extra.append(r + np.linspace(-0.3, 0.3, 31))
-        return np.clip(np.concatenate(extra), u_lo, u_hi)
-
-    for _ in range(18):
-        uu = edge_u_samples()
-        vv = np.geomspace(v_lo, v_hi, 41)
-        bottom = np.abs(probe(uu, np.full_like(uu, v_lo)))
-        low_rows = np.abs(
-            probe(
-                np.tile(uu, 2),
-                np.concatenate([np.full_like(uu, 1.5 * v_lo), np.full_like(uu, 2.25 * v_lo)]),
-            )
-        )
-        top = np.abs(probe(uu, np.full_like(uu, v_hi)))
-        sides = np.abs(
-            probe(
-                np.concatenate([np.full_like(vv, u_lo), np.full_like(vv, u_hi)]),
-                np.tile(vv, 2),
-            )
-        )
-        width = u_hi - u_lo
-        # Crude exterior-mass estimates: edge magnitude times a decay span.
-        bottom_mass = float(np.max(np.concatenate([bottom, low_rows]))) * width * v_lo * 4
-        top_mass = float(np.max(top)) * width * v_hi
-        side_mass = float(np.max(sides)) * (v_hi - v_lo) * 2.0
-        if bottom_mass + top_mass + side_mass < 0.01 * tol_here:
-            break
-        if bottom_mass >= 0.01 * tol_here:
-            v_lo /= 2.0
-        if top_mass >= 0.01 * tol_here:
-            v_hi *= 1.6
-        if side_mass >= 0.01 * tol_here:
-            u_lo -= 1.2
-            u_hi += 1.2
+    # Move by a hyperbolic isometry (the integral is invariant exactly): the
+    # log point of xi(y2) to i when Q(y2) > 0, else y1's geodesic to the
+    # imaginary axis.  Then integrate in z = e^s (x + i), where the measure
+    # is dx ds and x = sinh of the distance to the imaginary axis, so 1 x 1
+    # start cells are of unit hyperbolic size where the integrand lives.
+    disc = q_model(y2) > 0
+    if disc:
+        z2 = cm_point(y2)
+        g = ((1.0, -z2.u), (0.0, z2.v))
     else:
-        raise QuadratureFailure("integrand does not decay on the window boundary")
+        lo, hi = sorted(geodesic_endpoints(y1))
+        g = ((1.0, -lo), (0.0, 1.0)) if math.isinf(hi) else ((1.0, -lo), (-1.0, hi))
+    y1, y2 = _moved(y1, g), _moved(y2, g)
+    tol_here = max(spec.abs_tol, 1e-4 * spec.rel_tol)
+    box = (_log_point_box if disc else _geodesic_box)(y1, y2, 0.01 * tol_here)
 
-    tol_pair = (max(spec.abs_tol, 1e-9), spec.rel_tol)
+    def integrand(x, s):
+        v = np.exp(s)
+        u = x * v
+        vals = ddc_xi_vec(y1, u, v) * xi_vec(y2, u, v)
+        if disc:
+            # f = chi f + (1 - chi) f: the box gets (1 - chi) f, which
+            # vanishes to fourth order at the log point i of xi(y2).
+            d = 2.0 * np.arcsinh(np.hypot(u, v - 1.0) / (2.0 * np.sqrt(v)))
+            vals = vals * _smoothstep(np.minimum(d / DISC_RADIUS, 1.0))
+        return vals
+
+    abs_tol = max(spec.abs_tol, 1e-9)
     try:
-        i_full, e_full = adaptive_integrate(
-            integrand(rho0),
-            u_lo,
-            u_hi,
-            v_lo,
-            v_hi,
-            abs_tol=tol_pair[0],
-            rel_tol=tol_pair[1],
+        outer, e_outer = adaptive_integrate(
+            integrand,
+            *box,
+            abs_tol=abs_tol,
+            rel_tol=spec.rel_tol,
             max_cells=spec.max_cells,
             max_depth=spec.max_depth,
-            force_points=tuple(force),
-            force_size=rho0 / 2.0,
-        )
-        i_half, e_half = adaptive_integrate(
-            integrand(rho0 / 2.0),
-            u_lo,
-            u_hi,
-            v_lo,
-            v_hi,
-            abs_tol=tol_pair[0],
-            rel_tol=tol_pair[1],
-            max_cells=spec.max_cells,
-            max_depth=spec.max_depth,
-            force_points=tuple(force),
-            force_size=rho0 / 4.0,
+            initial=(max(8, math.ceil(box[1] - box[0])), max(6, math.ceil(box[3] - box[2]))),
         )
     except QuadratureFailure as exc:
         raise QuadratureFailure(f"lambda_star smooth integral: {exc}") from exc
-    # One Richardson step in the excision radius.  The leading error is
-    # rho^2 log rho, so the pure-rho^2 extrapolant is deliberately padded.
-    smooth = i_half + (i_half - i_full) / 3.0
-    rich_err = abs(i_half - i_full)
-    err = 2.0 * (rich_err + 2.0 * (e_half + e_full / 3.0) + 0.05 * tol_here)
-    return LambdaResult(value=2.0 * (delta_upper + smooth), err=err)
+    delta, inner, e_inner = 0.0, 0.0, 0.0
+    if disc:
+        delta = xi(y1, cm_point(y2), spec)
+        inner, e_inner = _disc_integral(y1, y2, 0.1 * abs_tol, 0.1 * spec.rel_tol)
+    err = 2.0 * (e_outer + e_inner + 0.05 * tol_here)
+    return LambdaResult(value=2.0 * (delta + outer + inner), err=err)
 
 
 def z_hat_indefinite(

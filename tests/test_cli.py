@@ -93,6 +93,11 @@ def test_usage_error_exit_2():
         ["hurwitz", "--n", "-3"],
         ["classify", "--T", "1,2,1", "--D", "6"],
         ["lambda", "--x1", "0,1,1", "--x2", "1,0,0", "--v", "1,2,1"],
+        ["theta-deg", "--max-t", "-3"],
+        ["theta-deg", "--max-t", "2", "--v", "0"],
+        ["green", "--t", "-1", "--v", "-1", "--z", "0,1"],
+        ["green", "--t", "0", "--z", "0,1"],
+        ["green", "--t", "-1", "--v", "nan", "--z", "0,1"],
     ],
 )
 def test_malformed_arguments_are_usage_errors(argv, capsys):
@@ -137,11 +142,11 @@ def test_config_quadrature_section(tmp_path):
 
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
-        json.dumps({"quadrature": {"abs_tol": 1e-9, "singular_ball_radius": 0.01}, "seed": 9})
+        json.dumps({"quadrature": {"abs_tol": 1e-9, "max_cells": 9000}, "seed": 9})
     )
     rc = load_config(str(cfg))
     assert rc.quadrature.abs_tol == 1e-9
-    assert rc.quadrature.singular_ball_radius == 0.01
+    assert rc.quadrature.max_cells == 9000
     assert rc.seed == 9
 
 

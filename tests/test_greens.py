@@ -24,7 +24,7 @@ from ariththeta.greens import (
     beta1_vec,
     big_xi,
     cm_point,
-    ddc_xi,
+    ddc_xi_vec,
     geodesic_endpoints,
     q_model,
     r_value,
@@ -229,9 +229,12 @@ def _xi_scalar(x, u, v):
     return beta1(2 * math.pi * float(r_value(x, UHPoint(u, v))))
 
 
+def _ddc(x, z: UHPoint) -> float:
+    return float(ddc_xi_vec(x, np.array([z.u]), np.array([z.v]))[0])
+
+
 def test_ddc_matches_finite_differences():
     rng = np.random.default_rng(0)
-    spec = QuadratureSpec()
     checked = 0
     while checked < 20:
         x = tuple(rng.uniform(-2, 2, size=3))
@@ -247,7 +250,7 @@ def test_ddc_matches_finite_differences():
             - 4 * _xi_scalar(x, u, v)
         ) / h**2
         fd = v * v * lap / (4 * math.pi)
-        an = ddc_xi(x, UHPoint(u, v), spec)
+        an = _ddc(x, UHPoint(u, v))
         assert abs(an - fd) <= 1e-5 * (1 + abs(an))
         checked += 1
 
@@ -255,7 +258,6 @@ def test_ddc_matches_finite_differences():
 def test_ddc_decay_regression():
     # |ddc| <= C exp(-2 pi R) for R >= 5; C frozen from a sampling sweep.
     C = 45.0
-    spec = QuadratureSpec()
     rng = np.random.default_rng(1)
     for _ in range(200):
         x = tuple(rng.uniform(-2, 2, size=3))
@@ -263,24 +265,29 @@ def test_ddc_decay_regression():
         r = float(r_value(x, UHPoint(u, v)))
         if not 5 <= r <= 80 or abs(q_model(x)) < 1e-3:
             continue
-        val = ddc_xi(x, UHPoint(u, v), spec)
+        val = _ddc(x, UHPoint(u, v))
         assert abs(val) <= C * math.exp(-2 * math.pi * r) * (1 + r)
 
 
 def test_ddc_rotation_symmetry_about_divisor():
-    spec = QuadratureSpec()
     rho = 0.8
     vals = []
     for th in np.linspace(0, 2 * math.pi, 12, endpoint=False):
         cu, cv, rr = 0.0, math.cosh(rho), math.sinh(rho)
         z = UHPoint(cu + rr * math.cos(th), cv + rr * math.sin(th))
-        vals.append(ddc_xi(CM_VECTOR, z, spec))
+        vals.append(_ddc(CM_VECTOR, z))
     assert max(vals) - min(vals) <= 1e-12 * (1 + abs(vals[0]))
 
 
-def test_ddc_raises_on_divisor():
-    with pytest.raises(OnSingularLocus):
-        ddc_xi(CM_VECTOR, UHPoint(0.0, 1.0))
+def test_ddc_on_divisor_is_2q_minus_1_over_2pi():
+    # The Kudla-Millson density is smooth across D_x, where R = 0.
+    x = (0.3, -1.7, 1.1)  # Q = 1.78
+    for vec in (CM_VECTOR, x):
+        z = cm_point(vec)
+        expect = 2 * q_model(vec) - 1 / (2 * math.pi)
+        assert abs(_ddc(vec, z) - expect) <= 1e-12 * abs(expect)
+        near = _ddc(vec, UHPoint(z.u + 1e-4, z.v))
+        assert abs(near - expect) <= 1e-6
 
 
 # --- big_xi -------------------------------------------------------------------

@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import minimize
+from scipy.special import exp1
 
 import ariththeta as at
 from ariththeta import checks
@@ -104,16 +107,169 @@ def test_lambda_rational_pairs_equal_gram(spec):
 
 def test_lambda_self_convergence_under_tighter_spec():
     base_spec = QuadratureSpec()
-    tight = QuadratureSpec(
-        rel_tol=4e-6,
-        abs_tol=4e-8,
-        singular_ball_radius=0.008,
-        max_cells=40000,
-    )
+    tight = QuadratureSpec(rel_tol=4e-6, abs_tol=4e-8, max_cells=40000)
     pair = PairConfig.from_vectors((0.0, 1.0, -1.0), (0.4, -1.37, 1.0))
     a = lambda_star(pair, base_spec)
     b = lambda_star(pair, tight)
     assert abs(a.value - b.value) <= a.err + b.err
+
+
+# --- an independent oracle ----------------------------------------------------
+
+
+def _q(x):
+    a, b, g = x
+    return -a * a - b * g
+
+
+def _r(x, u, v):
+    a, b, g = x
+    re = g * (u * u - v * v) - 2 * a * u - b
+    im = 2 * v * (g * u - a)
+    return (re * re + im * im) / (4 * v * v)
+
+
+def _omega(x, u, v):
+    big_r = _r(x, u, v)
+    return math.exp(-2 * math.pi * big_r) * (2 * (big_r + _q(x)) - 1 / (2 * math.pi))
+
+
+def _polar(uc, vc, g, r_max):
+    """Integral of g(r, u, v) against hyperbolic measure over the disc of
+    radius r_max about uc + i vc, in geodesic polar coordinates (r, theta),
+    measure sinh r dr dtheta.  The angle is cut into 16 pieces, so that a
+    peak narrower than quad's first nodes is still seen."""
+    cuts = [2 * math.pi * k / 16 for k in range(1, 16)]
+
+    def ring(r):
+        def at(th):
+            d = math.cosh(r) - math.sinh(r) * math.cos(th)
+            return g(r, uc + vc * math.sinh(r) * math.sin(th) / d, vc / d)
+
+        inner = quad(at, 0, 2 * math.pi, points=cuts, epsabs=1e-13, epsrel=1e-11, limit=400)[0]
+        return inner * math.sinh(r)
+
+    return quad(ring, 0, r_max, epsabs=1e-13, epsrel=1e-11, limit=200)[0]
+
+
+def polar_reference(x1, x2) -> float:
+    """Lambda by scipy alone, for a pair with a positive vector p.
+
+    Lambda = 2 (xi(o)(z_p) + integral of omega(o) xi(p)), with o the other
+    vector, omega(o) = e^{-2 pi R} (2 (R + Q(o)) - 1/(2 pi)) and
+    xi(p) = E_1(2 pi Q(p) sinh^2 r) at distance r from z_p.  Beyond r_max,
+    where 2 pi Q(p) sinh^2 r = 40, xi(p) < 1e-19.
+    """
+    o, p = (x1, x2) if _q(x2) > 0 else (x2, x1)
+    t = _q(p)
+    up, vp = p[0] / p[2], math.sqrt(t) / abs(p[2])
+    r_max = math.asinh(math.sqrt(40.0 / (2 * math.pi * t)))
+    smooth = _polar(up, vp, lambda r, u, v: _omega(o, u, v) * exp1(2 * math.pi * t * math.sinh(r) ** 2), r_max)
+    return 2 * (exp1(2 * math.pi * _r(o, up, vp)) + smooth)
+
+
+def geodesic_reference(x1, x2) -> float:
+    """Lambda = 2 integral of omega(x1) xi(x2) by scipy alone, for two
+    negative vectors, in polar coordinates about the point that minimizes
+    cosh^2 of the distance to one geodesic plus that to the other.  At
+    distance 5 from it, R >= |Q| cosh^2 2.5 for one of the two vectors."""
+    t1, t2 = abs(_q(x1)), abs(_q(x2))
+    starts = [(u0, l0) for u0 in (-1.0, 0.0, 1.0) for l0 in (-1.0, 0.0, 1.0)]
+    fits = [
+        minimize(lambda p: _r(x1, p[0], math.exp(p[1])) / t1 + _r(x2, p[0], math.exp(p[1])) / t2, s0,
+                 method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-14})
+        for s0 in starts
+    ]
+    uc, lc = min(fits, key=lambda f: f.fun).x
+    return 2 * _polar(uc, math.exp(lc), lambda r, u, v: _omega(x1, u, v) * exp1(2 * math.pi * _r(x2, u, v)), 5.0)
+
+
+# The CM-geodesic pair of the symmetric root of z_hat at T = (1, 0, -1) and
+# V_FAULT and a second CM-geodesic pair, on which an excise-and-extrapolate
+# quadrature under-reported its error bar; then a CM-CM pair with Q = 0.008,
+# whose xi reaches hyperbolic distance 4, and a CM-geodesic pair whose
+# geodesic has radius 131: the box about the log point at its largest, and
+# a divisor far from it.
+V_FAULT = ((0.9272104424816127, -0.25692769098094836), (-0.25692769098094836, 1.0205161133427387))
+ORACLE_PAIRS = [
+    (((-0.131385, 0.953912, -0.953912), (1.001626, -0.131385, 0.131385)), 3.744097e-4),
+    (
+        (
+            (0.27806968266393933, -1.3083998468440745, 1.0301018275662475),
+            (0.13864785657655873, 2.2448251400720602, 0.5226614359667621),
+        ),
+        1.431345e-5,
+    ),
+    (
+        (
+            (0.7377510883116825, 2.8364416290185037, -1.4683114024601411),
+            (-1.1386820660601202, -3.951049800750784, 0.3301895852673591),
+        ),
+        5.744098e-5,
+    ),
+    (
+        (
+            (-0.6904788542354949, -1.0369267963557898, 2.0046056185831054),
+            (0.8636651266052037, 1.6982059422797176, -0.006542428038809334),
+        ),
+        1.142561e-4,
+    ),
+]
+
+
+def _drawn_pairs(seed: int, per_kind: int = 2) -> list:
+    """The first random_pair draws with two positive norms and with one."""
+    rng = random.Random(seed)
+    kinds = {2: [], 1: []}
+    while min(len(v) for v in kinds.values()) < per_kind:
+        pair = checks.random_pair(rng)
+        positives = (pair.gram[0][0] > 0) + (pair.gram[1][1] > 0)
+        if positives in kinds and len(kinds[positives]) < per_kind:
+            kinds[positives].append(pair)
+    return kinds[2] + kinds[1]
+
+
+@pytest.mark.parametrize("vectors,documented", ORACLE_PAIRS)
+def test_lambda_within_its_error_of_the_polar_oracle(vectors, documented, spec):
+    ref = polar_reference(*vectors)
+    assert abs(ref - documented) <= 1e-6 * documented
+    res = lambda_star(PairConfig.from_vectors(*vectors), spec)
+    assert abs(res.value - ref) <= res.err
+
+
+def test_drawn_pairs_within_their_error_of_the_polar_oracle(spec):
+    for pair in _drawn_pairs(31):
+        ref = polar_reference(pair.x1, pair.x2)
+        res = lambda_star(pair, spec)
+        assert abs(res.value - ref) <= res.err, (pair, res, ref)
+
+
+# Two pairs of negative vectors on which a rectangle sized by the geodesics'
+# features reported error bars too small.
+GEODESIC_PAIRS = [
+    (
+        (-0.7973232273364895, -0.3996363648676156, -0.42080706175265403),
+        (0.9098891931018023, -0.06229621569551014, -1.805259674373114),
+    ),
+    (
+        (-1.0428922920932246, 0.649066105539893, 0.3455247273852686),
+        (-0.5123692959337738, -0.07062138514876601, -1.4800564917296315),
+    ),
+]
+
+
+@pytest.mark.parametrize("vectors", GEODESIC_PAIRS)
+def test_geodesic_pair_within_its_error_of_the_polar_oracle(vectors, spec):
+    ref = geodesic_reference(*vectors)
+    res = lambda_star(PairConfig.from_vectors(*vectors), spec)
+    assert abs(res.value - ref) <= res.err
+
+
+def test_z_hat_roots_agree_on_the_former_fault(lat_d1, spec):
+    t_mat = ((1, 0), (0, -1))
+    sym = z_hat_indefinite(lat_d1, t_mat, V_FAULT, spec, square_root="symmetric")
+    tri = z_hat_indefinite(lat_d1, t_mat, V_FAULT, spec, square_root="triangular")
+    assert abs(sym.value - tri.value) <= sym.err + tri.err
 
 
 # --- archimedean classes ------------------------------------------------------
@@ -153,7 +309,7 @@ def test_z_hat_sig11_stability_and_a_independence(lat_d1, spec):
     tri = z_hat_indefinite(lat_d1, t_mat, v, spec, square_root="triangular")
     assert sym.orbits == 2
     assert abs(sym.value - tri.value) <= sym.err + tri.err
-    tight = QuadratureSpec(rel_tol=4e-6, abs_tol=4e-8, singular_ball_radius=0.008, max_cells=40000)
+    tight = QuadratureSpec(rel_tol=4e-6, abs_tol=4e-8, max_cells=40000)
     ref = z_hat_indefinite(lat_d1, t_mat, v, tight)
     assert abs(sym.value - ref.value) <= sym.err + ref.err
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ariththeta import identities as idn
+from ariththeta import numtheory as nt
 from ariththeta.errors import PreconditionViolation
 from ariththeta.greens import QuadratureSpec, UHPoint
 
@@ -33,8 +34,6 @@ def test_quadrature_spec_validation():
     with pytest.raises(PreconditionViolation):
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(PreconditionViolation):
-        QuadratureSpec(singular_ball_radius=1.5)
-    with pytest.raises(PreconditionViolation):
         QuadratureSpec(max_cells=0)
 
 
@@ -54,3 +53,20 @@ def test_classification_regular_undefined_without_prime():
     assert c.fundamental_prime is None
     assert c.regular is None
     assert c.supersingular_support is False
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: nt.factorint(0),
+        lambda: nt.valuation(0, 3),
+        lambda: nt.jacobi_symbol(2, 8),
+        lambda: nt.jacobi_symbol(2, -3),
+        lambda: nt.field_discriminant(36),
+        lambda: nt.integer_kernel([]),
+    ],
+    ids=["factorint-0", "valuation-0", "jacobi-even", "jacobi-negative", "field-square", "kernel-empty"],
+)
+def test_numtheory_preconditions_are_typed(call):
+    with pytest.raises(PreconditionViolation):
+        call()
