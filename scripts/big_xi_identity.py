@@ -1,6 +1,7 @@
 """Check that two source trees give identical big_xi results.
 
     python scripts/big_xi_identity.py --against ../other-checkout [--seeds 1-3]
+                                      [--value-rtol 0]
 
 Runs the same inputs in a fresh interpreter on this tree's `src/` and on the
 other tree's `src/`, and compares the results with `==`:
@@ -13,11 +14,15 @@ other tree's `src/`, and compares the results with `==`:
   several times and one whose tail never certifies;
 - 200 seeded enumerate_by_majorant lists, bounds up to 200;
 - the orbifold integral of z -> big_xi(d1, -2, 1, z) at the orbifold spec,
-  and every big_xi value it asked for.
+  and every big_xi value it asked for;
+- the accepted vectors of every big_xi call above, in order.
 
 Results are compared as plain tuples (value, tail_bound, terms, excluded) and
-(value, err, cusp_height).  Inputs come from this tree's `perfbench/`.  Exits
-1 if anything differs.
+(value, err, cusp_height).  Everything but the summed values (`value`, and
+the orbifold's `err`) must be equal; those may differ by a relative
+--value-rtol, for a change to the beta1 kernel, and the largest relative
+change is printed per group.  Inputs come from this tree's `perfbench/`.
+Exits 1 if anything differs beyond that.
 """
 
 from __future__ import annotations
@@ -51,6 +56,15 @@ def _collect(seeds: list[int]) -> dict:
 
     lats = workloads.Lattices()
     out: dict = {}
+    accepted = []
+    with_norm = greens.with_norm
+
+    def recording_with_norm(*args):
+        pts = with_norm(*args)
+        accepted.append(pts)
+        return pts
+
+    greens.with_norm = recording_with_norm
     for seed in sorted(set(seeds) | {workloads.PROBE_SEED}):
         items = [i for i in workloads.make_round("green-sums", seed, 0) if isinstance(i, workloads.BigXiItem)]
         out[f"green-sums seed {seed}"] = [
@@ -88,6 +102,7 @@ def _collect(seeds: list[int]) -> dict:
 
     out["orbifold"] = [_outcome(identities.arithmetic_degree_archimedean, green_sum, workloads.ORBIFOLD_SPEC)]
     out["orbifold big_xi calls"] = calls
+    out["accepted vectors"] = accepted
     return out
 
 
@@ -110,20 +125,41 @@ def _seed_range(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
+def _parts(key: str, item) -> tuple:
+    """(the part of a result that must be equal, its summed values)."""
+    if key == "orbifold big_xi calls":
+        point, res = item
+        return (point, res[1:]), res[:1]
+    if key in ("enumerations", "accepted vectors") or item[0] != "value":
+        return item, ()
+    n = 2 if key == "orbifold" else 1
+    return ("value", item[1][n:]), item[1][:n]
+
+
+def _relative_change(a: tuple, b: tuple) -> float:
+    return max((abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b) if x != y), default=0.0)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--against", required=True, type=Path, help="the other source tree")
     ap.add_argument("--seeds", default="1-3", type=_seed_range, help="green-sums seeds, as 1-3")
+    ap.add_argument("--value-rtol", default=0.0, type=float, help="allowed relative change of values")
     args = ap.parse_args()
     mine, theirs = _run_tree(HERE, args.seeds), _run_tree(args.against.resolve(), args.seeds)
     differ = 0
     for key in mine:
         a, b = mine[key], theirs.get(key)
-        same = sum(x == y for x, y in zip(a, b or []))
-        ok = b is not None and len(a) == len(b) and same == len(a)
+        pairs = [(_parts(key, x), _parts(key, y)) for x, y in zip(a, b or [])]
+        same = sum(x[0] == y[0] for x, y in pairs)
+        change = max((_relative_change(x[1], y[1]) for x, y in pairs), default=0.0)
+        ok = b is not None and len(a) == len(b) and same == len(a) and change <= args.value_rtol
         differ += not ok
-        raised = sum(r[0] == "raised" for r in a)
-        print(f"{'equal' if ok else 'DIFFER'}: {key}: {same}/{len(a)} results equal ({raised} raised)")
+        raised = sum(r[:1] == ("raised",) for r in a)
+        print(
+            f"{'equal' if ok else 'DIFFER'}: {key}: {same}/{len(a)} results equal apart from"
+            f" values ({raised} raised); largest relative change of a value {change:.2e}"
+        )
     orbifold = mine["orbifold"][0]
     print(f"orbifold: {orbifold[1] if orbifold[0] == 'value' else orbifold}")
     return 1 if differ else 0

@@ -325,24 +325,25 @@ def majorant(lat: TraceZeroLattice, z) -> np.ndarray:
 
 
 def enumerate_by_majorant(
-    lat: TraceZeroLattice, z, bound: float, cap: int = 2_000_000, form: np.ndarray | None = None
+    lat: TraceZeroLattice, z, bound: float, cap: int = 2_000_000, form=None, eigs=None
 ):
     """All nonzero integer coordinate vectors with majorant value <= bound.
 
     Complete by construction: Cholesky range bounds with slack-padded integer
     ranges give every candidate, and a candidate is accepted exactly when
     float(n @ m @ n) <= bound (see _enumerate_form).  The list is ordered by
-    n3, then n2, then n1.  `form` is majorant(lat, z), if the caller has it.
+    n3, then n2, then n1.  `form` is majorant(lat, z), and `eigs` its
+    eigvalsh, if the caller has them.
     """
     m = majorant(lat, z) if form is None else form
-    return _enumerate_form(m, bound, cap)
+    return _enumerate_form(m, bound, cap, eigs)
 
 
 # Candidates evaluated per array pass; bounds the memory of large enumerations.
 _CHUNK = 1 << 17
 
 
-def _enumerate_form(m: np.ndarray, bound: float, cap: int = 2_000_000):
+def _enumerate_form(m: np.ndarray, bound: float, cap: int = 2_000_000, eigs=None):
     """Nonzero n with float(n @ m @ n) <= bound, as int tuples in (n3, n2, n1) order.
 
     The n3 range and, per n3, the n2 range come from the Cholesky factor,
@@ -353,11 +354,12 @@ def _enumerate_form(m: np.ndarray, bound: float, cap: int = 2_000_000):
     So the array value decides a candidate unless it lies within `band` of
     the bound, which covers twice that gap with room to spare, and the
     scalar expression decides the rest: the accepted set is exactly that of
-    a scalar check of every candidate.
+    a scalar check of every candidate.  `eigs` is eigvalsh(m), if known.
     """
     if bound <= 0:
         return []
-    eigs = np.linalg.eigvalsh(m)
+    if eigs is None:
+        eigs = np.linalg.eigvalsh(m)
     if eigs[0] <= 0:
         raise PreconditionViolation("form is not positive definite")
     predicted = 4.19 * bound**1.5 / math.sqrt(float(np.linalg.det(m))) + 8 * bound / eigs[0] + 27

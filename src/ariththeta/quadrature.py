@@ -88,12 +88,13 @@ def adaptive_integrate(
     heap = [(-c.err, i, c) for i, c in enumerate(cells)]
     heapq.heapify(heap)
     n_leaves = len(cells)
+    # Running totals for the stopping test; the result is summed over the heap.
+    total_value = sum(c.value for c in cells)
+    total_err = sum(c.err for c in cells)
     while True:
-        total_value = sum(c.value for _, _, c in heap)
-        total_err = sum(-e for e, _, _ in heap)
         tol = max(abs_tol, rel_tol * abs(total_value))
         if total_err <= tol:
-            return total_value, total_err
+            break
         if n_leaves >= max_cells:
             raise QuadratureFailure(
                 f"error {total_err:.3g} above tolerance {tol:.3g} with {n_leaves} cells"
@@ -107,8 +108,7 @@ def adaptive_integrate(
                 break
             batch.append(cell)
         if not batch:
-            total_value = sum(c.value for _, _, c in heap)
-            return total_value, sum(-e for e, _, _ in heap)
+            break
         children = []
         for cell in batch:
             if cell.depth >= max_depth:
@@ -118,7 +118,10 @@ def adaptive_integrate(
         for k in children:
             counter += 1
             heapq.heappush(heap, (-k.err, counter, k))
+        total_value += sum(k.value for k in children) - sum(c.value for c in batch)
+        total_err += sum(k.err for k in children) - sum(c.err for c in batch)
         n_leaves += len(children) - len(batch)
+    return sum(c.value for _, _, c in heap), sum(-e for e, _, _ in heap)
 
 
 def _split(c: _Cell) -> list[_Cell]:
