@@ -57,14 +57,21 @@ def _collect(seeds: list[int]) -> dict:
     lats = workloads.Lattices()
     out: dict = {}
     accepted = []
-    with_norm = greens.with_norm
 
-    def recording_with_norm(*args):
-        pts = with_norm(*args)
-        accepted.append(pts)
-        return pts
+    def recording(fn, wanted=lambda kwargs: True):
+        def wrapper(*args, **kwargs):
+            pts = fn(*args, **kwargs)
+            if wanted(kwargs):
+                accepted.append(pts)
+            return pts
 
-    greens.with_norm = recording_with_norm
+        return wrapper
+
+    # big_xi lists its terms through enumerate_by_majorant(..., norm=t); a
+    # tree from before that keyword filters the full list through with_norm.
+    greens.enumerate_by_majorant = recording(greens.enumerate_by_majorant, lambda kw: "norm" in kw)
+    if hasattr(greens, "with_norm"):
+        greens.with_norm = recording(greens.with_norm)
     for seed in sorted(set(seeds) | {workloads.PROBE_SEED}):
         items = [i for i in workloads.make_round("green-sums", seed, 0) if isinstance(i, workloads.BigXiItem)]
         out[f"green-sums seed {seed}"] = [

@@ -34,7 +34,6 @@ from .lattice import (
     enumerate_by_majorant,
     majorant,
     model_coordinates_float,
-    with_norm,
 )
 
 # Euler-Mascheroni constant, 30 certified digits (mpmath, 40 dps).
@@ -297,9 +296,13 @@ def big_xi(
     certificate does not reach abs_tol at the configured value.
 
     One pass: the majorant and its eigenvalues are built once and serve the
-    tail bound at every doubling and the enumeration; the enumerated vectors
-    are filtered by Q(x) = t in exact integer arithmetic, and the accepted
-    terms are summed one by one in enumeration order.
+    tail bound at every doubling and the enumeration.  The enumeration lists
+    only the vectors with Q(x) = t (enumerate_by_majorant with norm=t): on
+    each (n3, n2) row of the majorant ellipsoid it keeps the padded n1 range
+    of the full enumeration, finds the n1 with n^T G n = 2t as exact integer
+    roots, and decides each root inside the range by the full
+    enumeration's rule, so the terms are those of the full list filtered by
+    the norm, in the same order.  They are summed one by one in that order.
 
     For t > 0, terms with R below the singular floor: an exact zero raises
     SingularEvaluation, a positive value below the floor is excluded from
@@ -327,8 +330,7 @@ def big_xi(
         raise QuadratureFailure(
             f"tail bound {tail:.3g} above abs_tol at majorant bound {bound}"
         )
-    found = enumerate_by_majorant(lat, z, bound, cap=spec.enumeration_cap, form=m, eigs=eigs)
-    pts = with_norm(lat, found, t)
+    pts = enumerate_by_majorant(lat, z, bound, cap=spec.enumeration_cap, form=m, eigs=eigs, norm=t)
     value = 0.0
     excluded = []
     zf = UHPoint(float(z.u), float(z.v))

@@ -5,8 +5,8 @@ Q(x) = nu(x), of signature (1, 2) for indefinite algebras and (3, 0) for
 definite ones.  All lattice data is exact; floating point appears only in
 the majorant and its enumeration.  Enumeration evaluates the form on all
 candidates at once and re-checks, one by one, every candidate whose value
-lies within rounding distance of the bound; norms are filtered exactly, as
-n^T G n = 2t in integers.
+lies within rounding distance of the bound.  Vectors of one norm t are found
+by solving n^T G n = 2t exactly in integers along each row of candidates.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from importlib import resources
-from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
@@ -325,39 +324,63 @@ def majorant(lat: TraceZeroLattice, z) -> np.ndarray:
 
 
 def enumerate_by_majorant(
-    lat: TraceZeroLattice, z, bound: float, cap: int = 2_000_000, form=None, eigs=None
+    lat: TraceZeroLattice,
+    z,
+    bound: float,
+    cap: int = 2_000_000,
+    form=None,
+    eigs=None,
+    norm: int | None = None,
 ):
     """All nonzero integer coordinate vectors with majorant value <= bound.
 
     Complete by construction: Cholesky range bounds with slack-padded integer
     ranges give every candidate, and a candidate is accepted exactly when
-    float(n @ m @ n) <= bound (see _enumerate_form).  The list is ordered by
-    n3, then n2, then n1.  `form` is majorant(lat, z), and `eigs` its
-    eigvalsh, if the caller has them.
+    float(n @ m @ n) <= bound (see _ellipsoid).  The list is ordered by n3,
+    then n2, then n1.  `form` is majorant(lat, z), and `eigs` its eigvalsh,
+    if the caller has them.
+
+    With `norm=t`, only the vectors with Q(n) = t, and as complete: each
+    (n3, n2) row keeps its padded n1 range, every n1 of the row with
+    n^T G n = 2t is found as an exact integer root, and each root in the
+    range is decided by the same rule (see _enumerate_norm).  So the result
+    is the list without `norm` filtered by Q(n) = t, in the same order,
+    found in O(bound) rows instead of O(bound^1.5) candidates.  A count of
+    the vectors returned (the benchmark's traced `lattice.candidates`)
+    then counts vectors of norm t, not candidates.
     """
     m = majorant(lat, z) if form is None else form
-    return _enumerate_form(m, bound, cap, eigs)
+    if norm is None:
+        return _enumerate_form(m, bound, cap, eigs)
+    return _enumerate_norm(m, bound, lat.gram, norm, cap, eigs)
 
 
 # Candidates evaluated per array pass; bounds the memory of large enumerations.
 _CHUNK = 1 << 17
 
 
-def _enumerate_form(m: np.ndarray, bound: float, cap: int = 2_000_000, eigs=None):
-    """Nonzero n with float(n @ m @ n) <= bound, as int tuples in (n3, n2, n1) order.
+def _ellipsoid(m: np.ndarray, bound: float, cap: int, eigs):
+    """The slices of the ellipsoid n @ m @ n <= bound, for bound > 0.
 
-    The n3 range and, per n3, the n2 range come from the Cholesky factor,
-    padded against rounding; every (n3, n2) row then spans an n1 range, and
-    the form is evaluated on all candidates in one array pass.  That sum and
-    the scalar n @ m @ n each lie within 1.2e-15 |n|^T |m| |n| of the exact
-    value, and |n|^T |m| |n| <= ||m||_F |n|^2 <= ||m||_F value / lambda_min.
-    So the array value decides a candidate unless it lies within `band` of
-    the bound, which covers twice that gap with room to spare, and the
-    scalar expression decides the rest: the accepted set is exactly that of
-    a scalar check of every candidate.  `eigs` is eigvalsh(m), if known.
+    Returns (slices, n1_range, band).  `slices` lists, for every n3 in
+    increasing order, (n3, n2s, rem2, c2): n2s is the range of n2 to visit,
+    and rem2, c2 feed n1_range(n3, n2, rem2, c2), which returns the row's
+    n1 range (lo, hi) as ints, or None when the row misses the ellipsoid.
+    The n3 range, each n2 range and each n1 range come from the Cholesky
+    factor, padded against rounding, so the integers lo .. hi of the rows
+    hold every point of the ellipsoid.  The rows are few (O(bound) against
+    O(bound^1.5) points), so they are built in plain loops.
+
+    The decision: an evaluation of the form that lies within 1.2e-15
+    |n|^T |m| |n| of the exact value decides a candidate unless it lies
+    within `band` of the bound; inside the band the scalar expression
+    float(n @ m @ n) <= bound decides.  The array sum, the scalar n @ m @ n
+    and a sum of the six products m_ij n_i n_j each lie that close, and
+    |n|^T |m| |n| <= ||m||_F |n|^2 <= ||m||_F value / lambda_min, so `band`
+    covers twice that gap with room to spare and the accepted set is
+    exactly that of a scalar check of every candidate.  `eigs` is
+    eigvalsh(m), if known.
     """
-    if bound <= 0:
-        return []
     if eigs is None:
         eigs = np.linalg.eigvalsh(m)
     if eigs[0] <= 0:
@@ -369,28 +392,49 @@ def _enumerate_form(m: np.ndarray, bound: float, cap: int = 2_000_000, eigs=None
     (u00, u01, u02), (_, u11, u12), (_, _, u22) = np.linalg.cholesky(m).T.tolist()
     pad = 1e-9 * (1.0 + abs(bound))
     lim3 = math.floor(math.sqrt(bound * (1 + 1e-12)) / u22 + 1e-9) + 1
-    n3 = np.arange(-lim3, lim3 + 1, dtype=float)
-    r3 = u22 * n3
-    rem2 = bound - r3 * r3
-    keep = rem2 >= -pad
-    n3, rem2 = n3[keep], rem2[keep]
-    c2 = u12 * n3
-    half2 = np.sqrt(np.maximum(rem2, 0.0)) / u11
-    center2 = -c2 / u11
-    row, n2 = _spread(center2 - half2 - 1e-9, center2 + half2 + 1e-9)
-    n3, rem2, c2 = n3[row], rem2[row], c2[row]
-    r2 = u11 * n2 + c2
-    rem1 = rem2 - r2 * r2
-    keep = rem1 >= -pad
-    n3, n2, rem1 = n3[keep], n2[keep], rem1[keep]
-    c1 = u01 * n2 + u02 * n3
-    half1 = np.sqrt(np.maximum(rem1, 0.0)) / u00
-    center1 = -c1 / u00
-    lo1 = center1 - half1 - 1e-9
-    hi1 = center1 + half1 + 1e-9
-    # Rows per pass: a row holds at most (hi - lo) + 3 integers.
-    step = max(1, _CHUNK // (int((hi1 - lo1).max(initial=0.0)) + 3))
+    slices = []
+    for n3 in range(-lim3, lim3 + 1):
+        r3 = u22 * n3
+        rem2 = bound - r3 * r3
+        if rem2 < -pad:
+            continue
+        c2 = u12 * n3
+        half2 = math.sqrt(max(rem2, 0.0)) / u11
+        center2 = -c2 / u11
+        n2s = range(math.floor(center2 - half2 - 1e-9), math.ceil(center2 + half2 + 1e-9) + 1)
+        slices.append((n3, n2s, rem2, c2))
+
+    def n1_range(n3, n2, rem2, c2):
+        r2 = u11 * n2 + c2
+        rem1 = rem2 - r2 * r2
+        if rem1 < -pad:
+            return None
+        half1 = math.sqrt(max(rem1, 0.0)) / u00
+        center1 = -(u01 * n2 + u02 * n3) / u00
+        return math.floor(center1 - half1 - 1e-9), math.ceil(center1 + half1 + 1e-9)
+
     band = 1e-12 * (1.0 + abs(bound)) + 8e-15 * bound * math.sqrt(float((m * m).sum())) / eigs[0]
+    return slices, n1_range, band
+
+
+def _enumerate_form(m: np.ndarray, bound: float, cap: int = 2_000_000, eigs=None):
+    """Nonzero n with float(n @ m @ n) <= bound, as int tuples in (n3, n2, n1) order.
+
+    Every row of _ellipsoid spans its n1 range, and the form is evaluated on
+    all candidates in one array pass, then decided as _ellipsoid describes.
+    """
+    if bound <= 0:
+        return []
+    slices, n1_range, band = _ellipsoid(m, bound, cap, eigs)
+    rows = [
+        (n3, n2, *span)
+        for n3, n2s, rem2, c2 in slices
+        for n2 in n2s
+        if (span := n1_range(n3, n2, rem2, c2)) is not None
+    ]
+    n3, n2, lo1, hi1 = np.array(rows, dtype=float).reshape(-1, 4).T
+    # Rows per pass: a row holds hi - lo + 1 integers.
+    step = max(1, _CHUNK // (int((hi1 - lo1).max(initial=0.0)) + 1))
     out = []
     for s in range(0, lo1.size, step):
         row, n1 = _spread(lo1[s : s + step], hi1[s : s + step])
@@ -407,6 +451,76 @@ def _enumerate_form(m: np.ndarray, bound: float, cap: int = 2_000_000, eigs=None
     return out
 
 
+def _enumerate_norm(m: np.ndarray, bound: float, gram, t: int, cap: int = 2_000_000, eigs=None):
+    """Nonzero n with n^T G n = 2t and float(n @ m @ n) <= bound, in (n3, n2, n1) order.
+
+    G is the integral gram matrix `gram`.  Complete, and equal to filtering
+    _enumerate_form(m, bound) by the norm: on each (n3, n2) row of
+    _ellipsoid, G00 n1^2 + 2 b n1 + c = 0, where b = G01 n2 + G02 n3 and
+    c = G11 n2^2 + 2 G12 n2 n3 + G22 n3^2 - 2t, is solved exactly in Python
+    integers (by isqrt of the discriminant, or as a linear equation when
+    G00 = 0; when also b = 0 and c = 0, every n1 of the row is a solution).
+    Only a row with an integer root needs its n1 range; each root inside
+    that range, the same range the full enumeration scans, is decided by
+    the rule of _ellipsoid, in increasing n1.
+    """
+    if bound <= 0:
+        return []
+    slices, n1_range, band = _ellipsoid(m, bound, cap, eigs)
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = m.tolist()
+    # With g00 != 0, the discriminant b^2 - g00 c is (a n2 + d1) n2 + d0 on a slice.
+    a = g01 * g01 - g00 * g11
+    out = []
+    for n3, n2s, rem2, c2 in slices:
+        b3, c3, c0 = g02 * n3, 2 * g12 * n3, g22 * n3 * n3 - 2 * t
+        d1, d0 = 2 * g01 * b3 - g00 * c3, b3 * b3 - g00 * c0
+        for n2 in n2s:
+            # The integer roots n1 of g00 n1^2 + 2 b n1 + c = 0, increasing;
+            # None when every n1 is one.
+            if g00:
+                disc = (a * n2 + d1) * n2 + d0
+                if disc < 0:
+                    continue
+                s = math.isqrt(disc)
+                if s * s != disc:
+                    continue
+                b = g01 * n2 + b3
+                nums = (-b - s, -b + s) if g00 > 0 else (-b + s, -b - s)
+                roots = [num // g00 for num in nums[: 2 if s else 1] if num % g00 == 0]
+            else:
+                b = g01 * n2 + b3
+                c = (g11 * n2 + c3) * n2 + c0
+                if b:
+                    q, r = divmod(-c, 2 * b)
+                    if r:
+                        continue
+                    roots = [q]
+                elif c:
+                    continue
+                else:
+                    roots = None
+            span = n1_range(n3, n2, rem2, c2)
+            if span is None:
+                continue
+            lo, hi = span
+            for n1 in range(lo, hi + 1) if roots is None else roots:
+                if not lo <= n1 <= hi or not (n1 or n2 or n3):
+                    continue
+                val = m00 * (n1 * n1) + m11 * (n2 * n2) + m22 * (n3 * n3)
+                val += 2.0 * (m01 * (n1 * n2) + m02 * (n1 * n3) + m12 * (n2 * n3))
+                if abs(val - bound) <= band:
+                    n = np.array((n1, n2, n3), dtype=np.int64)
+                    ok = float(n @ m @ n) <= bound
+                else:
+                    ok = val <= bound - band
+                if ok:
+                    out.append((n1, n2, n3))
+    if len(out) > 2 * cap:
+        raise BoundTooLarge("enumeration exceeded twice the safety cap")
+    return out
+
+
 def _spread(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every integer floor(lo[r]) .. ceil(hi[r]) of every row r, in row order.
 
@@ -419,36 +533,19 @@ def _spread(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return row, start[row] + (np.arange(row.size) - first[row])
 
 
-def with_norm(lat: TraceZeroLattice, pts, t: int) -> list:
-    """The vectors n of pts with Q(n) = t, in order, decided exactly as n^T G n == 2t.
-
-    int64 arithmetic is exact while max|n_i|^2 * sum|G_ij| and |2t| stay below
-    2^62; beyond that the Python-int inner product decides.
-    """
-    if not pts:
-        return []
-    arr = np.fromiter(chain.from_iterable(pts), dtype=np.int64, count=3 * len(pts)).reshape(-1, 3)
-    g = lat.gram_array
-    if int(np.abs(arr).max()) ** 2 * int(np.abs(g).sum()) < 2**62 and abs(2 * t) < 2**62:
-        keep = ((arr @ g) * arr).sum(axis=1) == 2 * t
-        return list(compress(pts, keep.tolist()))
-    return [n for n in pts if lat.inner(n, n) == 2 * t]
-
-
 def representation_count(lat: TraceZeroLattice, t: int) -> int:
     """|{x in L : Q(x) = t}| for a definite lattice, by complete enumeration."""
     return len(vectors_of_norm(lat, t))
 
 
 def vectors_of_norm(lat: TraceZeroLattice, t: int):
-    """All x with Q(x) = t in a definite lattice (exact filter)."""
+    """All x with Q(x) = t in a definite lattice, solved exactly row by row."""
     if not lat.is_definite:
         raise PreconditionViolation("needs a definite lattice")
     if t <= 0:
         return []
     g = np.array(lat.gram, dtype=float)
-    pts = _enumerate_form(g, 2 * t * (1 + 1e-12) + 1e-9)
-    return with_norm(lat, pts, t)
+    return _enumerate_norm(g, 2 * t * (1 + 1e-12) + 1e-9, lat.gram, t)
 
 
 def weighted_orbit_degree(lat: TraceZeroLattice, t: int) -> Fraction:

@@ -117,6 +117,21 @@ def test_arch_degree_green_sum_converges(lat_d1):
     res2 = idn.arithmetic_degree_archimedean(g, finer)
     assert res2.err < res.err
     assert abs(res.value - res2.value) <= 4 * (res.err + res2.err)
+    # Unfolded over the one class of vectors with Q = -2, whose closed
+    # geodesic has length 2 arccosh 3, with R = 2 cosh^2 rho at distance rho
+    # from it, the integral is (1/2) (2 arccosh 3) J(2), where
+    # J(s) = integral over R of E1(2 pi s cosh^2 rho) cosh rho (2.19997e-07).
+    from scipy.integrate import quad
+    from scipy.special import exp1
+
+    def j_integrand(r):
+        return exp1(4 * math.pi * math.cosh(r) ** 2) * math.cosh(r)
+
+    j2, _ = quad(j_integrand, -6.0, 6.0, epsabs=0.0, epsrel=1e-12)
+    exact = 0.5 * (2 * math.acosh(3)) * j2
+    assert abs(exact - 2.19997220111929e-07) < 1e-19
+    assert abs(res.value - exact) <= res.err
+    assert abs(res2.value - exact) <= res2.err
 
 
 def test_arch_degree_linearity(lat_d1):

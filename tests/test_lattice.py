@@ -12,6 +12,8 @@ import ariththeta as at
 from ariththeta.errors import BoundTooLarge, OrderDataError, PreconditionViolation
 from ariththeta.greens import UHPoint, r_value
 from ariththeta.lattice import (
+    _enumerate_form,
+    _enumerate_norm,
     is_split_model,
     load_order,
     majorant,
@@ -20,7 +22,6 @@ from ariththeta.lattice import (
     representation_count,
     trace_zero_lattice,
     vectors_of_norm,
-    with_norm,
 )
 
 
@@ -222,14 +223,125 @@ def test_enumeration_bound_equal_to_a_vector_value(request, brute_force_ball, na
     assert sorted(under) == brute_force_ball(m, below)
 
 
-def test_with_norm_matches_q_value(lat_d1, lat_d6, lat_d10):
-    rng = np.random.default_rng(5)
+def test_norm_path_matches_q_value(lat_d1, lat_d6, lat_d10):
+    # The norm path against the exact Q of every vector of the full list.
     for lat in (lat_d1, lat_d6, lat_d10):
-        pts = [tuple(int(x) for x in row) for row in rng.integers(-9, 10, size=(400, 3))]
-        # Coordinates this large leave int64 and go to Python integers.
-        pts += [(2**31 + 1, 5, -3), (-(2**40), 2**40, 1)]
-        for t in {lat.q_value(n) for n in pts[:40] + pts[-2:]}:
-            assert with_norm(lat, pts, int(t)) == [n for n in pts if lat.q_value(n) == t]
+        for z in (UHPoint(0.0, 1.0), UHPoint(0.31, 0.45), UHPoint(-1.1, 2.7)):
+            full = at.enumerate_by_majorant(lat, z, 40.0)
+            for t in sorted({lat.q_value(n) for n in full}):
+                got = at.enumerate_by_majorant(lat, z, 40.0, norm=int(t))
+                assert got == [n for n in full if lat.q_value(n) == t], (z, t)
+    # A definite lattice: vectors_of_norm against the full list of its gram form.
+    lat = trace_zero_lattice(
+        load_order(
+            {
+                "label": "lipschitz",
+                "a": "-1",
+                "b": "-1",
+                "discriminant": 2,
+                "basis": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+            }
+        )
+    )
+    g = np.array(lat.gram, dtype=float)
+    full = _enumerate_form(g, 2 * 12 + 1e-9)
+    for t in range(1, 13):
+        assert vectors_of_norm(lat, t) == [n for n in full if lat.q_value(n) == t]
+
+
+# --- the row solver of the norm path ----------------------------------------------
+
+
+def _permuted(lat, z, perm):
+    """Majorant and gram of lat in the basis (e_perm[0], e_perm[1], e_perm[2]),
+    and Q of a vector given in that basis."""
+    m = majorant(lat, z)[np.ix_(perm, perm)]
+    gram = tuple(tuple(lat.gram[i][j] for j in perm) for i in perm)
+
+    def q_value(n):
+        x = [0, 0, 0]
+        for k, i in enumerate(perm):
+            x[i] = n[k]
+        return lat.q_value(x)
+
+    return m, gram, q_value
+
+
+def _solver_matches_oracle(brute_force_ball, m, gram, q_value, bound, t):
+    got = _enumerate_norm(m, bound, gram, t)
+    expect = [n for n in brute_force_ball(m, bound) if q_value(n) == t]
+    # Equal as lists in (n3, n2, n1) order, so roots come in increasing n1.
+    assert got == sorted(expect, key=lambda n: (n[2], n[1], n[0])), (gram, bound, t)
+    return got
+
+
+@pytest.mark.parametrize("t", [-3, -2, 1, 2, 3])
+def test_norm_rows_linear_case(lat_d1, brute_force_ball, t):
+    # d1 with its first two basis vectors swapped: G00 = 0, b = -n3, so each
+    # row with n3 != 0 is the linear equation -2 n3 n1 - 2 n2^2 = 2t.
+    for z in (UHPoint(0.0, 1.0), UHPoint(0.4, 0.7), UHPoint(-0.9, 1.6)):
+        m, gram, q_value = _permuted(lat_d1, z, (1, 0, 2))
+        assert gram[0][0] == 0
+        got = _solver_matches_oracle(brute_force_ball, m, gram, q_value, 30.0, t)
+        assert got and all(n[2] != 0 for n in got)
+
+
+@pytest.mark.parametrize("t", [-1, -4])
+def test_norm_rows_whole_row_case(lat_d1, brute_force_ball, t):
+    # In the same basis, the rows n3 = 0, n2 = +-sqrt(-t) have b = 0 and
+    # c = 2t: every n1 of their range has Q = t.
+    for z in (UHPoint(0.0, 1.0), UHPoint(0.4, 0.7)):
+        m, gram, q_value = _permuted(lat_d1, z, (1, 0, 2))
+        got = _solver_matches_oracle(brute_force_ball, m, gram, q_value, 40.0, t)
+        whole = [n for n in got if n[2] == 0]
+        assert len(whole) > 4 and {abs(n[1]) ** 2 for n in whole} == {-t}
+
+
+@pytest.mark.parametrize(
+    "name,perm", [("lat_d1", (0, 1, 2)), ("lat_d6", (1, 0, 2)), ("lat_d10", (1, 0, 2))]
+)
+@pytest.mark.parametrize("t", [-3, -2, -1, 1, 2, 3])
+def test_norm_rows_negative_leading_coefficient(request, brute_force_ball, name, perm, t):
+    # G00 < 0 (-2, -6 and -4): the larger root numerator gives the smaller n1.
+    lat = request.getfixturevalue(name)
+    for z in (UHPoint(0.0, 1.0), UHPoint(0.3, 0.5), UHPoint(-0.7, 1.4)):
+        m, gram, q_value = _permuted(lat, z, perm)
+        assert gram[0][0] < 0
+        _solver_matches_oracle(brute_force_ball, m, gram, q_value, 40.0, t)
+
+
+def test_norm_rows_two_roots_in_one_row(lat_d10, brute_force_ball):
+    # A row holding both roots of its quadratic, for G00 < 0 and G00 > 0.
+    for perm in ((1, 0, 2), (0, 1, 2)):
+        m, gram, q_value = _permuted(lat_d10, UHPoint(0.2, 0.9), perm)
+        got = _solver_matches_oracle(brute_force_ball, m, gram, q_value, 80.0, 2)
+        rows = [n[1:] for n in got]
+        assert any(rows.count(r) == 2 for r in rows)
+
+
+def test_norm_path_equals_filtered_enumeration(lat_d1, lat_d6, lat_d10):
+    # Random z with v up to 32 and bounds up to 512; a bound whose predicted
+    # count exceeds the cap raises on both paths.
+    rng = np.random.default_rng(11)
+    checked = 0
+    for lat in (lat_d1, lat_d6, lat_d10):
+        for _ in range(30):
+            z = UHPoint(rng.uniform(-1.5, 1.5), float(np.exp(rng.uniform(np.log(0.2), np.log(32.0)))))
+            bound = rng.uniform(1.0, 512.0)
+            try:
+                full = at.enumerate_by_majorant(lat, z, bound, cap=100_000)
+            except BoundTooLarge:
+                with pytest.raises(BoundTooLarge):
+                    at.enumerate_by_majorant(lat, z, bound, cap=100_000, norm=1)
+                continue
+            arr = np.array(full, dtype=np.int64).reshape(-1, 3)
+            assert np.abs(arr).max(initial=0) < 2**20  # so int64 norms are exact
+            norms = ((arr @ lat.gram_array) * arr).sum(axis=1).tolist()
+            for t in (-6, -5, -3, -2, -1, 1, 2, 3, 5, 6):
+                got = at.enumerate_by_majorant(lat, z, bound, cap=100_000, norm=t)
+                assert got == [n for n, q2 in zip(full, norms) if q2 == 2 * t], (z, bound, t)
+            checked += 1
+    assert checked >= 50
 
 
 def test_cached_arrays_are_read_only(lat_d6):
