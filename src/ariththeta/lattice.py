@@ -308,19 +308,31 @@ def majorant(lat: TraceZeroLattice, z) -> np.ndarray:
     """Positive definite majorant (x, x)_z = (x, x) + 4 R(x, z) as a matrix on coords.
 
     R is the Green-function distance of the split matrix model; at a vector x
-    with Q(x) = t > 0 and z on its divisor the majorant value is 2t.
+    with Q(x) = t > 0 and z on its divisor the majorant value is 2t.  The
+    matrix is G + (r r^T + i i^T) / v^2 for the rows r, i of Re and Im of
+    p(z) below, formed entry by entry in Python floats: the same operations
+    as the array expression, so the same bits, and exactly symmetric.
     """
     if lat.is_definite:
         raise PreconditionViolation("majorant is for indefinite lattices")
     u, v = float(z.u), float(z.v)
-    c = model_coordinates_float(lat)
-    alpha, beta, gamma = c[0], c[1], c[2]
+    alpha, beta, gamma = model_coordinates_float(lat).tolist()
     # p(z) = gamma z^2 - 2 alpha z - beta, linear in the coordinates.
     zr, zi = u * u - v * v, 2 * u * v
-    rowr = gamma * zr - 2 * alpha * u - beta
-    rowi = gamma * zi - 2 * alpha * v
-    m = lat.gram_array + (np.outer(rowr, rowr) + np.outer(rowi, rowi)) / (v * v)
-    return 0.5 * (m + m.T)
+    r0, r1, r2 = [g * zr - 2 * a * u - b for a, b, g in zip(alpha, beta, gamma)]
+    i0, i1, i2 = [g * zi - 2 * a * v for a, g in zip(alpha, gamma)]
+    vv = v * v
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = lat.gram
+    m01 = g01 + (r0 * r1 + i0 * i1) / vv
+    m02 = g02 + (r0 * r2 + i0 * i2) / vv
+    m12 = g12 + (r1 * r2 + i1 * i2) / vv
+    return np.array(
+        [
+            [g00 + (r0 * r0 + i0 * i0) / vv, m01, m02],
+            [m01, g11 + (r1 * r1 + i1 * i1) / vv, m12],
+            [m02, m12, g22 + (r2 * r2 + i2 * i2) / vv],
+        ]
+    )
 
 
 def enumerate_by_majorant(
@@ -369,7 +381,10 @@ def _ellipsoid(m: np.ndarray, bound: float, cap: int, eigs):
     The n3 range, each n2 range and each n1 range come from the Cholesky
     factor, padded against rounding, so the integers lo .. hi of the rows
     hold every point of the ellipsoid.  The rows are few (O(bound) against
-    O(bound^1.5) points), so they are built in plain loops.
+    O(bound^1.5) points), so they are built in plain loops, and the factor
+    is taken in Python floats by _cholesky3 (a pivot that is not positive
+    raises PreconditionViolation).  The point count that guards `cap` takes
+    sqrt(det m) as the product u00 u11 u22 of the factor's diagonal.
 
     The decision: an evaluation of the form that lies within 1.2e-15
     |n|^T |m| |n| of the exact value decides a candidate unless it lies
@@ -378,18 +393,20 @@ def _ellipsoid(m: np.ndarray, bound: float, cap: int, eigs):
     and a sum of the six products m_ij n_i n_j each lie that close, and
     |n|^T |m| |n| <= ||m||_F |n|^2 <= ||m||_F value / lambda_min, so `band`
     covers twice that gap with room to spare and the accepted set is
-    exactly that of a scalar check of every candidate.  `eigs` is
-    eigvalsh(m), if known.
+    exactly that of a scalar check of every candidate.  ||m||_F is summed
+    from the six entries.  `eigs` is eigvalsh(m), if known.
     """
     if eigs is None:
         eigs = np.linalg.eigvalsh(m)
-    if eigs[0] <= 0:
+    lam_min = float(eigs[0])
+    if lam_min <= 0:
         raise PreconditionViolation("form is not positive definite")
-    predicted = 4.19 * bound**1.5 / math.sqrt(float(np.linalg.det(m))) + 8 * bound / eigs[0] + 27
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = m.tolist()
+    # value = || U n ||^2 for the upper triangular Cholesky factor U = L^T.
+    u00, u01, u02, u11, u12, u22 = _cholesky3(m00, m01, m02, m11, m12, m22)
+    predicted = 4.19 * bound**1.5 / (u00 * u11 * u22) + 8 * bound / lam_min + 27
     if predicted > cap:
         raise BoundTooLarge(f"predicted {predicted:.3g} points exceeds cap {cap}")
-    # value = || U n ||^2 for the upper triangular U = L^T; its entries as floats.
-    (u00, u01, u02), (_, u11, u12), (_, _, u22) = np.linalg.cholesky(m).T.tolist()
     pad = 1e-9 * (1.0 + abs(bound))
     lim3 = math.floor(math.sqrt(bound * (1 + 1e-12)) / u22 + 1e-9) + 1
     slices = []
@@ -413,8 +430,32 @@ def _ellipsoid(m: np.ndarray, bound: float, cap: int, eigs):
         center1 = -(u01 * n2 + u02 * n3) / u00
         return math.floor(center1 - half1 - 1e-9), math.ceil(center1 + half1 + 1e-9)
 
-    band = 1e-12 * (1.0 + abs(bound)) + 8e-15 * bound * math.sqrt(float((m * m).sum())) / eigs[0]
+    frobenius = math.sqrt(m00 * m00 + m11 * m11 + m22 * m22 + 2.0 * (m01 * m01 + m02 * m02 + m12 * m12))
+    band = 1e-12 * (1.0 + abs(bound)) + 8e-15 * bound * frobenius / lam_min
     return slices, n1_range, band
+
+
+def _cholesky3(m00, m01, m02, m11, m12, m22):
+    """Upper Cholesky factor (u00, u01, u02, u11, u12, u22) of a symmetric 3x3 form.
+
+    Row by row in Python floats; it agrees with LAPACK's factor to rounding.
+    Raises PreconditionViolation at a pivot that is not positive, so a form
+    that is not positive definite never reaches a square root of a negative
+    number.
+    """
+    if not m00 > 0:
+        raise PreconditionViolation("form is not positive definite")
+    u00 = math.sqrt(m00)
+    u01, u02 = m01 / u00, m02 / u00
+    p11 = m11 - u01 * u01
+    if not p11 > 0:
+        raise PreconditionViolation("form is not positive definite")
+    u11 = math.sqrt(p11)
+    u12 = (m12 - u01 * u02) / u11
+    p22 = m22 - u02 * u02 - u12 * u12
+    if not p22 > 0:
+        raise PreconditionViolation("form is not positive definite")
+    return u00, u01, u02, u11, u12, math.sqrt(p22)
 
 
 def _enumerate_form(m: np.ndarray, bound: float, cap: int = 2_000_000, eigs=None):

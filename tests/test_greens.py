@@ -22,6 +22,7 @@ from ariththeta.greens import (
     BigXiResult,
     QuadratureSpec,
     UHPoint,
+    _tail_bound,
     beta1,
     beta1_vec,
     big_xi,
@@ -32,6 +33,7 @@ from ariththeta.greens import (
     r_value,
     xi,
 )
+from ariththeta.lattice import majorant
 
 CM_VECTOR = (0.0, 1.0, -1.0)  # [[0, 1], [-1, 0]]: Q = 1, divisor at i
 
@@ -323,6 +325,16 @@ def test_big_xi_tail_bound_is_certified(lat_d1, spec):
         lat_d1, 1, 1.0, z, QuadratureSpec(truncation_majorant_bound=4 * spec.truncation_majorant_bound)
     )
     assert abs(wide.value - base.value) <= base.tail_bound + 1e-15
+
+
+@pytest.mark.parametrize("name", ["lat_d1", "lat_d6", "lat_d10"])
+def test_tail_bound_of_a_list_equals_that_of_the_array(request, name):
+    lat = request.getfixturevalue(name)
+    rng = np.random.default_rng(1729)
+    for u, v in zip(rng.uniform(-1.5, 1.5, 300), rng.uniform(0.3, 2.5, 300)):
+        lam = np.linalg.eigvalsh(majorant(lat, UHPoint(float(u), float(v)))) * (1.0 - 1e-9)
+        for t, w, bound in ((-2, 1.0, 48.0), (1, 0.15, 96.0), (3, 2.0, 12.0)):
+            assert _tail_bound(lam.tolist(), t, w, bound) == _tail_bound(lam, t, w, bound)
 
 
 def test_big_xi_gamma_invariance_spot_check(lat_d1, spec):

@@ -12,6 +12,7 @@ import ariththeta as at
 from ariththeta.errors import BoundTooLarge, OrderDataError, PreconditionViolation
 from ariththeta.greens import UHPoint, r_value
 from ariththeta.lattice import (
+    _cholesky3,
     _enumerate_form,
     _enumerate_norm,
     is_split_model,
@@ -159,6 +160,38 @@ def test_majorant_exact_rational_identity(lat_d1):
         exact = 2 * (lat_d1.q_value(n) + 2 * r_value(vec, z))
         got = float(np.array(n) @ m @ np.array(n))
         assert abs(got - float(exact)) < 1e-9 * (1 + abs(float(exact)))
+
+
+def _seeded_points(count=300, seed=1729):
+    rng = np.random.default_rng(seed)
+    return [UHPoint(float(u), float(v)) for u, v in zip(rng.uniform(-1.5, 1.5, count), rng.uniform(0.3, 2.5, count))]
+
+
+@pytest.mark.parametrize("name", ["lat_d1", "lat_d6", "lat_d10"])
+def test_majorant_equals_array_expression(request, name):
+    # The plain-float entries are the array expression's operations, so its bits.
+    lat = request.getfixturevalue(name)
+    alpha, beta, gamma = model_coordinates_float(lat)
+    for z in _seeded_points():
+        u, v = z.u, z.v
+        r = gamma * (u * u - v * v) - 2 * alpha * u - beta
+        i = gamma * (2 * u * v) - 2 * alpha * v
+        m = majorant(lat, z)
+        assert np.array_equal(m, lat.gram_array + (np.outer(r, r) + np.outer(i, i)) / (v * v)), z
+        assert np.array_equal(m, m.T)
+
+
+@pytest.mark.parametrize("name", ["lat_d1", "lat_d6", "lat_d10"])
+def test_cholesky3_matches_lapack(request, name):
+    lat = request.getfixturevalue(name)
+    for z in _seeded_points():
+        m = majorant(lat, z)
+        (m00, m01, m02), (_, m11, m12), (_, _, m22) = m.tolist()
+        u = np.zeros((3, 3))
+        u[np.triu_indices(3)] = _cholesky3(m00, m01, m02, m11, m12, m22)
+        ref = np.linalg.cholesky(m).T
+        assert np.linalg.norm(u - ref) <= 1e-14 * np.linalg.norm(ref), z
+        assert np.abs(u.T @ u - m).max() <= 4 * np.finfo(float).eps * np.abs(m).max(), z
 
 
 # --- enumeration ------------------------------------------------------------
@@ -352,6 +385,14 @@ def test_cached_arrays_are_read_only(lat_d6):
     for arr in (c, lat_d6.gram_array):
         with pytest.raises(ValueError):
             arr[0, 0] = 0
+
+
+@pytest.mark.parametrize("norm", [None, 1])
+@pytest.mark.parametrize("diag", [(-1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -1.0), (1.0, 0.0, 1.0)])
+def test_enumeration_rejects_a_form_with_a_nonpositive_pivot(lat_d1, diag, norm):
+    # The eigenvalues passed in claim a positive form; the Cholesky pivots see through it.
+    with pytest.raises(PreconditionViolation):
+        at.enumerate_by_majorant(lat_d1, UHPoint(0.1, 1.2), 4.0, form=np.diag(diag), eigs=np.ones(3), norm=norm)
 
 
 def test_enumeration_cap(lat_d1):
