@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._e1_table import E1_CHEBYSHEV
 from .errors import (
     NonpositiveArgument,
     OnSingularLocus,
@@ -91,34 +92,42 @@ DEFAULT_SPEC = QuadratureSpec()
 
 # --- beta_1 -----------------------------------------------------------------
 
-# The depth M(r) = ceil(_CF_DEPTH0 + _CF_DEPTH1 / r) of both kernels.
-_CF_DEPTH0, _CF_DEPTH1 = 10.0, 80.0
+# Per octave e, c_20..c_1 for beta1's Clenshaw loop, and c_0.
+_E1_DESCENDING = tuple(row[:0:-1] for row in E1_CHEBYSHEV)
+_E1_C0 = tuple(row[0] for row in E1_CHEBYSHEV)
+# The same table by degree: _E1_ROWS[k, e] is c_k of octave e, for beta1_vec.
+_E1_ROWS = np.array(E1_CHEBYSHEV).T.copy()
 
 
 def beta1(r: float) -> float:
     """beta_1(r) = integral_1^oo e^(-r u) du / u, the exponential integral E_1.
 
-    Power series around 0 for r <= 1.  For r > 1, the continued fraction
-    e^-r / (r + 1/(1 + 1/(r + 2/(1 + 2/(r + ...))))) run backwards (Zhang and
-    Jin, Computation of Special Functions, 1996, E1XB): T <- k / (1 + k /
-    (r + T)) for k = M(r), ..., 1 from T = 0, then E_1 = e^-r / (r + T), at
-    depth M(r) = ceil(10 + 80 / r); every denominator is positive for r > 0,
-    so none needs a zero guard.  Relative error below 2e-15 on (0, 700]: at
-    most 1.0e-15 against mpmath, for r between 1 and 1.3.  At a fixed depth
-    the truncation error falls as r grows, so each depth step is worst at
-    its left end, and the tests check every left end.  Above 700 the value
-    is 0, an absolute error below E_1(700) < 1e-306.
+    Power series around 0 for r <= 1.  For r > 1, piecewise Chebyshev in the
+    manner of Cody and Thacher (Rational Chebyshev approximations for the
+    exponential integral E1(x), Math. Comp. 22, 1968): write r = m 2^e with
+    m in [1/2, 1) (math.frexp) and x = 4 m - 3 in [-1, 1); then
+    E_1(r) = e^-r g(r) / r with g(r) = r e^r E_1(r) = sum_{k<=20} c_k T_k(x),
+    summed by Clenshaw's recurrence over the 21 coefficients of octave e.
+    The table (ariththeta._e1_table, written by scripts/e1_table.py from
+    mpmath at 40 digits; CI regenerates it with --check) covers the octaves
+    [2^(e-1), 2^e) for e = 0..10, that is r in [1/2, 1024); the [1/2, 1)
+    octave serves only the crossover row of the beta1 check suite.  The
+    largest dropped coefficient is 2e-18, below g's rounding.  Relative
+    error below 2e-15 on (0, 700]; measured at most 4.4e-16 against mpmath
+    on (1, 700), and the tests check both ends of every octave and each
+    octave's Chebyshev extrema, where the truncated sum is worst.  Above 700
+    the value is 0, an absolute error below E_1(700) < 1e-306.
 
     This scalar kernel serves big_xi and xi, whose terms come a few per
-    call: six terms with r in [12.6, 40] take 15 us here against 100 us in
-    one beta1_vec call (2-core x86-64 host).  mpmath is the oracle of both
-    kernels.
+    call: on a 2-core x86-64 host a call takes 1.5 to 2.5 us on r in
+    [12.6, 40], and six such terms take 9 to 15 us here against 60 to
+    143 us in one beta1_vec call.  mpmath is the oracle of both kernels.
     """
     if not r > 0:
         raise NonpositiveArgument(f"beta1 needs r > 0, got {r}")
     if r <= 1.0:
         return _beta1_series(float(r))
-    return _beta1_cf(float(r))
+    return _beta1_table(float(r))
 
 
 def _beta1_series(r: float) -> float:
@@ -134,31 +143,39 @@ def _beta1_series(r: float) -> float:
     return acc
 
 
-def _beta1_cf(r: float) -> float:
-    # The backward recurrence of beta1's docstring, at depth M(r).
+def _beta1_table(r: float) -> float:
+    # The Clenshaw sum of beta1's docstring, for r >= 1/2.
     if r > 700:
         return 0.0
-    t = 0.0
-    for k in range(math.ceil(_CF_DEPTH0 + _CF_DEPTH1 / r), 0, -1):
-        t = k / (1.0 + k / (r + t))
-    return math.exp(-r) / (r + t)
+    m, e = math.frexp(r)
+    x = 4.0 * m - 3.0
+    x2 = x + x
+    b1 = b2 = 0.0
+    for c in _E1_DESCENDING[e]:
+        b1, b2 = x2 * b1 - b2 + c, b1
+    return math.exp(-r) * (x * b1 - b2 + _E1_C0[e]) / r
 
 
 def beta1_vec(r: np.ndarray) -> np.ndarray:
-    """Vectorized beta1 on positive arrays: the same series and recurrence.
+    """Vectorized beta1 on positive arrays: the same series and table.
 
-    The r > 1 points are sorted once, so those still at level k (M(r) >= k)
-    are a prefix and each level is four in-place ufuncs on a slice.  A value
-    depends on its own r alone, not on the batch; for r > 1 it differs from
-    beta1 by the rounding of exp at most.  Relative error below 2e-15 on
-    (0, 700], as for beta1, and 0 above 700.
+    For r > 1 each Clenshaw step is one take of the step's coefficient, by
+    each point's octave, and three in-place ufuncs, in the order beta1's
+    float operations run, so a value depends on its own r alone, not on the
+    batch, and differs from beta1 by the rounding of exp at most.  Relative
+    error below 2e-15 on (0, 700], as for beta1, and 0 above 700.  An entry
+    that is not > 0, NaN included, raises NonpositiveArgument.
 
-    This kernel is for quadrature batches.  On a 2-core x86-64 host a call
-    costs 0.09 to 0.5 ms even on one point (r = 40 to 1.01), so it loses to
-    scalar beta1 on the few terms of a big_xi call: 100 us against 15 us on
-    six terms with r in [12.6, 40], and 240 us against 190 us on ninety.
+    This kernel is for quadrature batches, whose median call in the heights
+    benchmark has 1,920 points: on a 2-core x86-64 host such a call (a
+    quarter of its points at r <= 1) takes 0.26 to 0.56 ms, while one point
+    alone takes 86 to 210 us, so big_xi and xi, a few terms per call, use
+    the scalar beta1.
     """
     r = np.asarray(r, dtype=float)
+    positive = r > 0
+    if not positive.all():
+        raise NonpositiveArgument(f"beta1_vec needs r > 0, got {r[~positive][0]}")
     out = np.empty_like(r)
     small = r <= 1.0
     if np.any(small):
@@ -171,24 +188,26 @@ def beta1_vec(r: np.ndarray) -> np.ndarray:
             term *= np.divide(neg, k, out=tmp)
             acc -= np.divide(term, k, out=tmp)
         out[small] = acc
-    large = np.flatnonzero(~small)
-    if large.size:
-        large = large[np.argsort(r[large])]
+    large = ~small
+    if np.any(large):
         rl = r[large]
-        # M(r) is nonincreasing along rl; level k runs the first live[k] points.
-        depth = np.ceil(_CF_DEPTH0 + _CF_DEPTH1 / rl)
-        levels = np.arange(int(depth[0]), 0, -1)
-        live = np.searchsorted(-depth, -levels, side="right")
-        t = np.zeros_like(rl)
-        tmp = np.empty_like(rl)
-        for k, n in zip(levels.tolist(), live.tolist()):
-            tk, buf = t[:n], tmp[:n]
-            np.add(rl[:n], tk, out=buf)
-            np.divide(k, buf, out=buf)
-            buf += 1.0
-            np.divide(k, buf, out=tk)
-        with np.errstate(over="ignore"):
-            out[large] = np.where(rl > 700, 0.0, np.exp(-np.minimum(rl, 745.0)) / (rl + t))
+        rc = np.minimum(rl, 700.0)
+        m, col = np.frexp(rc, out=(np.empty_like(rc), np.empty(rc.shape, np.intp)))
+        x = 4.0 * m - 3.0
+        x2 = x + x
+        b1, b2, t, c = np.zeros_like(rc), np.zeros_like(rc), np.empty_like(rc), np.empty_like(rc)
+        for row in _E1_ROWS[:0:-1]:
+            np.multiply(x2, b1, out=t)
+            t -= b2
+            t += row.take(col, out=c, mode="clip")
+            b1, b2, t = t, b1, b2
+        np.multiply(x, b1, out=t)
+        t -= b2
+        t += _E1_ROWS[0].take(col, out=c, mode="clip")
+        t *= np.exp(-rc)
+        t /= rc
+        t[rl > 700] = 0.0
+        out[large] = t
     return out
 
 

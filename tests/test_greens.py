@@ -15,9 +15,8 @@ from ariththeta.errors import (
     PreconditionViolation,
     SingularEvaluation,
 )
+from ariththeta._e1_table import E1_CHEBYSHEV
 from ariththeta.greens import (
-    _CF_DEPTH0,
-    _CF_DEPTH1,
     EULER_GAMMA,
     BigXiResult,
     QuadratureSpec,
@@ -76,8 +75,8 @@ def test_beta1_decreasing_positive_bounded(r):
 
 
 def test_beta1_vec_matches_scalar():
-    # For r > 1 the kernels run one recurrence and differ by the rounding of
-    # exp alone; over (0, 700] they differ by at most 3.5e-16 (measured).
+    # For r > 1 the kernels run one Clenshaw sum and differ by the rounding
+    # of exp alone; over (0, 700] they differ by at most 4e-16 (measured).
     rs = np.geomspace(1e-5, 80.0, 64)
     vec = beta1_vec(rs)
     for r, v in zip(rs, vec):
@@ -98,35 +97,32 @@ def test_beta1_vec_is_batch_independent():
     assert single.tobytes() == whole.tobytes()
 
 
-def _depth_step_left_ends():
-    """The least float r > 1 at each depth M(r) = ceil(_CF_DEPTH0 + _CF_DEPTH1 / r)."""
+def _octave_test_points():
+    """Both ends of every table octave and each octave's extrema of T_21, up to 700.
 
-    def depth(r):
-        return math.ceil(_CF_DEPTH0 + _CF_DEPTH1 / r)
-
-    ends = []
-    for m in range(depth(math.inf) + 1, depth(math.nextafter(1.0, 2.0)) + 1):
-        r = max(_CF_DEPTH1 / (m - _CF_DEPTH0), 1.0)
-        while r <= 1.0 or depth(r) > m:
-            r = math.nextafter(r, math.inf)
-        while math.nextafter(r, 0.0) > 1.0 and depth(math.nextafter(r, 0.0)) == m:
-            r = math.nextafter(r, 0.0)
-        assert depth(r) == m
-        ends.append(r)
-    return ends
+    The truncated sum's error is about c_21 T_21(x), largest where
+    |T_21(x)| = 1: at x = cos(pi j / 21), the octave's two ends among them.
+    """
+    kept = len(E1_CHEBYSHEV[0])
+    points = []
+    for e in range(len(E1_CHEBYSHEV)):
+        points += [2.0**e, math.nextafter(2.0**e, 0.0)]
+        extrema = (math.cos(math.pi * j / kept) for j in range(kept + 1))
+        points += [math.ldexp((x + 3.0) / 4.0, e) for x in extrema]
+    return [r for r in points if r <= 700.0]
 
 
 def test_beta1_accuracy_against_mpmath():
     # The docstring's claim for both kernels: relative error below 2e-15 on
-    # (0, 700], against mpmath's E_1 at 30 digits.  At a fixed depth the
-    # truncation error falls as r grows, so each depth step is worst at its
-    # left end; those are all checked, with a grid over the whole range.
+    # (0, 700], against mpmath's E_1 at 30 digits.  The octave ends and the
+    # Chebyshev extrema, where the table is worst, are all checked, with a
+    # grid over the whole range.
     mpmath = pytest.importorskip("mpmath")
     rs = np.concatenate(
         [
             np.geomspace(1e-8, 700.0, 1201),
             np.linspace(0.95, 1.1, 301),
-            _depth_step_left_ends(),
+            _octave_test_points(),
             [700.0],
         ]
     )
@@ -136,6 +132,13 @@ def test_beta1_accuracy_against_mpmath():
     vec = beta1_vec(rs)
     assert np.max(np.abs(scalar - ref) / ref) < 2e-15
     assert np.max(np.abs(vec - ref) / ref) < 2e-15
+
+
+@pytest.mark.parametrize("bad", [[0.0], [-1.0], [math.nan], [2.0, math.nan]])
+def test_beta1_vec_rejects_nonpositive(bad):
+    # As the scalar kernel does: NaN is not > 0 either.
+    with pytest.raises(NonpositiveArgument):
+        beta1_vec(np.array(bad))
 
 
 def test_beta1_is_zero_above_700():
