@@ -104,35 +104,54 @@ def arithmetic_degree_archimedean(
     """(1/2) integral of g over the modular orbifold, in hyperbolic measure.
 
     g is an evaluator on UHPoint (e.g. a truncated Green-function sum at
-    fixed t < 0).  The integral runs over the standard fundamental domain;
-    the cusp neighbourhood is handled by doubling the height until the added
-    strip certifies exponential decay, and a failure to decay (which does
-    happen for some integrands on the noncompact model) raises
-    QuadratureFailure rather than returning a number.
+    fixed t < 0).  The integral runs over the exact fundamental domain
+    |u| <= 1/2, |z| >= 1, written as v = sqrt(1 - u^2) + s with s >= 0.  At
+    fixed u the shift has unit Jacobian, dv = ds, so the measure stays
+    du ds / v^2 and every node lies in the domain: nothing is masked, and a
+    smooth g gives a smooth integrand on the rectangles in (u, s).
+
+    The main piece is s in [0, cusp_height - sqrt(3)/2] from a 4 x 4 start
+    grid, cells of 0.25 by about 0.8 for the default height; the cusp is
+    handled by strips s in [h, 2h] from 2 x 2 start grids, doubling h until
+    a strip certifies exponential decay.  With no arc to cut through, the
+    start cells see no jump, and the 4x4/8x8 difference on them estimates
+    the error of a smooth integrand as the rule intends: for the Green sums
+    at t = -2 and -3 the start grids alone land within 1e-6 relative of the
+    unfolded closed form (tests/test_identities.py), and at v = 1 a finer grid
+    ((6, 6) and (4, 4)) would change the value by under 1e-15 absolute.  A
+    failure to decay (which does happen for some integrands on the
+    noncompact model) raises QuadratureFailure rather than returning a
+    number.
+
+    The result's cusp_height is a height in v below which the whole domain
+    was integrated (the last strip's top in s, plus sqrt(3)/2).  Its err is
+    the quadrature's alone: it does not include any error of g itself, such
+    as big_xi's truncation tail.
     """
 
-    def f(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u)
-        for k in range(u.size):
-            if u[k] * u[k] + v[k] * v[k] < 1.0:
-                continue
-            out[k] = g(UHPoint(float(u[k]), float(v[k]))) / (v[k] * v[k])
-        return out
+    def f(u: np.ndarray, s: np.ndarray) -> np.ndarray:
+        out = []
+        for uk, sk in zip(u.tolist(), s.tolist()):
+            v = math.sqrt(1.0 - uk * uk) + sk
+            out.append(g(UHPoint(uk, v)) / (v * v))
+        return np.array(out)
 
+    height = cusp_height - math.sqrt(3.0) / 2.0
+    if not height > 0.0:
+        raise PreconditionViolation(f"cusp_height {cusp_height} is not above sqrt(3)/2")
     tol = max(spec.abs_tol, 1e-9)
     value, err = adaptive_integrate(
         f,
         -0.5,
         0.5,
-        math.sqrt(3.0) / 2.0 * 0.999,
-        cusp_height,
+        0.0,
+        height,
         abs_tol=tol,
         rel_tol=spec.rel_tol,
         max_cells=spec.max_cells,
         max_depth=spec.max_depth,
-        initial=(6, 6),
+        initial=(4, 4),
     )
-    height = cusp_height
     prev_strip = None
     for _ in range(8):
         strip, strip_err = adaptive_integrate(
@@ -145,7 +164,7 @@ def arithmetic_degree_archimedean(
             rel_tol=spec.rel_tol,
             max_cells=spec.max_cells,
             max_depth=spec.max_depth,
-            initial=(4, 4),
+            initial=(2, 2),
         )
         value += strip
         err += strip_err
@@ -161,7 +180,9 @@ def arithmetic_degree_archimedean(
         prev_strip = strip
     else:
         raise QuadratureFailure("cusp tail did not certify within the height budget")
-    return ArchimedeanDegree(value=0.5 * value, err=0.5 * err, cusp_height=height)
+    return ArchimedeanDegree(
+        value=0.5 * value, err=0.5 * err, cusp_height=height + math.sqrt(3.0) / 2.0
+    )
 
 
 def zeta_db_at_minus1(d: int) -> Fraction:

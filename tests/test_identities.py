@@ -103,35 +103,113 @@ def test_arch_degree_hyperbolic_area():
     assert abs(res.value - 0.5 * math.pi / 3) < 6e-3
 
 
-def test_arch_degree_green_sum_converges(lat_d1):
-    spec = QuadratureSpec(rel_tol=2e-3, abs_tol=5e-5, truncation_majorant_bound=16.0)
+GREEN_SUM_SPEC = QuadratureSpec(rel_tol=2e-3, abs_tol=5e-5, truncation_majorant_bound=16.0)
 
-    def g(z):
-        return big_xi(lat_d1, -2, 1.0, z, spec).value
 
-    res = idn.arithmetic_degree_archimedean(g, spec)
-    assert res.value > 0
-    # The value is far below the first abs_tol, so only an abs_tol near the
-    # value itself refines the quadrature (5,026 nodes against 4,044).
-    finer = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-8, truncation_majorant_bound=16.0)
-    res2 = idn.arithmetic_degree_archimedean(g, finer)
-    assert res2.err < res.err
-    assert abs(res.value - res2.value) <= 4 * (res.err + res2.err)
-    # Unfolded over the one class of vectors with Q = -2, whose closed
-    # geodesic has length 2 arccosh 3, with R = 2 cosh^2 rho at distance rho
-    # from it, the integral is (1/2) (2 arccosh 3) J(2), where
-    # J(s) = integral over R of E1(2 pi s cosh^2 rho) cosh rho (2.19997e-07).
+def _j(s):
+    # J(s) = integral over R of E1(2 pi s cosh^2 rho) cosh rho, the Green
+    # function integrated across a closed geodesic at distance rho.
     from scipy.integrate import quad
     from scipy.special import exp1
 
-    def j_integrand(r):
-        return exp1(4 * math.pi * math.cosh(r) ** 2) * math.cosh(r)
+    def integrand(r):
+        return exp1(2 * math.pi * s * math.cosh(r) ** 2) * math.cosh(r)
 
-    j2, _ = quad(j_integrand, -6.0, 6.0, epsabs=0.0, epsrel=1e-12)
-    exact = 0.5 * (2 * math.acosh(3)) * j2
+    return quad(integrand, -6.0, 6.0, epsabs=0.0, epsrel=1e-12)[0]
+
+
+def test_arch_degree_green_sum_converges(lat_d1):
+    def g(z):
+        return big_xi(lat_d1, -2, 1.0, z, GREEN_SUM_SPEC).value
+
+    res = idn.arithmetic_degree_archimedean(g, GREEN_SUM_SPEC)
+    assert res.value > 0
+    # The value is far below the first abs_tol; the finer spec asks for an
+    # abs_tol near the value itself.  On the exact region both specs accept
+    # the start grids, so the finer one need not refine.
+    finer = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-8, truncation_majorant_bound=16.0)
+    res2 = idn.arithmetic_degree_archimedean(g, finer)
+    assert res2.err <= res.err
+    assert abs(res.value - res2.value) <= 4 * (res.err + res2.err)
+    # Unfolded over the one class of vectors with Q = -2, whose closed
+    # geodesic has length 2 arccosh 3, with R = 2 cosh^2 rho at distance rho
+    # from it, the integral is (1/2) (2 arccosh 3) J(2) (2.19997e-07).
+    exact = 0.5 * (2 * math.acosh(3)) * _j(2.0)
     assert abs(exact - 2.19997220111929e-07) < 1e-19
     assert abs(res.value - exact) <= res.err
     assert abs(res2.value - exact) <= res2.err
+    assert abs(res.value - exact) <= 1e-6 * exact
+    assert abs(res2.value - exact) <= 1e-6 * exact
+
+
+# (1/2) integral of Xi(t, v) unfolds to (total length of the closed
+# geodesics of norm t) / 2 * J(|t| v).  t = -2: one class, length
+# 2 arccosh 3.  t = -3: discriminant 12 has h+ = 2, each class of length
+# 2 log(2 + sqrt 3) = arccosh 7.
+@pytest.mark.parametrize(
+    "t, v, half_length, pinned",
+    [
+        (-2, 1.0, math.acosh(3), 2.19997220111929e-07),
+        (-2, 2.0, math.acosh(3), 2.85153304472e-13),
+        (-3, 1.0, math.acosh(7), 3.45272098016933e-10),
+        (-3, 2.0, math.acosh(7), 8.2342395774e-19),
+    ],
+    ids=["t-2-v1", "t-2-v2", "t-3-v1", "t-3-v2"],
+)
+def test_arch_degree_green_sum_closed_form(lat_d1, t, v, half_length, pinned):
+    exact = half_length * _j(-t * v)
+    assert abs(exact - pinned) <= 1e-10 * pinned
+    res = idn.arithmetic_degree_archimedean(
+        lambda z: big_xi(lat_d1, t, v, z, GREEN_SUM_SPEC).value, GREEN_SUM_SPEC
+    )
+    assert abs(res.value - exact) <= res.err
+    assert abs(res.value - exact) <= 1e-5 * exact
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [QuadratureSpec(rel_tol=2e-3, abs_tol=5e-5), QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9)],
+    ids=["test-tol", "fine-tol"],
+)
+def test_arch_degree_smooth_integrand(spec):
+    # A smooth integrand against scipy's dblquad over the exact region.
+    from scipy.integrate import dblquad
+
+    def g(z):
+        return math.exp(-2.0 * z.v) * (1.0 + 0.3 * math.cos(2 * math.pi * z.u))
+
+    ref, ref_err = dblquad(
+        lambda v, u: g(UHPoint(u, v)) / (v * v),
+        -0.5,
+        0.5,
+        lambda u: math.sqrt(1.0 - u * u),
+        math.inf,
+        epsabs=1e-15,
+        epsrel=1e-12,
+    )
+    exact = 0.5 * ref
+    assert ref_err < 1e-12
+    res = idn.arithmetic_degree_archimedean(g, spec)
+    assert abs(res.value - exact) <= res.err + 0.5 * ref_err
+
+
+def test_arch_degree_nodes_lie_in_the_domain(lat_d1):
+    # Every node passed to g lies in |u| <= 1/2, |z| >= 1, and none is
+    # skipped: 16 main cells and 4 strip cells, 80 nodes each.
+    nodes = []
+
+    def g(z):
+        nodes.append((z.u, z.v))
+        return big_xi(lat_d1, -2, 1.0, z, GREEN_SUM_SPEC).value
+
+    idn.arithmetic_degree_archimedean(g, GREEN_SUM_SPEC)
+    assert all(abs(u) <= 0.5 and v >= math.sqrt(1.0 - u * u) for u, v in nodes)
+    assert len(nodes) == 1600
+
+
+def test_arch_degree_refuses_cusp_height_below_the_domain():
+    with pytest.raises(PreconditionViolation):
+        idn.arithmetic_degree_archimedean(lambda z: 1.0, cusp_height=0.8)
 
 
 def test_arch_degree_linearity(lat_d1):
