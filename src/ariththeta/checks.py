@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import binforms
-from .errors import UnsupportedDiscriminant
+from .errors import PreconditionViolation, UnsupportedDiscriminant
 from .greens import EULER_GAMMA, QuadratureSpec, beta1
 from .identities import degree_series
 from .lattice import TraceZeroLattice
@@ -143,7 +143,7 @@ def suite_beta1(seed: int, spec: QuadratureSpec) -> list[Row]:
     )
     rows.append(
         (
-            "beta1:series-fraction-crossover",
+            "beta1:series-table-crossover",
             gap < 1e-12,
             f"max relative gap between the two evaluations: {gap:.2e}",
         )
@@ -260,4 +260,4 @@ def run_suite(name: str, lat: TraceZeroLattice, seed: int, spec: QuadratureSpec)
         for s in SUITES:
             rows.extend(run_suite(s, lat, seed, spec))
         return rows
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITES + ('full',)}")
+    raise PreconditionViolation(f"unknown suite {name!r}; choose from {SUITES + ('full',)}")

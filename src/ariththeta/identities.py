@@ -15,7 +15,7 @@ from .errors import (
     QuadratureFailure,
     UnsupportedDiscriminant,
 )
-from .greens import DEFAULT_SPEC, QuadratureSpec, UHPoint
+from .greens import DEFAULT_SPEC, EULER_GAMMA, QuadratureSpec, UHPoint
 from .lattice import TraceZeroLattice
 from .numtheory import (
     eichler_symbol,
@@ -28,10 +28,8 @@ from .numtheory import (
 from .quatalg import hilbert_symbol
 from .quadrature import adaptive_integrate
 
-# zeta'(-1), 30 certified digits (mpmath zeta derivative at 40 dps);
-# Euler's gamma likewise.
+# zeta'(-1), 30 certified digits (mpmath zeta derivative at 40 dps).
 ZETA_PRIME_MINUS_ONE = -0.165421143700450929213919660243
-EULER_GAMMA = 0.577215664901532860606512090082
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import math
 
 from . import binforms
 from .errors import PreconditionViolation
-from .numtheory import integer_kernel, integer_row_kernel, is_square, solve_integer_linear
+from .numtheory import integer_kernel, integer_row_kernel, solve_integer_linear, squarefree_part
 
 # Bilinear gram of (x, y) = nu(x+y) - nu(x) - nu(y) in (alpha, beta, gamma).
 G_STD = ((-2, 0, 0), (0, 0, -1), (0, -1, 0))
@@ -215,62 +215,59 @@ def _fiber(x1: Vec, two_m: int, t2: int) -> list[Vec]:
     return sorted(set(out))
 
 
-def _transform_for_positive(t_mat) -> tuple[tuple[int, int, int, int], int]:
-    """S in SL2(Z), as (a, x, b, y) columns (a,b),(x,y), with (S^T T S)_11 > 0."""
-    t1, m, t2 = t_mat
-    best = None
-    for a in range(-24, 25):
-        for b in range(-24, 25):
-            if math.gcd(a, b) != 1:
-                continue
-            val = a * a * t1 + 2 * a * b * m + b * b * t2
-            if val > 0 and (best is None or val < best[0]):
-                best = (val, a, b)
-    if best is None:
-        raise PreconditionViolation(
-            "no primitive vector of positive value within the search bound 24"
-        )
-    _, a, b = best
-    g, xg, yg = _xgcd_pair(a, b)
-    # a*xg + b*yg = 1; columns (a, b) and (-yg, xg) give det 1.
-    return (a, -yg, b, xg), best[0]
+def _transform_for_positive(t1: int, m: int, t2: int) -> tuple[Mat2, tuple[int, int, int]]:
+    """S = [[a, x], [b, y]] in SL2(Z), as (a, x, b, y), and the gram of S^T T S, with t1 > 0.
 
-
-def _xgcd_pair(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qq = old_r // r
-        old_r, r = r, old_r - qq * r
-        old_s, s = s, old_s - qq * s
-        old_t, t = t, old_t - qq * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+    T = [[t1, m], [m, t2]] has det T < 0. Euclid steps move the columns
+    e1 = (a, b), e2 = (x, y) of S, from the standard basis, and the gram together:
+    - t1 > 0: stop.
+    - t2 > 0: swap, (e1, e2) -> (e2, -e1), so that t1 = t2 > 0.
+    - t2 = 0: m != 0 since det T = -m^2 < 0, and the shear e1 += k e2 with
+      k = sign(m) (floor(-t1 / 2|m|) + 1) makes t1 + 2mk > 0.
+    - t2 < 0: shear e1 += k e2, k the nearest integer to -m/t2. Then
+      t1' = t2 d^2 + det T / t2 with d = k + m/t2, |d| <= 1/2 and det T / t2 > 0,
+      so t1' <= 0 forces |t1'| < |t2| d^2 <= |t2| / 4. Swap and repeat.
+    Each repeat shrinks the integer |t2| at least fourfold, so the loop ends.
+    """
+    a, x, b, y = 1, 0, 0, 1
+    while t1 <= 0:
+        if t2 <= 0:
+            if t2 == 0:
+                k = (-t1 // (2 * abs(m)) + 1) * (1 if m > 0 else -1)
+            else:
+                k = (2 * m - t2) // (-2 * t2)  # floor(-m/t2 + 1/2)
+            a, b = a + k * x, b + k * y
+            t1, m = t1 + (2 * m + k * t2) * k, m + k * t2
+        if t1 <= 0:
+            a, x, b, y = x, -a, y, -b
+            t1, m, t2 = t2, -m, t1
+    return (a, x, b, y), (t1, m, t2)
 
 
 def pair_orbit_reps(t1: int, m: int, t2: int) -> list[tuple[Vec, Vec]]:
     """One representative per unit-group orbit of pairs with Q-gram [[t1, m], [m, t2]].
 
-    The gram must be nonsingular of signature (1,1) or (0,2).
+    The gram must be nonsingular of signature (1,1) or (0,2). For (1,1), the
+    pairs of gram S^T T S, S from `_transform_for_positive`, are listed over
+    the orbits of their first vector, of positive norm, and mapped back by
+    x -> x S^{-1}. Any S in SL2(Z) gives the same orbits: x -> x S is a
+    bijection of pairs that commutes with the unit group, so only the
+    representatives depend on S.
     """
     det_t = t1 * t2 - m * m
     if det_t == 0:
         raise PreconditionViolation("singular gram")
-    if det_t < 0:
-        return _pair_reps_sig11(t1, m, t2)
-    if t1 > 0 or t2 > 0:
+    if det_t > 0 and (t1 > 0 or t2 > 0):
         raise PreconditionViolation("positive definite gram has no archimedean pairs")
-    return _pair_reps_sig02(t1, m, t2)
+    reps = _pair_reps_sig11(t1, m, t2) if det_t < 0 else _pair_reps_sig02(t1, m, t2)
+    for p1, p2 in reps:
+        assert q_value(p1) == t1 and q_value(p2) == t2 and inner(p1, p2) == 2 * m
+    return reps
 
 
 def _pair_reps_sig11(t1: int, m: int, t2: int) -> list[tuple[Vec, Vec]]:
-    (sa, sx, sb, sy), _ = _transform_for_positive((t1, m, t2))
-    # S = [[sa, sx], [sb, sy]], det 1. T' = S^T T S.
-    tp1 = sa * sa * t1 + 2 * sa * sb * m + sb * sb * t2
-    tpm = sa * sx * t1 + (sa * sy + sb * sx) * m + sb * sy * t2
-    tp2 = sx * sx * t1 + 2 * sx * sy * m + sy * sy * t2
+    # S = [[sa, sx], [sb, sy]], det 1, and (tp1, tpm, tp2) is the gram of S^T T S.
+    (sa, sx, sb, sy), (tp1, tpm, tp2) = _transform_for_positive(t1, m, t2)
     # S^{-1} = [[sy, -sx], [-sb, sa]]
     inv = (sy, -sx, -sb, sa)
     reps = []
@@ -286,17 +283,16 @@ def _pair_reps_sig11(t1: int, m: int, t2: int) -> list[tuple[Vec, Vec]]:
             p1 = tuple(inv[0] * x1[i] + inv[2] * y[i] for i in range(3))
             p2 = tuple(inv[1] * x1[i] + inv[3] * y[i] for i in range(3))
             reps.append((p1, p2))
-    for p1, p2 in reps:
-        assert q_value(p1) == t1 and q_value(p2) == t2 and inner(p1, p2) == 2 * m
     return reps
 
 
 def _pair_reps_sig02(t1: int, m: int, t2: int) -> list[tuple[Vec, Vec]]:
     det_t = t1 * t2 - m * m
+    s = squarefree_part(det_t)
     reps: list[tuple[Vec, Vec]] = []
-    for t0 in range(1, 4 * det_t + 1):
-        if not is_square(4 * det_t * t0):
-            continue
+    # 4 det T t0 is a square exactly when t0 = s j^2, for t0 in 1 .. 4 det T.
+    for j in range(1, math.isqrt(4 * det_t // s) + 1):
+        t0 = s * j * j
         for form in binforms.reduced_classes(-4 * t0):
             v0 = vector_of_form(form)
             if math.gcd(math.gcd(v0[0], v0[1]), v0[2]) != 1:
@@ -323,6 +319,4 @@ def _pair_reps_sig02(t1: int, m: int, t2: int) -> list[tuple[Vec, Vec]]:
                         continue
                     seen.add(key)
                     reps.append((x1, x2))
-    for p1, p2 in reps:
-        assert q_value(p1) == t1 and q_value(p2) == t2 and inner(p1, p2) == 2 * m
     return reps

@@ -161,20 +161,49 @@ def test_pair_reps_have_the_right_gram(t1, m, t2):
 def test_pair_counts_invariant_under_unimodular_change():
     # N(T) = N(S^T T S): the pairs biject by x -> x S, a completely different
     # run of the enumeration machinery (different base norms and fibers).
+    # S is drawn with entries within 3 and, as more inputs, within 12.
     rng = random.Random(5)
     mats = [(1, 0, -1), (1, 1, -1), (-1, 1, -2), (2, 1, -1), (-1, 0, -1)]
     for t1, m, t2 in mats:
         n0 = len(so.pair_orbit_reps(t1, m, t2))
-        for _ in range(3):
+        for bound in (3, 3, 3, 12, 12, 12):
             while True:
-                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
-                c, d = rng.randint(-3, 3), rng.randint(-3, 3)
+                a, b = rng.randint(-bound, bound), rng.randint(-bound, bound)
+                c, d = rng.randint(-bound, bound), rng.randint(-bound, bound)
                 if a * d - b * c == 1:
                     break
             tt1 = a * a * t1 + 2 * a * b * m + b * b * t2
             ttm = a * c * t1 + (a * d + b * c) * m + b * d * t2
             tt2 = c * c * t1 + 2 * c * d * m + d * d * t2
             assert len(so.pair_orbit_reps(tt1, ttm, tt2)) == n0, (t1, m, t2, a, b, c, d)
+
+
+def test_pair_reps_with_large_positive_vectors():
+    # Both grams have signature (1,1), but every vector of positive value has
+    # a coordinate above 50. Each count must match that of a unimodular image
+    # with t1 > 0, which needs no transform.
+    for t_mat, image in [((-100, 1, 0), (100, 1, 0)), ((0, 1, -100), (100, -1, 0))]:
+        reps = so.pair_orbit_reps(*t_mat)
+        assert reps
+        for rep in reps:
+            assert _gram(rep) == t_mat
+        assert len(reps) == len(so.pair_orbit_reps(*image)), t_mat
+
+
+def test_transform_for_positive_on_every_small_gram():
+    for t1 in range(-8, 9):
+        for m in range(-8, 9):
+            for t2 in range(-8, 9):
+                if t1 * t2 - m * m >= 0:
+                    continue
+                (a, x, b, y), gram = so._transform_for_positive(t1, m, t2)
+                assert a * y - b * x == 1, (t1, m, t2)
+                assert gram == (
+                    a * a * t1 + 2 * a * b * m + b * b * t2,
+                    a * x * t1 + (a * y + b * x) * m + b * y * t2,
+                    x * x * t1 + 2 * x * y * m + y * y * t2,
+                ), (t1, m, t2)
+                assert gram[0] > 0, (t1, m, t2)
 
 
 def test_pair_counts_swap_and_sign_symmetries():

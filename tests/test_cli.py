@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from ariththeta import checks
 from ariththeta.cli import main
+from ariththeta.errors import PreconditionViolation
 
 
 def run_cli(args, **kw):
@@ -206,3 +208,8 @@ def test_bad_config_value_is_a_usage_error(data, tmp_path, capsys):
 def test_check_zagier_refuses_d6(capsys):
     assert main(["--order", "d6", "check", "zagier"]) == 1
     assert "UnsupportedDiscriminant" in capsys.readouterr().err
+
+
+def test_unknown_suite_is_a_precondition_violation(lat_d1, spec):
+    with pytest.raises(PreconditionViolation, match="unknown suite 'nope'"):
+        checks.run_suite("nope", lat_d1, 1, spec)
