@@ -5,14 +5,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .binforms import hurwitz_class_number
 from .config import RunConfig, load_config
 from .errors import ArithThetaError, PreconditionViolation
 from .greens import UHPoint, big_xi
 from .identities import classify, degree_series
-from .lattice import BUNDLED_ORDERS, trace_zero_lattice
+from .lattice import trace_zero_lattice
 from .starprod import PairConfig, lambda_star
 from . import checks
 
@@ -91,12 +90,7 @@ def _echo(values) -> str:
 
 
 def _lattice_from(args, cfg: RunConfig):
-    name = args.order or cfg.order
-    if name not in BUNDLED_ORDERS and not Path(name).exists():
-        print(f"error: order file not found: {name}", file=sys.stderr)
-        raise SystemExit(2)
-    cfg2 = RunConfig(order=name)
-    return trace_zero_lattice(cfg2.load_order())
+    return trace_zero_lattice(RunConfig(order=args.order or cfg.order).load_order())
 
 
 def cmd_theta_deg(args, cfg: RunConfig) -> int:

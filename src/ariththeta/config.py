@@ -38,7 +38,7 @@ class RunConfig:
         if self.order in BUNDLED_ORDERS:
             return bundled_order(self.order)
         path = Path(self.order)
-        if not path.exists():
+        if not path.is_file():
             raise FileNotFoundError(f"order file not found: {path}")
         return load_order(path)
 
@@ -61,8 +61,11 @@ def load_config(path: str | None = None) -> RunConfig:
     _check_keys("config", data, [f.name for f in fields(RunConfig)])
     quadrature = data.get("quadrature", {})
     _check_keys("quadrature", quadrature, [f.name for f in fields(QuadratureSpec)])
+    order = data.get("order", RunConfig.order)
+    if not isinstance(order, str):
+        raise ConfigError(f"order must be a string, got {order!r}")
     return RunConfig(
-        order=data.get("order", RunConfig.order),
+        order=order,
         quadrature=QuadratureSpec(**quadrature),
         seed=int(data.get("seed", RunConfig.seed)),
     )

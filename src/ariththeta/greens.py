@@ -70,9 +70,7 @@ class QuadratureSpec:
     abs_tol: float = 4e-7
     truncation_majorant_bound: float = 48.0
     max_cells: int = 14000
-    max_depth: int = 34
     singular_r_floor: float = 1e-12
-    enumeration_cap: int = 2_000_000
 
     def __post_init__(self):
         for name in (
@@ -83,8 +81,8 @@ class QuadratureSpec:
         ):
             if not getattr(self, name) > 0:
                 raise PreconditionViolation(f"{name} must be positive")
-        if self.max_cells <= 0 or self.max_depth <= 0:
-            raise PreconditionViolation("grid limits must be positive")
+        if self.max_cells <= 0:
+            raise PreconditionViolation("max_cells must be positive")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -365,7 +363,7 @@ def big_xi(
         raise QuadratureFailure(
             f"tail bound {tail:.3g} above abs_tol at majorant bound {bound}"
         )
-    pts = enumerate_by_majorant(lat, z, bound, cap=spec.enumeration_cap, form=m, eigs=eigs, norm=t)
+    pts = enumerate_by_majorant(lat, z, bound, form=m, eigs=eigs, norm=t)
     value = 0.0
     excluded = []
     zf = UHPoint(float(z.u), float(z.v))

@@ -147,7 +147,6 @@ def arithmetic_degree_archimedean(
         abs_tol=tol,
         rel_tol=spec.rel_tol,
         max_cells=spec.max_cells,
-        max_depth=spec.max_depth,
         initial=(4, 4),
     )
     prev_strip = None
@@ -161,7 +160,6 @@ def arithmetic_degree_archimedean(
             abs_tol=tol / 4,
             rel_tol=spec.rel_tol,
             max_cells=spec.max_cells,
-            max_depth=spec.max_depth,
             initial=(2, 2),
         )
         value += strip

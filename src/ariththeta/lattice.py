@@ -97,9 +97,14 @@ def load_order(source: str | Path | dict) -> Order:
     """
     if isinstance(source, (str, Path)):
         with open(source) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise OrderDataError(f"order file is not JSON: {exc}") from exc
     else:
         data = source
+    if not isinstance(data, dict):
+        raise OrderDataError(f"order data must be a JSON object, got {type(data).__name__}")
     try:
         alg = make_algebra(Fraction(data["a"]), Fraction(data["b"]))
         rows = data["basis"]
@@ -108,7 +113,7 @@ def load_order(source: str | Path | dict) -> Order:
         )
         declared = int(data["discriminant"])
         label = data.get("label", "")
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise OrderDataError(f"malformed order data: {exc}") from exc
     if len(basis) != 4:
         raise OrderDataError("order basis must have 4 elements")

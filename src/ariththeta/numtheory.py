@@ -89,13 +89,6 @@ def is_squarefree(n: int) -> bool:
     return n != 0 and all(e == 1 for e in factorint(n).values())
 
 
-def is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
-
-
 def jacobi_symbol(a: int, n: int) -> int:
     """Jacobi symbol (a|n) for odd positive n."""
     if n <= 0 or n % 2 == 0:

@@ -63,7 +63,7 @@ def adaptive_integrate(
     abs_tol: float,
     rel_tol: float,
     max_cells: int = 6000,
-    max_depth: int = 30,
+    max_depth: int = 34,
     initial: tuple[int, int] = (8, 6),
 ) -> tuple[float, float]:
     """Integrate f(u, v) over the rectangle; returns (value, error_bound).

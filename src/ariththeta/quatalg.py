@@ -219,10 +219,6 @@ class QuaternionElement:
         x0, x1, x2, x3 = self.coeffs
         return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
 
-    def quadratic_value(self) -> Fraction:
-        """Q(x) = nu(x), meaningful on the trace-zero space."""
-        return self.norm()
-
     def inner(self, other: "QuaternionElement") -> Fraction:
         """(x, y) = nu(x + y) - nu(x) - nu(y), so (x, x) = 2 Q(x)."""
         return (self + other).norm() - self.norm() - other.norm()

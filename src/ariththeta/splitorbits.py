@@ -74,40 +74,65 @@ def apply3(m, v: Vec) -> Vec:
     return tuple(sum(m[i][j] * v[j] for j in range(3)) for i in range(3))  # type: ignore[return-value]
 
 
-def _det_form_on_plane(e1: Mat2, e2: Mat2) -> tuple[int, int, int]:
-    def det(m: Mat2) -> int:
-        return m[0] * m[3] - m[1] * m[2]
+def _conic_points(
+    a: int, b: int, c: int, d: int = 0, e: int = 0, f: int = 0
+) -> list[tuple[int, int]]:
+    """All integer (s, u) with a s^2 + b s u + c u^2 + d s + e u + f = 0, sorted; b^2 < 4ac.
 
-    s = tuple(x + y for x, y in zip(e1, e2))
-    return (det(e1), det(s) - det(e1) - det(e2), det(e2))
-
-
-def _solve_binary_value(a: int, b: int, c: int, value: int) -> list[tuple[int, int]]:
-    """All integer (m, n) with a m^2 + b mn + c n^2 = value, for a definite form."""
-    disc = b * b - 4 * a * c
-    if disc >= 0:
+    As a quadratic in s the equation has discriminant disc(u) = p u^2 + q u + r,
+    p = b^2 - 4ac < 0, q = 2bd - 4ae, r = d^2 - 4af. Since p < 0, disc(u) >= 0
+    exactly when (2pu + q)^2 <= q^2 - 4pr, so u runs over the integers with
+    |2pu + q| <= isqrt(q^2 - 4pr). Each such u gives the roots
+    s = (-(bu + d) +- w) / 2a when disc(u) = w^2 and 2a divides the numerator.
+    """
+    p = b * b - 4 * a * c
+    if p >= 0:
         raise PreconditionViolation("form must be definite")
-    if a < 0:
-        a, b, c, value = -a, -b, -c, -value
-    if value < 0:
+    q, r = 2 * b * d - 4 * a * e, d * d - 4 * a * f
+    span = q * q - 4 * p * r
+    if span < 0:
         return []
-    if value == 0:
-        return [(0, 0)]
+    w = math.isqrt(span)
     out = []
-    # 4a * f(m,n) = (2am + bn)^2 - disc n^2, so n^2 <= 4 a value / -disc.
-    n_max = math.isqrt(4 * a * value // (-disc))
-    for n in range(-n_max, n_max + 1):
-        rhs = 4 * a * value + disc * n * n
-        if rhs < 0:
+    # q - w <= -2p u <= q + w, with -2p > 0.
+    for u in range(-((w - q) // (-2 * p)), (q + w) // (-2 * p) + 1):
+        disc = (p * u + q) * u + r
+        root = math.isqrt(disc)
+        if root * root != disc:
             continue
-        r = math.isqrt(rhs)
-        if r * r != rhs:
-            continue
-        for sign in ((r,) if r == 0 else (r, -r)):
-            num = sign - b * n
+        for num in {root - b * u - d, -root - b * u - d}:
             if num % (2 * a) == 0:
-                out.append((num // (2 * a), n))
-    return sorted(set(out))
+                out.append((num // (2 * a), u))
+    return sorted(out)
+
+
+def _norm_points(t: int, k1: Vec, k2: Vec, y0: Vec = (0, 0, 0)) -> list[Vec]:
+    """Every y = y0 + s k1 + u k2 with Q(y) = t, in order of (s, u).
+
+    Q must be definite on span(k1, k2).
+    """
+    conic = _conic_points(
+        q_value(k1), inner(k1, k2), q_value(k2), inner(y0, k1), inner(y0, k2), q_value(y0) - t
+    )
+    return [tuple(y0[i] + s * k1[i] + u * k2[i] for i in range(3)) for s, u in conic]  # type: ignore[misc]
+
+
+def _kernel_units(rows: list[list[int]], target: int, v: Vec) -> list[Mat2]:
+    """All (p, q, r, s) with rows . (p, q, r, s) = 0 and ps - qr = target.
+
+    The kernel must have rank 0 or 2, with a definite det form on its plane.
+    """
+    kernel = integer_kernel(rows)
+    if not kernel:
+        return []
+    if len(kernel) != 2:
+        raise PreconditionViolation(f"kernel rank {len(kernel)} != 2 for {v}")
+    e1, e2 = kernel
+    (p1, q1, r1, s1), (p2, q2, r2, s2) = e1, e2
+    conic = _conic_points(
+        p1 * s1 - q1 * r1, p1 * s2 + p2 * s1 - q1 * r2 - q2 * r1, p2 * s2 - q2 * r2, f=-target
+    )
+    return [tuple(m * x + n * y for x, y in zip(e1, e2)) for m, n in conic]  # type: ignore[misc]
 
 
 def commuting_units(v: Vec) -> list[Mat2]:
@@ -115,46 +140,18 @@ def commuting_units(v: Vec) -> list[Mat2]:
     a, b, g = v
     # XY - YX = 0 in the unknowns (p, q, r, s); nonzero entries are
     #   (0,0): b r - g q, (0,1): 2 a q + b (s - p), (1,0): g (p - s) - 2 a r.
-    rows = [
-        [0, -g, b, 0],
-        [-b, 2 * a, 0, b],
-        [g, 0, -2 * a, -g],
-    ]
-    kernel = integer_kernel(rows)
-    if len(kernel) != 2:
-        raise PreconditionViolation(f"centralizer rank {len(kernel)} != 2 for {v}")
-    e1 = tuple(kernel[0])
-    e2 = tuple(kernel[1])
-    fa, fb, fc = _det_form_on_plane(e1, e2)  # positive definite norm form
-    sols = _solve_binary_value(fa, fb, fc, 1)
-    return [
-        tuple(m * x + n * y for x, y in zip(e1, e2)) for m, n in sols  # type: ignore[misc]
-    ]
+    # The kernel is span(1, v), where the det form is positive definite.
+    return _kernel_units([[0, -g, b, 0], [-b, 2 * a, 0, b], [g, 0, -2 * a, -g]], 1, v)
 
 
 def anticommuting_flips(v: Vec) -> list[Mat2]:
     """Elements of GL2(Z) with g v g^{-1} = -v, i.e. anticommuting, det -1."""
     a, b, g = v
     # Entries of XY + YX: (0,0): 2 a p + g q + b r, (0,1): b (p + s),
-    # (1,0): g (p + s), (1,1): g q + b r - 2 a s.
-    rows = [
-        [2 * a, g, b, 0],
-        [b, 0, 0, b],
-        [g, 0, 0, g],
-        [0, g, b, -2 * a],
-    ]
-    kernel = integer_kernel(rows)
-    if len(kernel) == 0:
-        return []
-    if len(kernel) != 2:
-        raise PreconditionViolation(f"anticommutant rank {len(kernel)} != 2 for {v}")
-    e1 = tuple(kernel[0])
-    e2 = tuple(kernel[1])
-    fa, fb, fc = _det_form_on_plane(e1, e2)  # negative definite for Q(v) > 0
-    sols = _solve_binary_value(fa, fb, fc, -1)
-    return [
-        tuple(m * x + n * y for x, y in zip(e1, e2)) for m, n in sols  # type: ignore[misc]
-    ]
+    # (1,0): g (p + s), (1,1): g q + b r - 2 a s. The det form on the
+    # kernel is negative definite for Q(v) > 0.
+    rows = [[2 * a, g, b, 0], [b, 0, 0, b], [g, 0, 0, g], [0, g, b, -2 * a]]
+    return _kernel_units(rows, -1, v)
 
 
 def _orbit_canonical(actions, pair):
@@ -167,52 +164,13 @@ def _orbit_canonical(actions, pair):
 
 
 def _fiber(x1: Vec, two_m: int, t2: int) -> list[Vec]:
-    """All y with (x1, y) = two_m and Q(y) = t2; finite since Q(x1) > 0."""
+    """All y with (x1, y) = two_m and Q(y) = t2, sorted; finite since Q(x1) > 0."""
     row = [sum(G_STD[i][j] * x1[i] for i in range(3)) for j in range(3)]
     y0 = solve_integer_linear(row, two_m)
     if y0 is None:
         return []
     k1, k2 = (tuple(k) for k in integer_row_kernel(row))
-    a2 = q_value(k1)
-    b2 = inner(k1, k2)
-    c2 = q_value(k2)
-    d2 = inner(tuple(y0), k1)
-    e2 = inner(tuple(y0), k2)
-    f2 = q_value(tuple(y0)) - t2
-    # Solve a2 s^2 + b2 s u + c2 u^2 + d2 s + e2 u + f2 = 0 with negative
-    # definite quadratic part: complete the square over 4*a2.
-    out = []
-    aa, bb, cc = -a2, -b2, -c2  # positive definite now
-    # Range of u from the discriminant of the quadratic in s.
-    # disc_s(u) = (b2 u + d2)^2 - 4 a2 (c2 u^2 + e2 u + f2) >= 0.
-    pa = bb * bb - 4 * aa * cc  # negative
-    pb = 2 * bb * (-d2) - 4 * aa * (-e2)
-    pc = d2 * d2 - 4 * a2 * f2
-    # pa u^2 + pb u + pc >= 0 with pa < 0: u between the roots.
-    disc_u = pb * pb - 4 * pa * pc
-    if disc_u < 0:
-        return []
-    rt = math.isqrt(disc_u) + 1
-    r1 = (-pb - rt) / (2 * pa)
-    r2 = (-pb + rt) / (2 * pa)
-    lo, hi = math.floor(min(r1, r2)), math.ceil(max(r1, r2))
-    for u in range(lo - 2, hi + 3):
-        # a2 s^2 + (b2 u + d2) s + (c2 u^2 + e2 u + f2) = 0
-        qb = b2 * u + d2
-        qc = c2 * u * u + e2 * u + f2
-        disc = qb * qb - 4 * a2 * qc
-        if disc < 0:
-            continue
-        r = math.isqrt(disc)
-        if r * r != disc:
-            continue
-        for sign in ((r,) if r == 0 else (r, -r)):
-            num = -qb + sign
-            if num % (2 * a2) == 0:
-                s = num // (2 * a2)
-                y = tuple(y0[i] + s * k1[i] + u * k2[i] for i in range(3))
-                out.append(y)
-    return sorted(set(out))
+    return sorted(_norm_points(t2, k1, k2, tuple(y0)))
 
 
 def _transform_for_positive(t1: int, m: int, t2: int) -> tuple[Mat2, tuple[int, int, int]]:
@@ -302,16 +260,13 @@ def _pair_reps_sig02(t1: int, m: int, t2: int) -> list[tuple[Vec, Vec]]:
                 continue  # the opposite orbit carries this anchor
             row = [sum(G_STD[i][j] * v0[i] for i in range(3)) for j in range(3)]
             k1, k2 = (tuple(k) for k in integer_row_kernel(row))
-            ha, hb, hc = q_value(k1), inner(k1, k2), q_value(k2)
-            v_list = _solve_binary_value(ha, hb, hc, t1)
-            w_list = v_list if t2 == t1 else _solve_binary_value(ha, hb, hc, t2)
+            x1_list = _norm_points(t1, k1, k2)
+            x2_list = x1_list if t2 == t1 else _norm_points(t2, k1, k2)
             group = commuting_units(v0) + anticommuting_flips(v0)
             actions = [conj_action(g) for g in group]
             seen = set()
-            for sv, uv in v_list:
-                x1 = tuple(sv * k1[i] + uv * k2[i] for i in range(3))
-                for sw, uw in w_list:
-                    x2 = tuple(sw * k1[i] + uw * k2[i] for i in range(3))
+            for x1 in x1_list:
+                for x2 in x2_list:
                     if inner(x1, x2) != 2 * m:
                         continue
                     key = _orbit_canonical(actions, (x1, x2))

@@ -295,7 +295,6 @@ def lambda_star(pair: PairConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> Lambda
             abs_tol=abs_tol,
             rel_tol=spec.rel_tol,
             max_cells=spec.max_cells,
-            max_depth=spec.max_depth,
             initial=(max(8, math.ceil(box[1] - box[0])), max(6, math.ceil(box[3] - box[2]))),
         )
     except QuadratureFailure as exc:

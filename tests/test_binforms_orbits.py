@@ -240,6 +240,59 @@ def test_fiber_solver_against_box_scan():
         assert all(so.q_value(y) == t2 for y in got)
 
 
+def _conic_box_scan(a, b, c, d, e, f):
+    """Integer zeros of the conic by scanning a disc that provably holds them all.
+
+    The form's smaller eigenvalue lam gives |a s^2 + b su + c u^2| >= lam R^2 with
+    R^2 = s^2 + u^2, and |d s + e u + f| <= g R + |f| with g = |(d, e)|, so a zero
+    has lam R^2 <= g R + |f|.
+    """
+    lam = ((abs(a) + abs(c)) - math.hypot(a - c, b)) / 2
+    g = math.hypot(d, e)
+    radius = math.ceil((g + math.sqrt(g * g + 4 * lam * abs(f))) / (2 * lam)) + 1
+    span = range(-radius, radius + 1)
+    return [
+        (s, u)
+        for s in span
+        for u in span
+        if a * s * s + b * s * u + c * u * u + d * s + e * u + f == 0
+    ]
+
+
+def test_conic_points_against_box_scan():
+    rng = random.Random(1729)
+    nonempty = 0
+    for k in range(160):
+        a, c = rng.randint(1, 5), rng.randint(1, 5)
+        bmax = math.isqrt(4 * a * c - 1)
+        b = rng.randint(-bmax, bmax)
+        d, e = rng.randint(-9, 9), rng.randint(-9, 9)
+        if k % 2:
+            # Put a chosen point on the conic, so that most of these are nonempty.
+            s0, u0 = rng.randint(-6, 6), rng.randint(-6, 6)
+            f = -(a * s0 * s0 + b * s0 * u0 + c * u0 * u0 + d * s0 + e * u0)
+        else:
+            f = rng.randint(-40, 40)
+        if k % 4 >= 2:
+            a, b, c, d, e, f = -a, -b, -c, -d, -e, -f
+        got = so._conic_points(a, b, c, d, e, f)
+        assert got == _conic_box_scan(a, b, c, d, e, f), (a, b, c, d, e, f)
+        nonempty += bool(got)
+    assert nonempty >= 80
+
+
+def test_conic_points_edge_cases():
+    assert so._conic_points(1, 0, 1, f=1) == []  # s^2 + u^2 = -1
+    assert so._conic_points(1, 0, 1, f=-3) == []  # real points, none integral
+    # (s - 2)^2 + (u + 1)^2 = 0 in both signs, and the homogeneous zero.
+    assert so._conic_points(1, 0, 1, -4, 2, 5) == [(2, -1)]
+    assert so._conic_points(-1, 0, -1, 4, -2, -5) == [(2, -1)]
+    assert so._conic_points(2, 1, 3) == [(0, 0)]
+    assert so._conic_points(1, 1, 1, f=-1) == [(-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0)]
+    with pytest.raises(PreconditionViolation):
+        so._conic_points(1, 2, 1, f=-1)
+
+
 def test_pair_reps_pairwise_inequivalent_under_random_conjugation():
     rng = random.Random(23)
     for t1, m, t2 in [(1, 0, -1), (-1, 0, -1), (1, 1, -1)]:

@@ -80,6 +80,26 @@ def test_missing_order_file_names_path():
     assert "/no/such/order.json" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "content,code,message",
+    [
+        (None, 2, "order file not found"),
+        ("{not json", 1, "OrderDataError"),
+        ('["a", "b"]', 1, "OrderDataError"),
+        ('{"a": "-1", "b": "-1", "discriminant": 1, "basis": 5}', 1, "OrderDataError"),
+    ],
+    ids=["directory", "not-json", "not-an-object", "basis-not-a-list"],
+)
+def test_bad_order_file_is_a_typed_error(content, code, message, tmp_path, capsys):
+    # None names a directory; the others are files that hold no valid order.
+    path = tmp_path
+    if content is not None:
+        path = tmp_path / "order.json"
+        path.write_text(content)
+    assert main(["--order", str(path), "theta-deg", "--max-t", "1"]) == code
+    assert message in capsys.readouterr().err
+
+
 def test_usage_error_exit_2():
     proc = run_cli(["theta-deg"])  # missing required --max-t
     assert proc.returncode == 2
@@ -181,6 +201,8 @@ def test_theta_deg_without_config(order, expected, capsys, monkeypatch):
         {"identities": {"hodge_degree": "1/6"}},
         {"hodge_degree": "1/12"},
         {"quadrature": {"abs_tl": 1e-9}},
+        {"quadrature": {"max_depth": 34}},
+        {"quadrature": {"enumeration_cap": 2_000_000}},
         ["order", "d6"],
     ],
 )
@@ -196,7 +218,14 @@ def test_unknown_config_key_is_a_usage_error(data, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "data", [{"quadrature": {"abs_tol": -1.0}}, {"quadrature": {"rel_tol": "x"}}, {"seed": [1]}]
+    "data",
+    [
+        {"quadrature": {"abs_tol": -1.0}},
+        {"quadrature": {"rel_tol": "x"}},
+        {"seed": [1]},
+        {"order": 5},
+        {"order": ["d1"]},
+    ],
 )
 def test_bad_config_value_is_a_usage_error(data, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

@@ -176,7 +176,7 @@ def test_q_of_ij_from_multiplication_table():
     alg = make_algebra(-1, 3)
     sq = alg.ij * alg.ij
     assert sq.coeffs == (-alg.a * alg.b, 0, 0, 0)
-    assert alg.ij.quadratic_value() == alg.a * alg.b
+    assert alg.ij.norm() == alg.a * alg.b
 
 
 quat_coeff = st.integers(min_value=-9, max_value=9)
