@@ -12,7 +12,8 @@ other tree's `src/`, and compares the results with `==`:
   weights 0.1 to 2, at the default spec and at the orbifold spec;
 - four edge points: on a divisor, next to one, one that doubles its bound
   several times and one whose tail never certifies;
-- 200 seeded enumerate_by_majorant lists, bounds up to 200;
+- 200 seeded enumerate_by_majorant lists of one norm each, bounds up to
+  200, the norm t running through the lattice's represented norms;
 - the orbifold integral of z -> big_xi(d1, -2, 1, z) at the orbifold spec,
   and every big_xi value it asked for;
 - the accepted vectors of every big_xi call above, in order; those of the
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import pickle
 import random
@@ -101,10 +103,12 @@ def _collect(seeds: list[int]) -> dict:
         _outcome(big_xi, lats["d1"], -1, 0.005, UHPoint(0.1, 1.2)),  # tail never certified
     ]
     enumerations = []
-    for _ in range(200):
+    for k in range(200):
         name = rng.choice(("d1", "d6", "d10"))
         z = UHPoint(rng.uniform(-1.5, 1.5), rng.uniform(0.3, 2.5))
-        enumerations.append(_outcome(enumerate_by_majorant, lats[name], z, rng.uniform(0.5, 200.0)))
+        ts = workloads.REPRESENTED[name]
+        enumerate_norm = functools.partial(enumerate_by_majorant, norm=ts[k % len(ts)])
+        enumerations.append(_outcome(enumerate_norm, lats[name], z, rng.uniform(0.5, 200.0)))
     out["enumerations"] = enumerations
     calls = []
 

@@ -331,11 +331,11 @@ def big_xi(
     LAPACK call is the eigvalsh that feeds the tail bound.  Each term takes
     the scalar beta1 (see beta1_vec for why).  The enumeration lists
     only the vectors with Q(x) = t (enumerate_by_majorant with norm=t): on
-    each (n3, n2) row of the majorant ellipsoid it keeps the padded n1 range
-    of the full enumeration, finds the n1 with n^T G n = 2t as exact integer
-    roots, and decides each root inside the range by the full
-    enumeration's rule, so the terms are those of the full list filtered by
-    the norm, in the same order.  They are summed one by one in that order.
+    each (n3, n2) row of the majorant ellipsoid it finds the n1 with
+    n^T G n = 2t as exact integer roots, and accepts each root inside the
+    row's padded n1 range whose scalar majorant value is within the bound.
+    The terms come ordered by n3, then n2, then n1, and are summed one by
+    one in that order.
 
     For t > 0, terms with R below the singular floor: an exact zero raises
     SingularEvaluation, a positive value below the floor is excluded from

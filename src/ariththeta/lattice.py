@@ -3,16 +3,19 @@
 The trace-zero part L of an order carries the integral ternary form
 Q(x) = nu(x), of signature (1, 2) for indefinite algebras and (3, 0) for
 definite ones.  All lattice data is exact; floating point appears only in
-the majorant and its enumeration.  Enumeration evaluates the form on all
-candidates at once and re-checks, one by one, every candidate whose value
-lies within rounding distance of the bound.  Vectors of one norm t are found
-by solving n^T G n = 2t exactly in integers along each row of candidates.
+the majorant and its enumeration.  Enumeration lists the vectors of one norm
+t inside an ellipsoid: the ellipsoid is sliced into rows of n1 by Cholesky
+range bounds (Fincke and Pohst, Math. Comp. 44, 1985), n^T G n = 2t is
+solved exactly in integers along each row, and each root is decided by the
+scalar check float(n @ m @ n) <= bound wherever a cheaper evaluation lies
+within rounding distance of the bound.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -185,14 +188,11 @@ class TraceZeroLattice:
         )
 
     @cached_property
-    def gram_array(self) -> np.ndarray:
-        """The gram matrix as a read-only int64 array."""
-        return _read_only(np.array(self.gram, dtype=np.int64))
-
-    @cached_property
     def model_coordinates_array(self) -> np.ndarray:
         """model_coordinates as a read-only float array (indefinite lattices)."""
-        return _read_only(np.array([[float(e) for e in row] for row in model_coordinates(self)]))
+        arr = np.array([[float(e) for e in row] for row in model_coordinates(self)])
+        arr.flags.writeable = False
+        return arr
 
     def gram_fractions(self) -> list[list[Fraction]]:
         return [[Fraction(self.gram[i][j]) for j in range(3)] for i in range(3)]
@@ -289,11 +289,6 @@ def model_coordinates_float(lat: TraceZeroLattice) -> np.ndarray:
     return lat.model_coordinates_array
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 def is_split_model(lat: TraceZeroLattice) -> bool:
     """True when the lattice maps unimodularly onto trace-zero integer matrices."""
     if lat.discriminant != 1:
@@ -347,33 +342,24 @@ def enumerate_by_majorant(
     cap: int = 2_000_000,
     form=None,
     eigs=None,
-    norm: int | None = None,
+    *,
+    norm: int,
 ):
-    """All nonzero integer coordinate vectors with majorant value <= bound.
+    """All integer coordinate vectors n with Q(n) = norm and majorant value <= bound.
 
-    Complete by construction: Cholesky range bounds with slack-padded integer
-    ranges give every candidate, and a candidate is accepted exactly when
+    Complete by construction (see _enumerate_norm): every such n lies on an
+    (n3, n2) row of the ellipsoid's Cholesky slicing, inside the row's
+    slack-padded n1 range, and is found there as an exact integer root of
+    n^T G n = 2 norm; a root is accepted exactly when
     float(n @ m @ n) <= bound (see _ellipsoid).  The list is ordered by n3,
     then n2, then n1.  `form` is majorant(lat, z), and `eigs` its eigvalsh,
-    if the caller has them.
-
-    With `norm=t`, only the vectors with Q(n) = t, and as complete: each
-    (n3, n2) row keeps its padded n1 range, every n1 of the row with
-    n^T G n = 2t is found as an exact integer root, and each root in the
-    range is decided by the same rule (see _enumerate_norm).  So the result
-    is the list without `norm` filtered by Q(n) = t, in the same order,
-    found in O(bound) rows instead of O(bound^1.5) candidates.  A count of
-    the vectors returned (the benchmark's traced `lattice.candidates`)
-    then counts vectors of norm t, not candidates.
+    if the caller has them.  A norm that is not an integer raises
+    PreconditionViolation.  A count of the vectors returned (the benchmark's
+    traced `lattice.candidates`) counts vectors of norm t, found in O(bound)
+    rows.
     """
     m = majorant(lat, z) if form is None else form
-    if norm is None:
-        return _enumerate_form(m, bound, cap, eigs)
     return _enumerate_norm(m, bound, lat.gram, norm, cap, eigs)
-
-
-# Candidates evaluated per array pass; bounds the memory of large enumerations.
-_CHUNK = 1 << 17
 
 
 def _ellipsoid(m: np.ndarray, bound: float, cap: int, eigs):
@@ -385,21 +371,23 @@ def _ellipsoid(m: np.ndarray, bound: float, cap: int, eigs):
     n1 range (lo, hi) as ints, or None when the row misses the ellipsoid.
     The n3 range, each n2 range and each n1 range come from the Cholesky
     factor, padded against rounding, so the integers lo .. hi of the rows
-    hold every point of the ellipsoid.  The rows are few (O(bound) against
-    O(bound^1.5) points), so they are built in plain loops, and the factor
-    is taken in Python floats by _cholesky3 (a pivot that is not positive
-    raises PreconditionViolation).  The point count that guards `cap` takes
-    sqrt(det m) as the product u00 u11 u22 of the factor's diagonal.
+    hold every point of the ellipsoid.  There are O(bound) rows against
+    O(bound^1.5) points, so the rows are built in plain loops, and the
+    factor is taken in Python floats by _cholesky3 (a pivot that is not
+    positive raises PreconditionViolation).  The point count that guards
+    `cap` takes sqrt(det m) as the product u00 u11 u22 of the factor's
+    diagonal.
 
     The decision: an evaluation of the form that lies within 1.2e-15
-    |n|^T |m| |n| of the exact value decides a candidate unless it lies
-    within `band` of the bound; inside the band the scalar expression
-    float(n @ m @ n) <= bound decides.  The array sum, the scalar n @ m @ n
-    and a sum of the six products m_ij n_i n_j each lie that close, and
-    |n|^T |m| |n| <= ||m||_F |n|^2 <= ||m||_F value / lambda_min, so `band`
-    covers twice that gap with room to spare and the accepted set is
-    exactly that of a scalar check of every candidate.  ||m||_F is summed
-    from the six entries.  `eigs` is eigvalsh(m), if known.
+    |n|^T |m| |n| of the exact value decides a point unless it lies within
+    `band` of the bound; inside the band the scalar expression
+    float(n @ m @ n) <= bound decides.  The sum of the six products
+    m_ij n_i n_j that _enumerate_norm takes and the scalar n @ m @ n each
+    lie that close, and |n|^T |m| |n| <= ||m||_F |n|^2 <= ||m||_F value /
+    lambda_min, so `band` covers twice that gap with room to spare and the
+    accepted set is exactly that of a scalar check of every point.
+    ||m||_F is summed from the six entries.  `eigs` is eigvalsh(m), if
+    known.
     """
     if eigs is None:
         eigs = np.linalg.eigvalsh(m)
@@ -463,53 +451,23 @@ def _cholesky3(m00, m01, m02, m11, m12, m22):
     return u00, u01, u02, u11, u12, math.sqrt(p22)
 
 
-def _enumerate_form(m: np.ndarray, bound: float, cap: int = 2_000_000, eigs=None):
-    """Nonzero n with float(n @ m @ n) <= bound, as int tuples in (n3, n2, n1) order.
-
-    Every row of _ellipsoid spans its n1 range, and the form is evaluated on
-    all candidates in one array pass, then decided as _ellipsoid describes.
-    """
-    if bound <= 0:
-        return []
-    slices, n1_range, band = _ellipsoid(m, bound, cap, eigs)
-    rows = [
-        (n3, n2, *span)
-        for n3, n2s, rem2, c2 in slices
-        for n2 in n2s
-        if (span := n1_range(n3, n2, rem2, c2)) is not None
-    ]
-    n3, n2, lo1, hi1 = np.array(rows, dtype=float).reshape(-1, 4).T
-    # Rows per pass: a row holds hi - lo + 1 integers.
-    step = max(1, _CHUNK // (int((hi1 - lo1).max(initial=0.0)) + 1))
-    out = []
-    for s in range(0, lo1.size, step):
-        row, n1 = _spread(lo1[s : s + step], hi1[s : s + step])
-        cols = (n1, n2[s : s + step][row], n3[s : s + step][row])
-        cand = np.stack(cols, axis=1)[(cols[0] != 0.0) | (cols[1] != 0.0) | (cols[2] != 0.0)]
-        val = ((cand @ m) * cand).sum(axis=1)
-        accept = val <= bound - band
-        for k in np.flatnonzero(np.abs(val - bound) <= band):
-            n = cand[k].astype(np.int64)
-            accept[k] = float(n @ m @ n) <= bound
-        out.extend(zip(*cand[accept].astype(np.int64).T.tolist()))
-        if len(out) > 2 * cap:
-            raise BoundTooLarge("enumeration exceeded twice the safety cap")
-    return out
-
-
 def _enumerate_norm(m: np.ndarray, bound: float, gram, t: int, cap: int = 2_000_000, eigs=None):
     """Nonzero n with n^T G n = 2t and float(n @ m @ n) <= bound, in (n3, n2, n1) order.
 
-    G is the integral gram matrix `gram`.  Complete, and equal to filtering
-    _enumerate_form(m, bound) by the norm: on each (n3, n2) row of
-    _ellipsoid, G00 n1^2 + 2 b n1 + c = 0, where b = G01 n2 + G02 n3 and
+    G is the integral gram matrix `gram`, and t must be an integer (numpy
+    integers included), else PreconditionViolation.  Complete: the rows of
+    _ellipsoid hold every point of the ellipsoid, and on each (n3, n2) row
+    G00 n1^2 + 2 b n1 + c = 0, where b = G01 n2 + G02 n3 and
     c = G11 n2^2 + 2 G12 n2 n3 + G22 n3^2 - 2t, is solved exactly in Python
     integers (by isqrt of the discriminant, or as a linear equation when
     G00 = 0; when also b = 0 and c = 0, every n1 of the row is a solution).
     Only a row with an integer root needs its n1 range; each root inside
-    that range, the same range the full enumeration scans, is decided by
-    the rule of _ellipsoid, in increasing n1.
+    that range is decided by the rule of _ellipsoid, in increasing n1.
     """
+    try:
+        t = operator.index(t)
+    except TypeError:
+        raise PreconditionViolation(f"the norm must be an integer, got {t!r}") from None
     if bound <= 0:
         return []
     slices, n1_range, band = _ellipsoid(m, bound, cap, eigs)
@@ -567,18 +525,6 @@ def _enumerate_norm(m: np.ndarray, bound: float, gram, t: int, cap: int = 2_000_
     return out
 
 
-def _spread(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every integer floor(lo[r]) .. ceil(hi[r]) of every row r, in row order.
-
-    Returns the row index of each integer and the integer, as a float.
-    """
-    start = np.floor(lo)
-    counts = np.maximum(np.ceil(hi) - start + 1.0, 0.0).astype(np.int64)
-    row = np.repeat(np.arange(counts.size), counts)
-    first = np.cumsum(counts) - counts
-    return row, start[row] + (np.arange(row.size) - first[row])
-
-
 def representation_count(lat: TraceZeroLattice, t: int) -> int:
     """|{x in L : Q(x) = t}| for a definite lattice, by complete enumeration."""
     return len(vectors_of_norm(lat, t))
@@ -588,8 +534,6 @@ def vectors_of_norm(lat: TraceZeroLattice, t: int):
     """All x with Q(x) = t in a definite lattice, solved exactly row by row."""
     if not lat.is_definite:
         raise PreconditionViolation("needs a definite lattice")
-    if t <= 0:
-        return []
     g = np.array(lat.gram, dtype=float)
     return _enumerate_norm(g, 2 * t * (1 + 1e-12) + 1e-9, lat.gram, t)
 

@@ -131,13 +131,15 @@ def test_criterion_6_a_independence(lat_d1, spec):
 # --- 7: enumeration completeness --------------------------------------------------------
 
 
-def test_criterion_7_enumeration_completeness(lat_d1, brute_force_ball):
+def test_criterion_7_enumeration_completeness(lat_d1, ball_by_norms, brute_force_ball):
+    # The norm-t lists over every t with 2|t| <= bound + 2, t = 0 included,
+    # hold the whole ball, since the majorant is at least 2|Q|.
     rng = random.Random(1729)
     checked = 0
     for _ in range(50):
         z = UHPoint(rng.uniform(-1.5, 1.5), rng.uniform(0.4, 2.0))
         bound = rng.uniform(1.0, 10.0)
-        got = sorted(at.enumerate_by_majorant(lat_d1, z, bound))
+        got = sorted(ball_by_norms(lat_d1, z, bound))
         assert got == brute_force_ball(majorant(lat_d1, z), bound), (z, bound)
         checked += 1
     _report(7, checked == 50, "50 random (z, bound) instances: exact set equality")

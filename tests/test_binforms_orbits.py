@@ -1,9 +1,11 @@
 """Form reduction, Hurwitz class numbers, and unit-group orbit machinery."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -220,24 +222,26 @@ def test_pair_reps_empty_for_unrepresented_gram():
 
 def test_fiber_solver_against_box_scan():
     # The quadratic fiber solver must produce exactly the box-scan solutions.
+    # At the CM point of x1, the majorant 2 (x1, y)^2 / (x1, x1) - (y, y) is
+    # 4 m^2 / t1 - 2 t2 on every y of the fiber, so the Cauchy-Schwarz box
+    # of that majorant ball holds the whole fiber.
+    g = np.array(so.G_STD)
     for x1, m, t2 in [
         ((0, 1, -1), 1, -1),
         ((0, 1, -1), 0, -2),
         ((-1, -2, 2), 1, -1),
         ((0, 1, -1), 2, 1),
     ]:
-        got = sorted(so._fiber(x1, 2 * m, t2))
-        box = 25
-        brute = sorted(
-            (a, b, c)
-            for a in range(-box, box + 1)
-            for b in range(-box, box + 1)
-            for c in range(-box, box + 1)
-            if so.inner(x1, (a, b, c)) == 2 * m and so.q_value((a, b, c)) == t2
-        )
-        inside = [y for y in got if max(abs(v) for v in y) <= box]
-        assert inside == brute, (x1, m, t2)
-        assert all(so.q_value(y) == t2 for y in got)
+        t1 = so.q_value(x1)
+        gx = g @ x1
+        form = np.outer(gx, gx) / t1 - g
+        half = np.floor(np.sqrt((4 * m * m / t1 - 2 * t2) * np.diag(np.linalg.inv(form)))).astype(int) + 1
+        brute = [
+            y
+            for y in itertools.product(*(range(-h, h + 1) for h in half))
+            if so.inner(x1, y) == 2 * m and so.q_value(y) == t2
+        ]
+        assert so._fiber(x1, 2 * m, t2) == brute, (x1, m, t2)
 
 
 def _conic_box_scan(a, b, c, d, e, f):

@@ -13,7 +13,6 @@ from ariththeta.errors import BoundTooLarge, OrderDataError, PreconditionViolati
 from ariththeta.greens import UHPoint, r_value
 from ariththeta.lattice import (
     _cholesky3,
-    _enumerate_form,
     _enumerate_norm,
     is_split_model,
     load_order,
@@ -21,7 +20,6 @@ from ariththeta.lattice import (
     model_coordinates,
     model_coordinates_float,
     representation_count,
-    trace_zero_lattice,
     vectors_of_norm,
 )
 
@@ -63,21 +61,11 @@ def test_d1_q_is_determinant(lat_d1):
         assert lat_d1.q_value(n) == -alpha * alpha - beta * gamma
 
 
-def test_lipschitz_definite_lattice_is_sum_of_squares():
-    order = load_order(
-        {
-            "label": "lipschitz",
-            "a": "-1",
-            "b": "-1",
-            "discriminant": 2,
-            "basis": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
-        }
-    )
-    lat = trace_zero_lattice(order)
-    assert lat.sig() == (3, 0)
-    assert sorted(lat.gram[i][i] for i in range(3)) == [2, 2, 2]
-    assert representation_count(lat, 1) == 6
-    assert representation_count(lat, 7) == 0
+def test_lipschitz_definite_lattice_is_sum_of_squares(lat_lipschitz):
+    assert lat_lipschitz.sig() == (3, 0)
+    assert sorted(lat_lipschitz.gram[i][i] for i in range(3)) == [2, 2, 2]
+    assert representation_count(lat_lipschitz, 1) == 6
+    assert representation_count(lat_lipschitz, 7) == 0
 
 
 def test_loader_rejects_bad_basis():
@@ -124,19 +112,9 @@ def test_majorant_positive_definite_at_i(lat_d1):
     assert np.linalg.eigvalsh(m)[0] > 0
 
 
-def test_majorant_rejects_definite():
-    order = load_order(
-        {
-            "label": "lipschitz",
-            "a": "-1",
-            "b": "-1",
-            "discriminant": 2,
-            "basis": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
-        }
-    )
-    lat = trace_zero_lattice(order)
+def test_majorant_rejects_definite(lat_lipschitz):
     with pytest.raises(PreconditionViolation):
-        majorant(lat, UHPoint(0.0, 1.0))
+        majorant(lat_lipschitz, UHPoint(0.0, 1.0))
 
 
 def test_majorant_value_at_divisor_is_2t(lat_d1):
@@ -177,7 +155,7 @@ def test_majorant_equals_array_expression(request, name):
         r = gamma * (u * u - v * v) - 2 * alpha * u - beta
         i = gamma * (2 * u * v) - 2 * alpha * v
         m = majorant(lat, z)
-        assert np.array_equal(m, lat.gram_array + (np.outer(r, r) + np.outer(i, i)) / (v * v)), z
+        assert np.array_equal(m, np.array(lat.gram) + (np.outer(r, r) + np.outer(i, i)) / (v * v)), z
         assert np.array_equal(m, m.T)
 
 
@@ -197,16 +175,18 @@ def test_cholesky3_matches_lapack(request, name):
 # --- enumeration ------------------------------------------------------------
 
 
-def test_enumeration_empty_below_minimum(lat_d1):
-    pts = at.enumerate_by_majorant(lat_d1, UHPoint(0.0, 1.0), 0.5)
-    assert pts == []
+def _row_order(pts):
+    return sorted(pts, key=lambda n: (n[2], n[1], n[0]))
 
 
-def test_enumeration_matches_brute_force_d1_at_i(lat_d1, brute_force_ball):
+def test_enumeration_empty_below_minimum(lat_d1, ball_by_norms):
+    assert ball_by_norms(lat_d1, UHPoint(0.0, 1.0), 0.5) == []
+
+
+def test_enumeration_matches_brute_force_d1_at_i(lat_d1, ball_by_norms, brute_force_ball):
     z = UHPoint(0.0, 1.0)
-    got = sorted(at.enumerate_by_majorant(lat_d1, z, 2.0))
-    expect = brute_force_ball(majorant(lat_d1, z), 2.0)
-    assert got == expect and len(got) > 0
+    got = sorted(ball_by_norms(lat_d1, z, 2.0))
+    assert got == brute_force_ball(majorant(lat_d1, z), 2.0) and len(got) > 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -217,94 +197,69 @@ def test_enumeration_matches_brute_force_d1_at_i(lat_d1, brute_force_ball):
 )
 # +-(-11, -17, 7) has majorant value 8.9656 here, outside a fixed +-14 box.
 @example(1.5, 0.40625, 9.0)
-def test_enumeration_matches_brute_force_random(lat_d1, brute_force_ball, u, v, bound):
+def test_enumeration_matches_brute_force_random(lat_d1, ball_by_norms, brute_force_ball, u, v, bound):
     z = UHPoint(u, v)
-    got = sorted(at.enumerate_by_majorant(lat_d1, z, bound))
-    expect = brute_force_ball(majorant(lat_d1, z), bound)
-    assert got == expect
+    assert sorted(ball_by_norms(lat_d1, z, bound)) == brute_force_ball(majorant(lat_d1, z), bound)
 
 
 @pytest.mark.parametrize("name", ["lat_d6", "lat_d10"])
 @pytest.mark.parametrize(
     "u,v,bound", [(0.0, 1.0, 12.0), (0.3, 0.5, 20.0), (-1.2, 0.35, 30.0), (0.45, 2.2, 48.0)]
 )
-def test_enumeration_matches_brute_force_d6_d10(request, brute_force_ball, name, u, v, bound):
+def test_enumeration_matches_brute_force_d6_d10(request, ball_by_norms, brute_force_ball, name, u, v, bound):
     lat = request.getfixturevalue(name)
     z = UHPoint(u, v)
-    got = at.enumerate_by_majorant(lat, z, bound)
-    expect = brute_force_ball(majorant(lat, z), bound)
-    assert sorted(got) == expect and len(got) > 0
-    # Ordered by n3, then n2, then n1.
-    assert got == sorted(got, key=lambda n: (n[2], n[1], n[0]))
+    got = sorted(ball_by_norms(lat, z, bound))
+    assert got == brute_force_ball(majorant(lat, z), bound) and len(got) > 0
 
 
 @pytest.mark.parametrize("name,u,v", [("lat_d1", 0.0, 1.0), ("lat_d6", 0.3, 0.5), ("lat_d10", -0.7, 1.4)])
-def test_enumeration_bound_equal_to_a_vector_value(request, brute_force_ball, name, u, v):
+def test_enumeration_bound_equal_to_a_vector_value(request, ball_by_norms, brute_force_ball, name, u, v):
     # A bound equal to the scalar value of a lattice vector puts that vector
     # on the boundary: it is accepted at the bound and refused one float
     # below it, as the scalar check float(n @ m @ n) <= bound decides.
     lat = request.getfixturevalue(name)
     z = UHPoint(u, v)
     m = majorant(lat, z)
-    n = at.enumerate_by_majorant(lat, z, 20.0)[-1]
+    n = _row_order(brute_force_ball(m, 20.0))[-1]
     bound = float(np.array(n) @ m @ np.array(n))
     below = float(np.nextafter(bound, 0.0))
-    at_bound = at.enumerate_by_majorant(lat, z, bound)
-    under = at.enumerate_by_majorant(lat, z, below)
+    at_bound = ball_by_norms(lat, z, bound)
+    under = ball_by_norms(lat, z, below)
     assert n in at_bound and n not in under
     assert sorted(at_bound) == brute_force_ball(m, bound)
     assert sorted(under) == brute_force_ball(m, below)
 
 
-def test_norm_path_matches_q_value(lat_d1, lat_d6, lat_d10):
-    # The norm path against the exact Q of every vector of the full list.
+def test_norm_path_matches_q_value(lat_d1, lat_d6, lat_d10, lat_lipschitz, brute_force_ball):
+    # Each norm list against the exact Q of every vector of the ball, in row order.
     for lat in (lat_d1, lat_d6, lat_d10):
         for z in (UHPoint(0.0, 1.0), UHPoint(0.31, 0.45), UHPoint(-1.1, 2.7)):
-            full = at.enumerate_by_majorant(lat, z, 40.0)
-            for t in sorted({lat.q_value(n) for n in full}):
+            ball = [(lat.q_value(n), n) for n in _row_order(brute_force_ball(majorant(lat, z), 40.0))]
+            for t in sorted({q for q, _ in ball}):
                 got = at.enumerate_by_majorant(lat, z, 40.0, norm=int(t))
-                assert got == [n for n in full if lat.q_value(n) == t], (z, t)
-    # A definite lattice: vectors_of_norm against the full list of its gram form.
-    lat = trace_zero_lattice(
-        load_order(
-            {
-                "label": "lipschitz",
-                "a": "-1",
-                "b": "-1",
-                "discriminant": 2,
-                "basis": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
-            }
-        )
-    )
-    g = np.array(lat.gram, dtype=float)
-    full = _enumerate_form(g, 2 * 12 + 1e-9)
+                assert got == [n for q, n in ball if q == t], (z, t)
+    # A definite lattice: vectors_of_norm against the ball of its gram form.
+    lip = lat_lipschitz
+    ball = _row_order(brute_force_ball(np.array(lip.gram, dtype=float), 2 * 12 + 1e-9))
     for t in range(1, 13):
-        assert vectors_of_norm(lat, t) == [n for n in full if lat.q_value(n) == t]
+        assert vectors_of_norm(lip, t) == [n for n in ball if lip.q_value(n) == t]
 
 
 # --- the row solver of the norm path ----------------------------------------------
 
 
 def _permuted(lat, z, perm):
-    """Majorant and gram of lat in the basis (e_perm[0], e_perm[1], e_perm[2]),
-    and Q of a vector given in that basis."""
+    """Majorant and gram of lat in the basis (e_perm[0], e_perm[1], e_perm[2])."""
     m = majorant(lat, z)[np.ix_(perm, perm)]
     gram = tuple(tuple(lat.gram[i][j] for j in perm) for i in perm)
-
-    def q_value(n):
-        x = [0, 0, 0]
-        for k, i in enumerate(perm):
-            x[i] = n[k]
-        return lat.q_value(x)
-
-    return m, gram, q_value
+    return m, gram
 
 
-def _solver_matches_oracle(brute_force_ball, m, gram, q_value, bound, t):
+def _solver_matches_oracle(brute_force_ball, m, gram, bound, t):
     got = _enumerate_norm(m, bound, gram, t)
-    expect = [n for n in brute_force_ball(m, bound) if q_value(n) == t]
     # Equal as lists in (n3, n2, n1) order, so roots come in increasing n1.
-    assert got == sorted(expect, key=lambda n: (n[2], n[1], n[0])), (gram, bound, t)
+    assert got == _row_order(brute_force_ball(m, bound, gram, t)), (gram, bound, t)
     return got
 
 
@@ -313,9 +268,9 @@ def test_norm_rows_linear_case(lat_d1, brute_force_ball, t):
     # d1 with its first two basis vectors swapped: G00 = 0, b = -n3, so each
     # row with n3 != 0 is the linear equation -2 n3 n1 - 2 n2^2 = 2t.
     for z in (UHPoint(0.0, 1.0), UHPoint(0.4, 0.7), UHPoint(-0.9, 1.6)):
-        m, gram, q_value = _permuted(lat_d1, z, (1, 0, 2))
+        m, gram = _permuted(lat_d1, z, (1, 0, 2))
         assert gram[0][0] == 0
-        got = _solver_matches_oracle(brute_force_ball, m, gram, q_value, 30.0, t)
+        got = _solver_matches_oracle(brute_force_ball, m, gram, 30.0, t)
         assert got and all(n[2] != 0 for n in got)
 
 
@@ -324,8 +279,8 @@ def test_norm_rows_whole_row_case(lat_d1, brute_force_ball, t):
     # In the same basis, the rows n3 = 0, n2 = +-sqrt(-t) have b = 0 and
     # c = 2t: every n1 of their range has Q = t.
     for z in (UHPoint(0.0, 1.0), UHPoint(0.4, 0.7)):
-        m, gram, q_value = _permuted(lat_d1, z, (1, 0, 2))
-        got = _solver_matches_oracle(brute_force_ball, m, gram, q_value, 40.0, t)
+        m, gram = _permuted(lat_d1, z, (1, 0, 2))
+        got = _solver_matches_oracle(brute_force_ball, m, gram, 40.0, t)
         whole = [n for n in got if n[2] == 0]
         assert len(whole) > 4 and {abs(n[1]) ** 2 for n in whole} == {-t}
 
@@ -338,56 +293,51 @@ def test_norm_rows_negative_leading_coefficient(request, brute_force_ball, name,
     # G00 < 0 (-2, -6 and -4): the larger root numerator gives the smaller n1.
     lat = request.getfixturevalue(name)
     for z in (UHPoint(0.0, 1.0), UHPoint(0.3, 0.5), UHPoint(-0.7, 1.4)):
-        m, gram, q_value = _permuted(lat, z, perm)
+        m, gram = _permuted(lat, z, perm)
         assert gram[0][0] < 0
-        _solver_matches_oracle(brute_force_ball, m, gram, q_value, 40.0, t)
+        _solver_matches_oracle(brute_force_ball, m, gram, 40.0, t)
 
 
 def test_norm_rows_two_roots_in_one_row(lat_d10, brute_force_ball):
     # A row holding both roots of its quadratic, for G00 < 0 and G00 > 0.
     for perm in ((1, 0, 2), (0, 1, 2)):
-        m, gram, q_value = _permuted(lat_d10, UHPoint(0.2, 0.9), perm)
-        got = _solver_matches_oracle(brute_force_ball, m, gram, q_value, 80.0, 2)
+        m, gram = _permuted(lat_d10, UHPoint(0.2, 0.9), perm)
+        got = _solver_matches_oracle(brute_force_ball, m, gram, 80.0, 2)
         rows = [n[1:] for n in got]
         assert any(rows.count(r) == 2 for r in rows)
 
 
-def test_norm_path_equals_filtered_enumeration(lat_d1, lat_d6, lat_d10):
-    # Random z with v up to 32 and bounds up to 512; a bound whose predicted
-    # count exceeds the cap raises on both paths.
+def test_norm_path_equals_filtered_enumeration(lat_d1, lat_d6, lat_d10, brute_force_ball):
+    # Random z with v up to 32 and bounds up to 512, against the box search
+    # filtered by the exact norm.  A bound whose predicted count exceeds the
+    # cap raises; 71 of the 90 seeded cases fit under it.
     rng = np.random.default_rng(11)
     checked = 0
     for lat in (lat_d1, lat_d6, lat_d10):
         for _ in range(30):
             z = UHPoint(rng.uniform(-1.5, 1.5), float(np.exp(rng.uniform(np.log(0.2), np.log(32.0)))))
             bound = rng.uniform(1.0, 512.0)
+            m = majorant(lat, z)
             try:
-                full = at.enumerate_by_majorant(lat, z, bound, cap=100_000)
+                at.enumerate_by_majorant(lat, z, bound, cap=100_000, norm=1)
             except BoundTooLarge:
-                with pytest.raises(BoundTooLarge):
-                    at.enumerate_by_majorant(lat, z, bound, cap=100_000, norm=1)
                 continue
-            arr = np.array(full, dtype=np.int64).reshape(-1, 3)
-            assert np.abs(arr).max(initial=0) < 2**20  # so int64 norms are exact
-            norms = ((arr @ lat.gram_array) * arr).sum(axis=1).tolist()
             for t in (-6, -5, -3, -2, -1, 1, 2, 3, 5, 6):
                 got = at.enumerate_by_majorant(lat, z, bound, cap=100_000, norm=t)
-                assert got == [n for n, q2 in zip(full, norms) if q2 == 2 * t], (z, bound, t)
+                assert got == _row_order(brute_force_ball(m, bound, lat.gram, t)), (z, bound, t)
             checked += 1
-    assert checked >= 50
+    assert checked == 71
 
 
 def test_cached_arrays_are_read_only(lat_d6):
     c = model_coordinates_float(lat_d6)
     assert c is lat_d6.model_coordinates_array
     assert np.array_equal(c, [[float(e) for e in row] for row in model_coordinates(lat_d6)])
-    assert lat_d6.gram_array.tolist() == [list(row) for row in lat_d6.gram]
-    for arr in (c, lat_d6.gram_array):
-        with pytest.raises(ValueError):
-            arr[0, 0] = 0
+    with pytest.raises(ValueError):
+        c[0, 0] = 0
 
 
-@pytest.mark.parametrize("norm", [None, 1])
+@pytest.mark.parametrize("norm", [-1, 1])
 @pytest.mark.parametrize("diag", [(-1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -1.0), (1.0, 0.0, 1.0)])
 def test_enumeration_rejects_a_form_with_a_nonpositive_pivot(lat_d1, diag, norm):
     # The eigenvalues passed in claim a positive form; the Cholesky pivots see through it.
@@ -397,24 +347,14 @@ def test_enumeration_rejects_a_form_with_a_nonpositive_pivot(lat_d1, diag, norm)
 
 def test_enumeration_cap(lat_d1):
     with pytest.raises(BoundTooLarge):
-        at.enumerate_by_majorant(lat_d1, UHPoint(0.0, 1.0), 1e9, cap=1000)
+        at.enumerate_by_majorant(lat_d1, UHPoint(0.0, 1.0), 1e9, cap=1000, norm=1)
 
 
-def test_representation_counts_sum_of_three_squares():
-    order = load_order(
-        {
-            "label": "lipschitz",
-            "a": "-1",
-            "b": "-1",
-            "discriminant": 2,
-            "basis": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
-        }
-    )
-    lat = trace_zero_lattice(order)
+def test_representation_counts_sum_of_three_squares(lat_lipschitz):
     # r3 values for t = 1..10: OEIS-checkable by the brute force below.
     expected = {1: 6, 2: 12, 3: 8, 4: 6, 5: 24, 6: 24, 7: 0, 8: 12, 9: 30, 10: 24}
     for t, r in expected.items():
-        assert representation_count(lat, t) == r
+        assert representation_count(lat_lipschitz, t) == r
         brute = sum(
             1
             for x in range(-4, 5)
@@ -425,19 +365,9 @@ def test_representation_counts_sum_of_three_squares():
         assert r == brute
 
 
-def test_representation_count_invariant_under_signed_permutations():
-    order = load_order(
-        {
-            "label": "lipschitz",
-            "a": "-1",
-            "b": "-1",
-            "discriminant": 2,
-            "basis": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
-        }
-    )
-    lat = trace_zero_lattice(order)
+def test_representation_count_invariant_under_signed_permutations(lat_lipschitz):
     for t in (5, 9):
-        pts = vectors_of_norm(lat, t)
+        pts = vectors_of_norm(lat_lipschitz, t)
         as_set = set(pts)
         for n in pts:
             assert (-n[0], -n[1], -n[2]) in as_set

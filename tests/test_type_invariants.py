@@ -2,12 +2,14 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ariththeta import identities as idn
 from ariththeta import numtheory as nt
 from ariththeta.errors import PreconditionViolation
-from ariththeta.greens import QuadratureSpec, UHPoint
+from ariththeta.greens import QuadratureSpec, UHPoint, big_xi
+from ariththeta.lattice import enumerate_by_majorant, representation_count
 
 
 def test_lattice_vector_q_agrees_with_element_norm(lat_d1, lat_d6, lat_d10):
@@ -70,3 +72,25 @@ def test_classification_regular_undefined_without_prime():
 def test_numtheory_preconditions_are_typed(call):
     with pytest.raises(PreconditionViolation):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d1, lip: big_xi(d1, 2.0, 1.0, UHPoint(0.1, 1.2)),
+        lambda d1, lip: representation_count(lip, 1.5),
+        lambda d1, lip: enumerate_by_majorant(d1, UHPoint(0.1, 1.2), 4.0, norm=1.0),
+    ],
+    ids=["big_xi", "representation_count", "enumerate_by_majorant"],
+)
+def test_non_integer_norm_is_a_typed_error(lat_d1, lat_lipschitz, call):
+    with pytest.raises(PreconditionViolation):
+        call(lat_d1, lat_lipschitz)
+
+
+def test_numpy_integer_norms_pass(lat_d1, lat_lipschitz):
+    z = UHPoint(0.1, 1.2)
+    t = np.int64(2)
+    assert enumerate_by_majorant(lat_d1, z, 20.0, norm=t) == enumerate_by_majorant(lat_d1, z, 20.0, norm=2)
+    assert big_xi(lat_d1, t, 1.0, z) == big_xi(lat_d1, 2, 1.0, z)
+    assert representation_count(lat_lipschitz, np.int64(5)) == 24
