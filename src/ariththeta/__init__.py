@@ -12,12 +12,12 @@ from .quatalg import (
     indefinite_algebra_of_discriminant,
     make_algebra,
 )
+from .binforms import hurwitz_class_number
 from .lattice import (
     Order,
     TraceZeroLattice,
     bundled_order,
     enumerate_by_majorant,
-    hurwitz_class_number,
     load_order,
     majorant,
     representation_count,

@@ -51,7 +51,7 @@ def _numbers(kind, count: int, positive_definite: bool = False):
 
 
 def _point(text: str) -> UHPoint:
-    """argparse type for --z: "u,v" or "u,v,sheet" with v > 0 and sheet +-1."""
+    """argparse type for --z: "u,v" or "u,v,sheet" with finite u, v > 0 and sheet +-1."""
     parts = text.split(",")
     try:
         if len(parts) not in (2, 3):
@@ -60,7 +60,7 @@ def _point(text: str) -> UHPoint:
         return UHPoint(float(parts[0]), float(parts[1]), sheet)
     except (ValueError, PreconditionViolation):
         raise argparse.ArgumentTypeError(
-            f'expected "u,v" or "u,v,sheet" with v > 0 and sheet +-1, got {text!r}'
+            f'expected "u,v" or "u,v,sheet" with finite u, v > 0 and sheet +-1, got {text!r}'
         ) from None
 
 

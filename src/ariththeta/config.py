@@ -64,8 +64,7 @@ def load_config(path: str | None = None) -> RunConfig:
     order = data.get("order", RunConfig.order)
     if not isinstance(order, str):
         raise ConfigError(f"order must be a string, got {order!r}")
-    return RunConfig(
-        order=order,
-        quadrature=QuadratureSpec(**quadrature),
-        seed=int(data.get("seed", RunConfig.seed)),
-    )
+    seed = data.get("seed", RunConfig.seed)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    return RunConfig(order=order, quadrature=QuadratureSpec(**quadrature), seed=seed)

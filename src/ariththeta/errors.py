@@ -26,7 +26,7 @@ class OrderDataError(ArithThetaError):
 
 
 class BoundTooLarge(ArithThetaError):
-    """Predicted lattice enumeration size exceeds the configured safety cap."""
+    """The rows a lattice enumeration would visit exceed the configured safety cap."""
 
 
 class PreconditionViolation(ArithThetaError):

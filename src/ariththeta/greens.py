@@ -52,8 +52,8 @@ class UHPoint:
     sheet: int = 1
 
     def __post_init__(self):
-        if not self.v > 0:
-            raise PreconditionViolation("UHPoint needs v > 0")
+        if not (math.isfinite(self.u) and math.isfinite(self.v) and self.v > 0):
+            raise PreconditionViolation("UHPoint needs finite u and v, and v > 0")
         if self.sheet not in (1, -1):
             raise PreconditionViolation("sheet must be +1 or -1")
 
@@ -79,10 +79,10 @@ class QuadratureSpec:
             "truncation_majorant_bound",
             "singular_r_floor",
         ):
-            if not getattr(self, name) > 0:
-                raise PreconditionViolation(f"{name} must be positive")
-        if self.max_cells <= 0:
-            raise PreconditionViolation("max_cells must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise PreconditionViolation(f"{name} must be finite and positive")
+        if isinstance(self.max_cells, bool) or not isinstance(self.max_cells, int) or self.max_cells <= 0:
+            raise PreconditionViolation("max_cells must be a positive integer")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -322,9 +322,9 @@ def big_xi(
     the majorant.  The truncation bound is doubled (a few times) if the
     certificate does not reach abs_tol at the configured value.
 
-    One pass: the majorant and its eigenvalues are built once and serve the
-    tail bound at every doubling and the enumeration.  The per-call work is
-    done in plain Python floats, where numpy would spend its time on
+    One pass: the majorant is built once; its eigenvalues serve the tail
+    bound at every doubling, and its entries the enumeration.  The per-call
+    work is done in plain Python floats, where numpy would spend its time on
     dispatch for 3-vectors and 3x3 matrices: the majorant's entries, the
     tail bound, the enumeration's Cholesky factor, and each term's
     (alpha, beta, gamma) as dot products of the coordinate rows.  The one
@@ -333,9 +333,9 @@ def big_xi(
     only the vectors with Q(x) = t (enumerate_by_majorant with norm=t): on
     each (n3, n2) row of the majorant ellipsoid it finds the n1 with
     n^T G n = 2t as exact integer roots, and accepts each root inside the
-    row's padded n1 range whose scalar majorant value is within the bound.
-    The terms come ordered by n3, then n2, then n1, and are summed one by
-    one in that order.
+    row's padded n1 range whose majorant value, summed from six products in
+    Python floats, is within the bound.  The terms come ordered by n3, then
+    n2, then n1, and are summed one by one in that order.
 
     For t > 0, terms with R below the singular floor: an exact zero raises
     SingularEvaluation, a positive value below the floor is excluded from
@@ -349,8 +349,7 @@ def big_xi(
         raise PreconditionViolation("v must be positive")
     (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = model_coordinates_float(lat).tolist()
     m = majorant(lat, z)
-    eigs = np.linalg.eigvalsh(m)
-    lam = [e * (1.0 - 1e-9) for e in eigs.tolist()]
+    lam = [e * (1.0 - 1e-9) for e in np.linalg.eigvalsh(m).tolist()]
     if lam[0] <= 0:
         raise QuadratureFailure("majorant lost positivity")
     bound = spec.truncation_majorant_bound
@@ -363,7 +362,7 @@ def big_xi(
         raise QuadratureFailure(
             f"tail bound {tail:.3g} above abs_tol at majorant bound {bound}"
         )
-    pts = enumerate_by_majorant(lat, z, bound, form=m, eigs=eigs, norm=t)
+    pts = enumerate_by_majorant(lat, z, bound, form=m, norm=t)
     value = 0.0
     excluded = []
     zf = UHPoint(float(z.u), float(z.v))

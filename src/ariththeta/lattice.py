@@ -6,9 +6,9 @@ definite ones.  All lattice data is exact; floating point appears only in
 the majorant and its enumeration.  Enumeration lists the vectors of one norm
 t inside an ellipsoid: the ellipsoid is sliced into rows of n1 by Cholesky
 range bounds (Fincke and Pohst, Math. Comp. 44, 1985), n^T G n = 2t is
-solved exactly in integers along each row, and each root is decided by the
-scalar check float(n @ m @ n) <= bound wherever a cheaper evaluation lies
-within rounding distance of the bound.
+solved exactly in integers along each row, and each root is decided by one
+float value, the majorant summed from six products.  The rows, O(bound) of
+them, are counted before the loop, and that count guards the work.
 """
 
 from __future__ import annotations
@@ -24,18 +24,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import binforms
 from .errors import (
     BoundTooLarge,
     DegenerateOrder,
     OrderDataError,
     PreconditionViolation,
+    QuadratureFailure,
     UnsupportedDiscriminant,
 )
 from .numtheory import integer_row_kernel, signature
 from .quatalg import QuaternionAlgebra, QuaternionElement, make_algebra
-
-hurwitz_class_number = binforms.hurwitz_class_number
 
 
 @dataclass(frozen=True)
@@ -311,7 +309,9 @@ def majorant(lat: TraceZeroLattice, z) -> np.ndarray:
     with Q(x) = t > 0 and z on its divisor the majorant value is 2t.  The
     matrix is G + (r r^T + i i^T) / v^2 for the rows r, i of Re and Im of
     p(z) below, formed entry by entry in Python floats: the same operations
-    as the array expression, so the same bits, and exactly symmetric.
+    as the array expression, so the same bits, and exactly symmetric.  A z
+    whose v^2 underflows to 0, or that makes an entry overflow, raises
+    QuadratureFailure.
     """
     if lat.is_definite:
         raise PreconditionViolation("majorant is for indefinite lattices")
@@ -322,17 +322,18 @@ def majorant(lat: TraceZeroLattice, z) -> np.ndarray:
     r0, r1, r2 = [g * zr - 2 * a * u - b for a, b, g in zip(alpha, beta, gamma)]
     i0, i1, i2 = [g * zi - 2 * a * v for a, g in zip(alpha, gamma)]
     vv = v * v
+    if vv == 0.0:
+        raise QuadratureFailure(f"majorant at v = {v!r}: v^2 underflows to 0")
     (g00, g01, g02), (_, g11, g12), (_, _, g22) = lat.gram
+    m00 = g00 + (r0 * r0 + i0 * i0) / vv
+    m11 = g11 + (r1 * r1 + i1 * i1) / vv
+    m22 = g22 + (r2 * r2 + i2 * i2) / vv
     m01 = g01 + (r0 * r1 + i0 * i1) / vv
     m02 = g02 + (r0 * r2 + i0 * i2) / vv
     m12 = g12 + (r1 * r2 + i1 * i2) / vv
-    return np.array(
-        [
-            [g00 + (r0 * r0 + i0 * i0) / vv, m01, m02],
-            [m01, g11 + (r1 * r1 + i1 * i1) / vv, m12],
-            [m02, m12, g22 + (r2 * r2 + i2 * i2) / vv],
-        ]
-    )
+    if not all(map(math.isfinite, (m00, m11, m22, m01, m02, m12))):
+        raise QuadratureFailure(f"majorant at z = ({u!r}, {v!r}) has an entry that is not finite")
+    return np.array([[m00, m01, m02], [m01, m11, m12], [m02, m12, m22]])
 
 
 def enumerate_by_majorant(
@@ -341,7 +342,6 @@ def enumerate_by_majorant(
     bound: float,
     cap: int = 2_000_000,
     form=None,
-    eigs=None,
     *,
     norm: int,
 ):
@@ -350,82 +350,16 @@ def enumerate_by_majorant(
     Complete by construction (see _enumerate_norm): every such n lies on an
     (n3, n2) row of the ellipsoid's Cholesky slicing, inside the row's
     slack-padded n1 range, and is found there as an exact integer root of
-    n^T G n = 2 norm; a root is accepted exactly when
-    float(n @ m @ n) <= bound (see _ellipsoid).  The list is ordered by n3,
-    then n2, then n1.  `form` is majorant(lat, z), and `eigs` its eigvalsh,
-    if the caller has them.  A norm that is not an integer raises
-    PreconditionViolation.  A count of the vectors returned (the benchmark's
-    traced `lattice.candidates`) counts vectors of norm t, found in O(bound)
-    rows.
+    n^T G n = 2 norm; a root is accepted exactly when its majorant value,
+    summed from six products in Python floats, is at most `bound`.  The
+    list is ordered by n3, then n2, then n1.  `form` is majorant(lat, z),
+    if the caller has it.  A norm that is not an integer raises
+    PreconditionViolation, and more than `cap` rows to visit raise
+    BoundTooLarge.  A count of the vectors returned (the benchmark's traced
+    `lattice.candidates`) counts vectors of norm t, found in O(bound) rows.
     """
     m = majorant(lat, z) if form is None else form
-    return _enumerate_norm(m, bound, lat.gram, norm, cap, eigs)
-
-
-def _ellipsoid(m: np.ndarray, bound: float, cap: int, eigs):
-    """The slices of the ellipsoid n @ m @ n <= bound, for bound > 0.
-
-    Returns (slices, n1_range, band).  `slices` lists, for every n3 in
-    increasing order, (n3, n2s, rem2, c2): n2s is the range of n2 to visit,
-    and rem2, c2 feed n1_range(n3, n2, rem2, c2), which returns the row's
-    n1 range (lo, hi) as ints, or None when the row misses the ellipsoid.
-    The n3 range, each n2 range and each n1 range come from the Cholesky
-    factor, padded against rounding, so the integers lo .. hi of the rows
-    hold every point of the ellipsoid.  There are O(bound) rows against
-    O(bound^1.5) points, so the rows are built in plain loops, and the
-    factor is taken in Python floats by _cholesky3 (a pivot that is not
-    positive raises PreconditionViolation).  The point count that guards
-    `cap` takes sqrt(det m) as the product u00 u11 u22 of the factor's
-    diagonal.
-
-    The decision: an evaluation of the form that lies within 1.2e-15
-    |n|^T |m| |n| of the exact value decides a point unless it lies within
-    `band` of the bound; inside the band the scalar expression
-    float(n @ m @ n) <= bound decides.  The sum of the six products
-    m_ij n_i n_j that _enumerate_norm takes and the scalar n @ m @ n each
-    lie that close, and |n|^T |m| |n| <= ||m||_F |n|^2 <= ||m||_F value /
-    lambda_min, so `band` covers twice that gap with room to spare and the
-    accepted set is exactly that of a scalar check of every point.
-    ||m||_F is summed from the six entries.  `eigs` is eigvalsh(m), if
-    known.
-    """
-    if eigs is None:
-        eigs = np.linalg.eigvalsh(m)
-    lam_min = float(eigs[0])
-    if lam_min <= 0:
-        raise PreconditionViolation("form is not positive definite")
-    (m00, m01, m02), (_, m11, m12), (_, _, m22) = m.tolist()
-    # value = || U n ||^2 for the upper triangular Cholesky factor U = L^T.
-    u00, u01, u02, u11, u12, u22 = _cholesky3(m00, m01, m02, m11, m12, m22)
-    predicted = 4.19 * bound**1.5 / (u00 * u11 * u22) + 8 * bound / lam_min + 27
-    if predicted > cap:
-        raise BoundTooLarge(f"predicted {predicted:.3g} points exceeds cap {cap}")
-    pad = 1e-9 * (1.0 + abs(bound))
-    lim3 = math.floor(math.sqrt(bound * (1 + 1e-12)) / u22 + 1e-9) + 1
-    slices = []
-    for n3 in range(-lim3, lim3 + 1):
-        r3 = u22 * n3
-        rem2 = bound - r3 * r3
-        if rem2 < -pad:
-            continue
-        c2 = u12 * n3
-        half2 = math.sqrt(max(rem2, 0.0)) / u11
-        center2 = -c2 / u11
-        n2s = range(math.floor(center2 - half2 - 1e-9), math.ceil(center2 + half2 + 1e-9) + 1)
-        slices.append((n3, n2s, rem2, c2))
-
-    def n1_range(n3, n2, rem2, c2):
-        r2 = u11 * n2 + c2
-        rem1 = rem2 - r2 * r2
-        if rem1 < -pad:
-            return None
-        half1 = math.sqrt(max(rem1, 0.0)) / u00
-        center1 = -(u01 * n2 + u02 * n3) / u00
-        return math.floor(center1 - half1 - 1e-9), math.ceil(center1 + half1 + 1e-9)
-
-    frobenius = math.sqrt(m00 * m00 + m11 * m11 + m22 * m22 + 2.0 * (m01 * m01 + m02 * m02 + m12 * m12))
-    band = 1e-12 * (1.0 + abs(bound)) + 8e-15 * bound * frobenius / lam_min
-    return slices, n1_range, band
+    return _enumerate_norm(m, bound, lat.gram, norm, cap)
 
 
 def _cholesky3(m00, m01, m02, m11, m12, m22):
@@ -451,18 +385,34 @@ def _cholesky3(m00, m01, m02, m11, m12, m22):
     return u00, u01, u02, u11, u12, math.sqrt(p22)
 
 
-def _enumerate_norm(m: np.ndarray, bound: float, gram, t: int, cap: int = 2_000_000, eigs=None):
-    """Nonzero n with n^T G n = 2t and float(n @ m @ n) <= bound, in (n3, n2, n1) order.
+def _enumerate_norm(m: np.ndarray, bound: float, gram, t: int, cap: int = 2_000_000):
+    """Nonzero n with n^T G n = 2t and value(n) <= bound, in (n3, n2, n1) order.
 
-    G is the integral gram matrix `gram`, and t must be an integer (numpy
-    integers included), else PreconditionViolation.  Complete: the rows of
-    _ellipsoid hold every point of the ellipsoid, and on each (n3, n2) row
+    value(n) = m00 n1^2 + m11 n2^2 + m22 n3^2 + 2 (m01 n1 n2 + m02 n1 n3 +
+    m12 n2 n3) in Python floats decides every root.  G is the integral gram
+    matrix `gram`, and t must be an integer (numpy integers included), else
+    PreconditionViolation.
+
+    Complete: with value = |U n|^2 for the upper Cholesky factor U of m
+    (_cholesky3; a pivot that is not positive raises PreconditionViolation),
+    the loop walks the n3 range, then each n3's n2 range, then each
+    (n3, n2) row's n1 range, all three from U and padded against rounding,
+    so they hold every point of the ellipsoid.  On each row
     G00 n1^2 + 2 b n1 + c = 0, where b = G01 n2 + G02 n3 and
     c = G11 n2^2 + 2 G12 n2 n3 + G22 n3^2 - 2t, is solved exactly in Python
     integers (by isqrt of the discriminant, or as a linear equation when
-    G00 = 0; when also b = 0 and c = 0, every n1 of the row is a solution).
-    Only a row with an integer root needs its n1 range; each root inside
-    that range is decided by the rule of _ellipsoid, in increasing n1.
+    G00 = 0); only a row with an integer root needs its n1 range.
+
+    Bounded: each n2 range holds at most 2 sqrt(bound)/U11 + 4 integers, so
+    more than cap rows, (2 lim3 + 1)(2 sqrt(bound)/U11 + 4), raise
+    BoundTooLarge before any row is visited.  A row yields at most two
+    roots unless it is whole: G00 = 0, b = 0 and c = 0, when every n1 of
+    its range (at most 2 sqrt(bound)/U00 + 4 of them) is one.  The (n2, n3)
+    of whole rows satisfy G01 n2 + G02 n3 = 0, a line k (p, q); Q(0, p, q)
+    is nonzero, since it is orthogonal to the isotropic e1 and a
+    nondegenerate ternary form has no isotropic plane, so c = 0 holds for
+    at most two k.  So the output holds at most twice the rows plus two
+    whole rows.
     """
     try:
         t = operator.index(t)
@@ -470,16 +420,28 @@ def _enumerate_norm(m: np.ndarray, bound: float, gram, t: int, cap: int = 2_000_
         raise PreconditionViolation(f"the norm must be an integer, got {t!r}") from None
     if bound <= 0:
         return []
-    slices, n1_range, band = _ellipsoid(m, bound, cap, eigs)
-    (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram
     (m00, m01, m02), (_, m11, m12), (_, _, m22) = m.tolist()
+    u00, u01, u02, u11, u12, u22 = _cholesky3(m00, m01, m02, m11, m12, m22)
+    lim3 = math.floor(math.sqrt(bound * (1 + 1e-12)) / u22 + 1e-9) + 1
+    rows = (2 * lim3 + 1) * (2 * math.sqrt(bound) / u11 + 4)
+    if rows > cap:
+        raise BoundTooLarge(f"{rows:.3g} rows to visit exceed cap {cap}")
+    pad = 1e-9 * (1.0 + abs(bound))
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram
     # With g00 != 0, the discriminant b^2 - g00 c is (a n2 + d1) n2 + d0 on a slice.
     a = g01 * g01 - g00 * g11
     out = []
-    for n3, n2s, rem2, c2 in slices:
+    for n3 in range(-lim3, lim3 + 1):
+        r3 = u22 * n3
+        rem2 = bound - r3 * r3
+        if rem2 < -pad:
+            continue
+        c2 = u12 * n3
+        half2 = math.sqrt(max(rem2, 0.0)) / u11
+        center2 = -c2 / u11
         b3, c3, c0 = g02 * n3, 2 * g12 * n3, g22 * n3 * n3 - 2 * t
         d1, d0 = 2 * g01 * b3 - g00 * c3, b3 * b3 - g00 * c0
-        for n2 in n2s:
+        for n2 in range(math.floor(center2 - half2 - 1e-9), math.ceil(center2 + half2 + 1e-9) + 1):
             # The integer roots n1 of g00 n1^2 + 2 b n1 + c = 0, increasing;
             # None when every n1 is one.
             if g00:
@@ -504,24 +466,20 @@ def _enumerate_norm(m: np.ndarray, bound: float, gram, t: int, cap: int = 2_000_
                     continue
                 else:
                     roots = None
-            span = n1_range(n3, n2, rem2, c2)
-            if span is None:
+            r2 = u11 * n2 + c2
+            rem1 = rem2 - r2 * r2
+            if rem1 < -pad:
                 continue
-            lo, hi = span
+            half1 = math.sqrt(max(rem1, 0.0)) / u00
+            center1 = -(u01 * n2 + u02 * n3) / u00
+            lo, hi = math.floor(center1 - half1 - 1e-9), math.ceil(center1 + half1 + 1e-9)
             for n1 in range(lo, hi + 1) if roots is None else roots:
                 if not lo <= n1 <= hi or not (n1 or n2 or n3):
                     continue
                 val = m00 * (n1 * n1) + m11 * (n2 * n2) + m22 * (n3 * n3)
                 val += 2.0 * (m01 * (n1 * n2) + m02 * (n1 * n3) + m12 * (n2 * n3))
-                if abs(val - bound) <= band:
-                    n = np.array((n1, n2, n3), dtype=np.int64)
-                    ok = float(n @ m @ n) <= bound
-                else:
-                    ok = val <= bound - band
-                if ok:
+                if val <= bound:
                     out.append((n1, n2, n3))
-    if len(out) > 2 * cap:
-        raise BoundTooLarge("enumeration exceeded twice the safety cap")
     return out
 
 

@@ -40,37 +40,58 @@ def lat_lipschitz():
     return at.trace_zero_lattice(order)
 
 
+def _form_value(m, n):
+    """n^T M n summed from six products in Python floats, as the enumeration decides."""
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = m.tolist()
+    n1, n2, n3 = n
+    val = m00 * (n1 * n1) + m11 * (n2 * n2) + m22 * (n3 * n3)
+    return val + 2.0 * (m01 * (n1 * n2) + m02 * (n1 * n3) + m12 * (n2 * n3))
+
+
 def _brute_force_ball(m, bound, gram=None, t=None):
-    """Every nonzero integer vector n with float(n @ m @ n) <= bound, sorted.
+    """Every nonzero integer vector n with _form_value(m, n) <= bound, sorted.
 
     A plain search of a box, as an oracle for `enumerate_by_majorant`.  For a
-    positive definite M, n^T M n <= B forces |n_i| <= sqrt(B (M^{-1})_{ii})
-    (Cauchy-Schwarz in the M inner product), so a box one wider than that on
-    each axis holds every solution.  With an integral `gram` and a norm `t`,
-    only the n with n^T G n = 2t: the exact integer norms of the whole box
-    are taken first, and the form only on the vectors of norm t.  The form
-    is evaluated in one array expression; the survivors are decided by the
-    library's own scalar re-check `float(n @ m @ n) <= bound`, since
-    summation order moves the last bits and the oracle must not disagree
-    with it at the boundary.
+    positive definite M, n^T M n <= B forces |n1| <= sqrt(B (M^{-1})_{00})
+    (Cauchy-Schwarz in the M inner product).  For each such n1 the rest
+    n' = (n2, n3) satisfies (n' - c)^T M' (n' - c) <= B, with M' = M[1:, 1:]
+    and c = -M'^{-1} M[1:, 0] n1, so |n'_i - c_i| <= sqrt(B (M'^{-1})_{ii})
+    likewise.  The box is sheared: for each n1, n'_i runs over
+    rint(c_i) +- (floor(sqrt(B (M'^{-1})_{ii})) + 2), which covers the
+    rounding of c, so every solution is in it however skewed the ellipsoid.
+    With an integral `gram` and a norm `t`, or a tuple of norms, only the n
+    with n^T G n = 2t for one of them: the exact integer norms of the whole
+    box are taken first, and the form only on the vectors of those norms.
+    The form is evaluated in one array expression; the survivors are decided
+    by the six-product value the library sums, since summation order moves
+    the last bits and the oracle must not disagree with it at the boundary.
     """
-    half = np.floor(np.sqrt(bound * np.diag(np.linalg.inv(m)))).astype(int) + 1
-    n1, n2, n3 = np.ix_(*[np.arange(-h, h + 1) for h in half])
+    inv00 = np.linalg.inv(m)[0, 0]
+    inv_rest = np.linalg.inv(m[1:, 1:])
+    h1 = int(np.sqrt(bound * inv00)) + 1
+    h2, h3 = np.sqrt(bound * np.diag(inv_rest)).astype(int) + 2
+    n1 = np.arange(-h1, h1 + 1)[:, None, None]
+    c2, c3 = np.rint(-np.outer(inv_rest @ m[1:, 0], n1)).astype(int)
+    n2 = c2[:, None, None] + np.arange(-h2, h2 + 1)[:, None]
+    n3 = c3[:, None, None] + np.arange(-h3, h3 + 1)
     if gram is None:
-        keep = np.ones((n1.size, n2.size, n3.size), dtype=bool)
+        keep = np.ones((n1.size, n2.shape[1], n3.shape[2]), dtype=bool)
     else:
         (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram
-        # n^T G n = 2t, its terms free of n3 formed once on the (n1, n2) plane.
-        plane = (g00 * n1 + 2 * g01 * n2) * n1 + g11 * n2 * n2
-        box = 2 * (g02 * n1 + g12 * n2) + g22 * n3
-        box *= n3
-        keep = box == 2 * t - plane
-    n = np.stack(np.unravel_index(np.flatnonzero(keep), keep.shape), axis=1) - half
+        norm2 = (g00 * n1 + 2 * (g01 * n2 + g02 * n3)) * n1 + (g11 * n2 + 2 * g12 * n3) * n2 + g22 * n3 * n3
+        keep = np.isin(norm2, 2 * np.atleast_1d(t))
+    i1, i2, i3 = np.nonzero(keep)
+    n = np.stack([n1[i1, 0, 0], n2[i1, i2, 0], n3[i1, 0, i3]], axis=1)
     n = n[np.any(n != 0, axis=1)]
     val = np.einsum("ki,ij,kj->k", n, m, n)
     # Far above the rounding gap between any two summation orders of n^T M n.
     slack = 1e-12 * np.einsum("ki,ij,kj->k", np.abs(n), np.abs(m), np.abs(n))
-    return sorted(tuple(row.tolist()) for row in n[val <= bound + slack] if float(row @ m @ row) <= bound)
+    return sorted(tuple(row) for row in n[val <= bound + slack].tolist() if _form_value(m, row) <= bound)
+
+
+@pytest.fixture(scope="session")
+def form_value():
+    return _form_value
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -120,6 +121,8 @@ def test_usage_error_exit_2():
         ["green", "--t", "-1", "--v", "-1", "--z", "0,1"],
         ["green", "--t", "0", "--z", "0,1"],
         ["green", "--t", "-1", "--v", "nan", "--z", "0,1"],
+        ["green", "--t", "1", "--z", "nan,1"],
+        ["green", "--t", "1", "--z", "inf,1"],
     ],
 )
 def test_malformed_arguments_are_usage_errors(argv, capsys):
@@ -223,6 +226,12 @@ def test_unknown_config_key_is_a_usage_error(data, tmp_path, capsys):
         {"quadrature": {"abs_tol": -1.0}},
         {"quadrature": {"rel_tol": "x"}},
         {"seed": [1]},
+        {"seed": 1.5},
+        {"seed": True},
+        {"seed": "12"},
+        {"quadrature": {"max_cells": 1.5}},
+        {"quadrature": {"max_cells": True}},
+        {"quadrature": {"abs_tol": math.inf}},
         {"order": 5},
         {"order": ["d1"]},
     ],

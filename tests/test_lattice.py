@@ -1,6 +1,7 @@
 """Orders as data, trace-zero lattices, majorants and enumeration."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -214,15 +215,17 @@ def test_enumeration_matches_brute_force_d6_d10(request, ball_by_norms, brute_fo
 
 
 @pytest.mark.parametrize("name,u,v", [("lat_d1", 0.0, 1.0), ("lat_d6", 0.3, 0.5), ("lat_d10", -0.7, 1.4)])
-def test_enumeration_bound_equal_to_a_vector_value(request, ball_by_norms, brute_force_ball, name, u, v):
-    # A bound equal to the scalar value of a lattice vector puts that vector
-    # on the boundary: it is accepted at the bound and refused one float
-    # below it, as the scalar check float(n @ m @ n) <= bound decides.
+def test_enumeration_bound_equal_to_a_vector_value(
+    request, ball_by_norms, brute_force_ball, form_value, name, u, v
+):
+    # A bound equal to the six-product value of a lattice vector puts that
+    # vector on the boundary: it is accepted at the bound and refused one
+    # float below it, as that value decides.
     lat = request.getfixturevalue(name)
     z = UHPoint(u, v)
     m = majorant(lat, z)
     n = _row_order(brute_force_ball(m, 20.0))[-1]
-    bound = float(np.array(n) @ m @ np.array(n))
+    bound = form_value(m, n)
     below = float(np.nextafter(bound, 0.0))
     at_bound = ball_by_norms(lat, z, bound)
     under = ball_by_norms(lat, z, below)
@@ -283,6 +286,17 @@ def test_norm_rows_whole_row_case(lat_d1, brute_force_ball, t):
         got = _solver_matches_oracle(brute_force_ball, m, gram, 40.0, t)
         whole = [n for n in got if n[2] == 0]
         assert len(whole) > 4 and {abs(n[1]) ** 2 for n in whole} == {-t}
+        # The output bound: at most two whole rows (G00 = 0, b = c = 0), and
+        # at most two roots on every other row.
+        (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram
+        per_row = Counter(n[1:] for n in got)
+        whole_rows = [
+            (n2, n3)
+            for n2, n3 in per_row
+            if g01 * n2 + g02 * n3 == 0 and (g11 * n2 + 2 * g12 * n3) * n2 + g22 * n3 * n3 == 2 * t
+        ]
+        assert g00 == 0 and len(whole_rows) <= 2 and sorted(whole_rows) == sorted({n[1:] for n in whole})
+        assert all(k <= 2 for row, k in per_row.items() if row not in whole_rows)
 
 
 @pytest.mark.parametrize(
@@ -309,24 +323,20 @@ def test_norm_rows_two_roots_in_one_row(lat_d10, brute_force_ball):
 
 def test_norm_path_equals_filtered_enumeration(lat_d1, lat_d6, lat_d10, brute_force_ball):
     # Random z with v up to 32 and bounds up to 512, against the box search
-    # filtered by the exact norm.  A bound whose predicted count exceeds the
-    # cap raises; 71 of the 90 seeded cases fit under it.
+    # filtered by the exact norm: one scan of each case's box for all ten
+    # norms.  Every one of the 90 seeded cases fits under the row cap.
     rng = np.random.default_rng(11)
-    checked = 0
+    ts = (-6, -5, -3, -2, -1, 1, 2, 3, 5, 6)
     for lat in (lat_d1, lat_d6, lat_d10):
         for _ in range(30):
             z = UHPoint(rng.uniform(-1.5, 1.5), float(np.exp(rng.uniform(np.log(0.2), np.log(32.0)))))
             bound = rng.uniform(1.0, 512.0)
-            m = majorant(lat, z)
-            try:
-                at.enumerate_by_majorant(lat, z, bound, cap=100_000, norm=1)
-            except BoundTooLarge:
-                continue
-            for t in (-6, -5, -3, -2, -1, 1, 2, 3, 5, 6):
+            by_norm = {t: [] for t in ts}
+            for n in _row_order(brute_force_ball(majorant(lat, z), bound, lat.gram, ts)):
+                by_norm[lat.inner(n, n) // 2].append(n)
+            for t in ts:
                 got = at.enumerate_by_majorant(lat, z, bound, cap=100_000, norm=t)
-                assert got == _row_order(brute_force_ball(m, bound, lat.gram, t)), (z, bound, t)
-            checked += 1
-    assert checked == 71
+                assert got == by_norm[t], (z, bound, t)
 
 
 def test_cached_arrays_are_read_only(lat_d6):
@@ -340,9 +350,9 @@ def test_cached_arrays_are_read_only(lat_d6):
 @pytest.mark.parametrize("norm", [-1, 1])
 @pytest.mark.parametrize("diag", [(-1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -1.0), (1.0, 0.0, 1.0)])
 def test_enumeration_rejects_a_form_with_a_nonpositive_pivot(lat_d1, diag, norm):
-    # The eigenvalues passed in claim a positive form; the Cholesky pivots see through it.
+    # The Cholesky pivots refuse the form before any row is visited.
     with pytest.raises(PreconditionViolation):
-        at.enumerate_by_majorant(lat_d1, UHPoint(0.1, 1.2), 4.0, form=np.diag(diag), eigs=np.ones(3), norm=norm)
+        at.enumerate_by_majorant(lat_d1, UHPoint(0.1, 1.2), 4.0, form=np.diag(diag), norm=norm)
 
 
 def test_enumeration_cap(lat_d1):

@@ -1,5 +1,6 @@
 """Invariants of the small value types."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 
 from ariththeta import identities as idn
 from ariththeta import numtheory as nt
-from ariththeta.errors import PreconditionViolation
+from ariththeta.errors import PreconditionViolation, QuadratureFailure
 from ariththeta.greens import QuadratureSpec, UHPoint, big_xi
-from ariththeta.lattice import enumerate_by_majorant, representation_count
+from ariththeta.lattice import enumerate_by_majorant, majorant, representation_count
 
 
 def test_lattice_vector_q_agrees_with_element_norm(lat_d1, lat_d6, lat_d10):
@@ -29,7 +30,19 @@ def test_uhpoint_validation():
         UHPoint(0.0, -1.0)
     with pytest.raises(PreconditionViolation):
         UHPoint(0.0, 1.0, sheet=2)
+    for u, v in ((math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)):
+        with pytest.raises(PreconditionViolation):
+            UHPoint(u, v)
     assert UHPoint(0.5, 2.0, -1).z == complex(0.5, 2.0)
+
+
+@pytest.mark.parametrize("v", [1e-320, 1e-160, 1e300])
+def test_majorant_out_of_float_range_is_a_quadrature_failure(lat_d1, v):
+    # v^2 underflows to 0, or an entry overflows: typed, not ZeroDivisionError or LinAlgError.
+    with pytest.raises(QuadratureFailure):
+        majorant(lat_d1, UHPoint(0.0, v))
+    with pytest.raises(QuadratureFailure):
+        big_xi(lat_d1, 1, 1.0, UHPoint(0.0, v))
 
 
 def test_quadrature_spec_validation():
@@ -37,6 +50,15 @@ def test_quadrature_spec_validation():
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(PreconditionViolation):
         QuadratureSpec(max_cells=0)
+    for bad in (
+        {"abs_tol": math.inf},
+        {"rel_tol": math.nan},
+        {"truncation_majorant_bound": math.inf},
+        {"max_cells": 1.5},
+        {"max_cells": True},
+    ):
+        with pytest.raises(PreconditionViolation):
+            QuadratureSpec(**bad)
 
 
 def test_degree_series_constructor_enforces_invariants():
