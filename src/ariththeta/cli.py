@@ -12,6 +12,7 @@ from .errors import ArithThetaError, PreconditionViolation
 from .greens import UHPoint, big_xi
 from .identities import classify, degree_series
 from .lattice import trace_zero_lattice
+from .numtheory import is_squarefree
 from .starprod import PairConfig, lambda_star
 from . import checks
 
@@ -82,6 +83,7 @@ def _checked(kind, ok, what: str):
 _nonnegative = _checked(int, lambda n: n >= 0, "an integer >= 0")
 _nonzero = _checked(int, lambda n: n != 0, "a nonzero integer")
 _positive = _checked(float, lambda x: 0 < x < float("inf"), "a finite number > 0")
+_squarefree = _checked(int, lambda n: n >= 1 and is_squarefree(n), "a squarefree integer >= 1")
 
 
 def _echo(values) -> str:
@@ -228,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="fundamental prime and regularity of T")
     pd_matrix = _numbers(int, 3, positive_definite=True)
     p.add_argument("--T", type=pd_matrix, required=True, help='positive definite matrix "t1,m,t2"')
-    p.add_argument("--D", type=int, required=True)
+    p.add_argument("--D", type=_squarefree, required=True)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("hurwitz", help="Hurwitz class number H(n)")
@@ -247,7 +249,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except (OSError, TypeError, ValueError, ArithThetaError) as exc:
+    except (OSError, ValueError, ArithThetaError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return 2
     try:

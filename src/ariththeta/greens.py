@@ -13,11 +13,15 @@ and R is the same on both sheets for real x, which is how the orientation
 component is handled throughout.  A vector with Q(x) = t > 0 has divisor
 D_x = the conjugate pair of roots of (x, w(z)) = 0; there R vanishes, and
 R(x, z) = t sinh^2(d(z, z_x)) in the hyperbolic distance d.
+
+beta_1 = E_1 has a scalar kernel (beta1) and a vectorized one (beta1_vec)
+with one route: a Clenshaw sum over one row of ariththeta._e1_table.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +47,15 @@ EULER_GAMMA = 0.577215664901532860606512090082
 TWO_PI = 2.0 * math.pi
 
 
+def _require_real(owner: str, name: str, value) -> None:
+    # Fractions and numpy floats are real numbers; bools, strings and None are
+    # not.  A float skips the abstract-class check, which costs a microsecond.
+    if isinstance(value, float):
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise PreconditionViolation(f"{owner} {name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class UHPoint:
     """Point of the symmetric space: upper half-plane coordinate plus sheet."""
@@ -52,6 +65,8 @@ class UHPoint:
     sheet: int = 1
 
     def __post_init__(self):
+        _require_real("UHPoint", "u", self.u)
+        _require_real("UHPoint", "v", self.v)
         if not (math.isfinite(self.u) and math.isfinite(self.v) and self.v > 0):
             raise PreconditionViolation("UHPoint needs finite u and v, and v > 0")
         if self.sheet not in (1, -1):
@@ -79,6 +94,7 @@ class QuadratureSpec:
             "truncation_majorant_bound",
             "singular_r_floor",
         ):
+            _require_real("QuadratureSpec", name, getattr(self, name))
             if not 0 < getattr(self, name) < math.inf:
                 raise PreconditionViolation(f"{name} must be finite and positive")
         if isinstance(self.max_cells, bool) or not isinstance(self.max_cells, int) or self.max_cells <= 0:
@@ -90,31 +106,34 @@ DEFAULT_SPEC = QuadratureSpec()
 
 # --- beta_1 -----------------------------------------------------------------
 
-# Per octave e, c_20..c_1 for beta1's Clenshaw loop, and c_0.
+# Per row of the table, c_20..c_1 for beta1's Clenshaw loop, and c_0.  Rows
+# 0..10 are the octaves, indexed by frexp exponent; the last row is Ein's.
 _E1_DESCENDING = tuple(row[:0:-1] for row in E1_CHEBYSHEV)
 _E1_C0 = tuple(row[0] for row in E1_CHEBYSHEV)
-# The same table by degree: _E1_ROWS[k, e] is c_k of octave e, for beta1_vec.
+_EIN = len(E1_CHEBYSHEV) - 1
+# The same table by degree: _E1_ROWS[k, e] is c_k of row e, for beta1_vec.
 _E1_ROWS = np.array(E1_CHEBYSHEV).T.copy()
 
 
 def beta1(r: float) -> float:
     """beta_1(r) = integral_1^oo e^(-r u) du / u, the exponential integral E_1.
 
-    Power series around 0 for r <= 1.  For r > 1, piecewise Chebyshev in the
-    manner of Cody and Thacher (Rational Chebyshev approximations for the
-    exponential integral E1(x), Math. Comp. 22, 1968): write r = m 2^e with
-    m in [1/2, 1) (math.frexp) and x = 4 m - 3 in [-1, 1); then
-    E_1(r) = e^-r g(r) / r with g(r) = r e^r E_1(r) = sum_{k<=20} c_k T_k(x),
-    summed by Clenshaw's recurrence over the 21 coefficients of octave e.
-    The table (ariththeta._e1_table, written by scripts/e1_table.py from
-    mpmath at 40 digits; CI regenerates it with --check) covers the octaves
-    [2^(e-1), 2^e) for e = 0..10, that is r in [1/2, 1024); the [1/2, 1)
-    octave serves only the crossover row of the beta1 check suite.  The
-    largest dropped coefficient is 2e-18, below g's rounding.  Relative
-    error below 2e-15 on (0, 700]; measured at most 4.4e-16 against mpmath
-    on (1, 700), and the tests check both ends of every octave and each
-    octave's Chebyshev extrema, where the truncated sum is worst.  Above 700
-    the value is 0, an absolute error below E_1(700) < 1e-306.
+    One Clenshaw sum of 21 Chebyshev coefficients from the table
+    ariththeta._e1_table, which scripts/e1_table.py writes from mpmath at 40
+    digits (CI regenerates it with --check).  For r < 1/2 the row is the
+    entire function Ein(r) = E_1(r) + gamma + log r on [0, 1], in
+    x = 2 r - 1 (Abramowitz and Stegun 5.1.11), and E_1(r) = Ein(r) - gamma
+    - log r.  For r >= 1/2 the rows are octaves in the manner of Cody and
+    Thacher (Rational Chebyshev approximations for the exponential integral
+    E1(x), Math. Comp. 22, 1968): write r = m 2^e with m in [1/2, 1)
+    (math.frexp) and x = 4 m - 3 in [-1, 1); then E_1(r) = e^-r g(r) / r
+    with g(r) = r e^r E_1(r) = sum_{k<=20} c_k T_k(x) on the octave
+    [2^(e-1), 2^e), e = 0..10, that is r in [1/2, 1024).  The largest
+    dropped coefficient is 2e-18, below the rounding of the sums.  Relative
+    error below 2e-15 on (0, 700]; measured at most 4e-16 against mpmath on
+    [1e-300, 700], and the tests check both ends of every octave and the
+    Chebyshev extrema of every row, where a truncated sum is worst.  Above
+    700 the value is 0, an absolute error below E_1(700) < 1e-306.
 
     This scalar kernel serves big_xi and xi, whose terms come a few per
     call: on a 2-core x86-64 host a call takes 1.5 to 2.5 us on r in
@@ -123,89 +142,64 @@ def beta1(r: float) -> float:
     """
     if not r > 0:
         raise NonpositiveArgument(f"beta1 needs r > 0, got {r}")
-    if r <= 1.0:
-        return _beta1_series(float(r))
-    return _beta1_table(float(r))
+    return _beta1(float(r), r < 0.5)
 
 
-def _beta1_series(r: float) -> float:
-    # -gamma - log r - sum_{k>=1} (-r)^k / (k k!)
-    acc = -EULER_GAMMA - math.log(r)
-    term = 1.0
-    for k in range(1, 40):
-        term *= -r / k
-        delta = -term / k
-        acc += delta
-        if abs(delta) < 1e-18 * max(abs(acc), 1e-3):
-            break
-    return acc
-
-
-def _beta1_table(r: float) -> float:
-    # The Clenshaw sum of beta1's docstring, for r >= 1/2.
+def _beta1(r: float, ein: bool) -> float:
+    # beta1's Clenshaw sum on the Ein row if ein (r <= 1), else on r's octave.
     if r > 700:
         return 0.0
-    m, e = math.frexp(r)
-    x = 4.0 * m - 3.0
+    if ein:
+        row, x = _EIN, 2.0 * r - 1.0
+    else:
+        m, row = math.frexp(r)
+        x = 4.0 * m - 3.0
     x2 = x + x
     b1 = b2 = 0.0
-    for c in _E1_DESCENDING[e]:
+    for c in _E1_DESCENDING[row]:
         b1, b2 = x2 * b1 - b2 + c, b1
-    return math.exp(-r) * (x * b1 - b2 + _E1_C0[e]) / r
+    t = x * b1 - b2 + _E1_C0[row]
+    return t - EULER_GAMMA - math.log(r) if ein else math.exp(-r) * t / r
 
 
 def beta1_vec(r: np.ndarray) -> np.ndarray:
-    """Vectorized beta1 on positive arrays: the same series and table.
+    """Vectorized beta1 on positive arrays: the same rows and sums.
 
-    For r > 1 each Clenshaw step is one take of the step's coefficient, by
-    each point's octave, and three in-place ufuncs, in the order beta1's
-    float operations run, so a value depends on its own r alone, not on the
-    batch, and differs from beta1 by the rounding of exp at most.  Relative
-    error below 2e-15 on (0, 700], as for beta1, and 0 above 700.  An entry
-    that is not > 0, NaN included, raises NonpositiveArgument.
+    Each point gets its row (Ein for r < 1/2, else its frexp octave) and its
+    x, and one Clenshaw pass runs over all points: each step is one take of
+    the step's coefficient, by each point's row, and three in-place ufuncs,
+    in the order beta1's float operations run.  So a value depends on its
+    own r alone, not on the batch, and differs from beta1 by the rounding of
+    exp or log at most.  Relative error below 2e-15 on (0, 700], as for
+    beta1, and 0 above 700.  An entry that is not > 0, NaN included, raises
+    NonpositiveArgument.
 
     This kernel is for quadrature batches, whose median call in the heights
-    benchmark has 1,920 points: on a 2-core x86-64 host such a call (a
-    quarter of its points at r <= 1) takes 0.26 to 0.56 ms, while one point
-    alone takes 86 to 210 us, so big_xi and xi, a few terms per call, use
-    the scalar beta1.
+    benchmark has 1,920 points: on a 2-core x86-64 host such a call takes
+    0.26 to 0.56 ms, while one point alone takes 86 to 210 us, so big_xi
+    and xi, a few terms per call, use the scalar beta1.
     """
     r = np.asarray(r, dtype=float)
     positive = r > 0
     if not positive.all():
         raise NonpositiveArgument(f"beta1_vec needs r > 0, got {r[~positive][0]}")
-    out = np.empty_like(r)
-    small = r <= 1.0
-    if np.any(small):
-        rs = r[small]
-        neg = np.negative(rs)
-        tmp = np.empty_like(rs)
-        acc = -EULER_GAMMA - np.log(rs)
-        term = np.ones_like(rs)
-        for k in range(1, 24):
-            term *= np.divide(neg, k, out=tmp)
-            acc -= np.divide(term, k, out=tmp)
-        out[small] = acc
-    large = ~small
-    if np.any(large):
-        rl = r[large]
-        rc = np.minimum(rl, 700.0)
-        m, col = np.frexp(rc, out=(np.empty_like(rc), np.empty(rc.shape, np.intp)))
-        x = 4.0 * m - 3.0
-        x2 = x + x
-        b1, b2, t, c = np.zeros_like(rc), np.zeros_like(rc), np.empty_like(rc), np.empty_like(rc)
-        for row in _E1_ROWS[:0:-1]:
-            np.multiply(x2, b1, out=t)
-            t -= b2
-            t += row.take(col, out=c, mode="clip")
-            b1, b2, t = t, b1, b2
-        np.multiply(x, b1, out=t)
+    rc = np.minimum(r, 700.0)
+    m, row = np.frexp(rc, out=(np.empty_like(rc), np.empty(rc.shape, np.intp)))
+    ein = rc < 0.5
+    row[ein] = _EIN
+    x = np.where(ein, 2.0 * rc - 1.0, 4.0 * m - 3.0)
+    x2 = x + x
+    b1, b2, t, c = np.zeros_like(rc), np.zeros_like(rc), np.empty_like(rc), np.empty_like(rc)
+    for coefs in _E1_ROWS[:0:-1]:
+        np.multiply(x2, b1, out=t)
         t -= b2
-        t += _E1_ROWS[0].take(col, out=c, mode="clip")
-        t *= np.exp(-rc)
-        t /= rc
-        t[rl > 700] = 0.0
-        out[large] = t
+        t += coefs.take(row, out=c, mode="clip")
+        b1, b2, t = t, b1, b2
+    np.multiply(x, b1, out=t)
+    t -= b2
+    t += _E1_ROWS[0].take(row, out=c, mode="clip")
+    out = np.where(ein, t - EULER_GAMMA - np.log(rc), np.exp(-rc) * t / rc)
+    out[r > 700] = 0.0
     return out
 
 

@@ -123,6 +123,9 @@ def test_usage_error_exit_2():
         ["green", "--t", "-1", "--v", "nan", "--z", "0,1"],
         ["green", "--t", "1", "--z", "nan,1"],
         ["green", "--t", "1", "--z", "inf,1"],
+        ["classify", "--T", "1,0,1", "--D", "0"],
+        ["classify", "--T", "1,0,1", "--D", "-6"],
+        ["classify", "--T", "1,0,1", "--D", "4"],
     ],
 )
 def test_malformed_arguments_are_usage_errors(argv, capsys):
@@ -234,13 +237,17 @@ def test_unknown_config_key_is_a_usage_error(data, tmp_path, capsys):
         {"quadrature": {"abs_tol": math.inf}},
         {"order": 5},
         {"order": ["d1"]},
+        {"quadrature": {"rel_tol": True}},
+        {"quadrature": {"abs_tol": None}},
     ],
 )
 def test_bad_config_value_is_a_usage_error(data, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(data))
     assert main(["--config", str(cfg), "theta-deg", "--max-t", "1"]) == 2
-    assert "bad config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad config" in err
+    assert next(iter(data.get("quadrature", data))) in err
 
 
 def test_check_zagier_refuses_d6(capsys):

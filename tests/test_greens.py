@@ -75,8 +75,9 @@ def test_beta1_decreasing_positive_bounded(r):
 
 
 def test_beta1_vec_matches_scalar():
-    # For r > 1 the kernels run one Clenshaw sum and differ by the rounding
-    # of exp alone; over (0, 700] they differ by at most 4e-16 (measured).
+    # Both kernels run one Clenshaw sum on the same row and differ by the
+    # rounding of exp or log alone; over [1e-300, 700] they differ by at most
+    # 4e-16 (measured).
     rs = np.geomspace(1e-5, 80.0, 64)
     vec = beta1_vec(rs)
     for r, v in zip(rs, vec):
@@ -88,7 +89,11 @@ def test_beta1_vec_is_batch_independent():
     # its one-element slices give equal bytes.
     rng = np.random.default_rng(11)
     rs = np.concatenate(
-        [np.geomspace(1e-9, 800.0, 1001), rng.uniform(0.5, 3.0, 1000), [1.0, 700.0, 745.0]]
+        [
+            np.geomspace(1e-9, 800.0, 1001),
+            rng.uniform(0.5, 3.0, 1000),
+            [1e-300, math.nextafter(0.5, 0.0), 0.5, 1.0, 700.0, 745.0],
+        ]
     )
     whole = beta1_vec(rs)
     perm = rng.permutation(rs.size)
@@ -97,32 +102,42 @@ def test_beta1_vec_is_batch_independent():
     assert single.tobytes() == whole.tobytes()
 
 
-def _octave_test_points():
-    """Both ends of every table octave and each octave's extrema of T_21, up to 700.
+def _chebyshev_extrema():
+    """The extrema of T_21 on [-1, 1], at x = cos(pi j / 21), the ends among them.
 
-    The truncated sum's error is about c_21 T_21(x), largest where
-    |T_21(x)| = 1: at x = cos(pi j / 21), the octave's two ends among them.
+    A row's truncated sum has error about c_21 T_21(x), largest there.
     """
     kept = len(E1_CHEBYSHEV[0])
+    return [math.cos(math.pi * j / kept) for j in range(kept + 1)]
+
+
+def _octave_test_points():
+    """Both ends of every table octave e = 0..10 and its extrema of T_21, up to 700."""
     points = []
-    for e in range(len(E1_CHEBYSHEV)):
+    for e in range(11):
         points += [2.0**e, math.nextafter(2.0**e, 0.0)]
-        extrema = (math.cos(math.pi * j / kept) for j in range(kept + 1))
-        points += [math.ldexp((x + 3.0) / 4.0, e) for x in extrema]
+        points += [math.ldexp((x + 3.0) / 4.0, e) for x in _chebyshev_extrema()]
     return [r for r in points if r <= 700.0]
+
+
+def _ein_test_points():
+    """The extrema of T_21 on the Ein row, r = (x + 1) / 2, without r = 0."""
+    return [(x + 1.0) / 2.0 for x in _chebyshev_extrema() if x > -1.0]
 
 
 def test_beta1_accuracy_against_mpmath():
     # The docstring's claim for both kernels: relative error below 2e-15 on
-    # (0, 700], against mpmath's E_1 at 30 digits.  The octave ends and the
-    # Chebyshev extrema, where the table is worst, are all checked, with a
-    # grid over the whole range.
+    # (0, 700], against mpmath's E_1 at 30 digits.  The grid starts at
+    # 1e-300, where xi_vec floors R.  The octave ends and the Chebyshev
+    # extrema of every row, where the table is worst, are all checked, with
+    # a grid over the whole range.
     mpmath = pytest.importorskip("mpmath")
     rs = np.concatenate(
         [
-            np.geomspace(1e-8, 700.0, 1201),
+            np.geomspace(1e-300, 700.0, 1201),
             np.linspace(0.95, 1.1, 301),
             _octave_test_points(),
+            _ein_test_points(),
             [700.0],
         ]
     )

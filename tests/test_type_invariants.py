@@ -34,6 +34,12 @@ def test_uhpoint_validation():
         with pytest.raises(PreconditionViolation):
             UHPoint(u, v)
     assert UHPoint(0.5, 2.0, -1).z == complex(0.5, 2.0)
+    # Wrong types are typed errors naming the field, not a bare TypeError.
+    for u, v, name in (("0", 1.0, "u"), (0.0, None, "v"), (True, 1.0, "u"), (0.0, "1", "v")):
+        with pytest.raises(PreconditionViolation, match=f"UHPoint {name} must be a real number"):
+            UHPoint(u, v)
+    assert UHPoint(Fraction(1, 2), np.float32(2.0)).z == complex(0.5, 2.0)
+    assert UHPoint(np.float64(0.5), Fraction(2)).z == complex(0.5, 2.0)
 
 
 @pytest.mark.parametrize("v", [1e-320, 1e-160, 1e300])
@@ -59,6 +65,14 @@ def test_quadrature_spec_validation():
     ):
         with pytest.raises(PreconditionViolation):
             QuadratureSpec(**bad)
+    wrong_types = (("rel_tol", "x"), ("abs_tol", None), ("rel_tol", True), ("singular_r_floor", [1e-12]))
+    for name, value in wrong_types:
+        with pytest.raises(PreconditionViolation, match=f"{name} must be a real number"):
+            QuadratureSpec(**{name: value})
+    spec = QuadratureSpec(
+        rel_tol=Fraction(1, 1000), abs_tol=np.float32(1e-6), truncation_majorant_bound=np.float64(48)
+    )
+    assert spec.rel_tol == Fraction(1, 1000)
 
 
 def test_degree_series_constructor_enforces_invariants():
