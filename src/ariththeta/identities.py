@@ -34,7 +34,7 @@ ZETA_PRIME_MINUS_ONE = -0.165421143700450929213919660243
 
 @dataclass(frozen=True)
 class DegreeSeries:
-    """Exact-rational coefficients of the degree generating series up to q^N."""
+    """Exact-rational coefficients of the degree series at q^0..q^N; 0 at any other index."""
 
     v: float
     coefficients: dict[int, Fraction]
@@ -51,15 +51,16 @@ class DegreeSeries:
 
 
 def degree_series(lat: TraceZeroLattice, v: float, n: int) -> DegreeSeries:
-    """Degrees of the special cycles Z(t) of a maximal order as a q-series, indices -N..N.
+    """Degrees of the special cycles Z(t) of a maximal order as a q-series, indices 0..N.
 
     Eichler's count of optimal embeddings (Voight, Quaternion Algebras, ch. 30):
     deg Z(t) = sum over f^2 | 4t with d = -4t/f^2 a discriminant of
     2 h(d)/w(d) prod_{p | D} (1 - {d/p}), {d/p} the Eichler symbol.  A reduced
     form of discriminant -4t and content f is f times a primitive form of
     discriminant d, so one pass over the forms of -4t covers every f; at D = 1
-    the sum is H(4t).  The constant term is zeta_D(-1) = -hodge_degree and
-    negative indices vanish.  Other levels need other local factors.
+    the sum is H(4t).  Each form adds local * (12 // aut) sixths to an int, one
+    Fraction per t.  The constant term is zeta_D(-1) = -hodge_degree; negative
+    indices vanish and are not stored.  Other levels need other local factors.
     """
     if n < 1:
         raise PreconditionViolation("N must be >= 1")
@@ -72,15 +73,14 @@ def degree_series(lat: TraceZeroLattice, v: float, n: int) -> DegreeSeries:
             f"degrees need a maximal order; reduced discriminant {level} is not D = {d}"
         )
     primes = list(factorint(d)) if d > 1 else []
-    coeffs: dict[int, Fraction] = {t: Fraction(0) for t in range(-n, 0)}
-    coeffs[0] = zeta_db_at_minus1(d)
+    coeffs: dict[int, Fraction] = {0: zeta_db_at_minus1(d)}
     for t in range(1, n + 1):
-        total = Fraction(0)
+        sixths = 0
         for form in binforms.reduced_classes(-4 * t):
             f = math.gcd(*form)
             local = math.prod(1 - eichler_symbol(-4 * t // (f * f), p) for p in primes)
-            total += Fraction(2 * local, binforms.automorphism_count(form))
-        coeffs[t] = total
+            sixths += local * (12 // binforms.automorphism_count(form))
+        coeffs[t] = Fraction(sixths, 6)
     return DegreeSeries(v=v, coefficients=coeffs, hodge_degree=-coeffs[0])
 
 

@@ -37,8 +37,11 @@ def test_hurwitz_rejects_negative_n():
             route(-3)
 
 
-def test_hurwitz_two_routes_agree_to_200():
-    for n in range(0, 201):
+def test_hurwitz_two_routes_agree_to_2000_and_at_m_2999():
+    # Every n <= 2000, and every 4m - s^2 of the Kronecker-Hurwitz relation at
+    # m = 2999, the top of the benchmark's range of m.
+    top = {4 * 2999 - s * s for s in range(math.isqrt(4 * 2999) + 1)}
+    for n in sorted(set(range(0, 2001)) | top):
         assert hurwitz_class_number(n) == hurwitz_class_number_boxdedup(n), n
 
 
@@ -75,6 +78,22 @@ def test_reduce_form_is_class_invariant(a, b):
 
 def test_reduced_classes_disc_minus_20():
     assert reduced_classes(-20) == [(1, 0, 5), (2, 2, 3)]
+
+
+def test_reduced_classes_match_brute_force_to_3000():
+    # Every (a, b, c) with b^2 - 4ac = d in [-3000, -3] and 1 <= a <= sqrt(|d|/3)
+    # that passes is_reduced; |b| > a never passes, so b runs over [-a, a].
+    top = 3000
+    brute: dict[int, list] = {d: [] for d in range(-top, -2)}
+    for a in range(1, math.isqrt(top // 3) + 1):
+        for b in range(-a, a + 1):
+            # d = b^2 - 4ac runs from -3 down to -top, and 3a^2 <= |d|.
+            for c in range((b * b + 3 + 4 * a - 1) // (4 * a), (b * b + top) // (4 * a) + 1):
+                d = b * b - 4 * a * c
+                if 3 * a * a <= -d and is_reduced((a, b, c)):
+                    brute[d].append((a, b, c))
+    for d, forms in brute.items():
+        assert reduced_classes(d) == sorted(forms), d
 
 
 # --- vector orbits on the split model ----------------------------------------

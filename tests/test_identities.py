@@ -35,6 +35,13 @@ def test_degree_series_first_coefficients(lat_d1):
     assert s.coefficient(-1) == 0 and s.coefficient(-3) == 0
 
 
+def test_degree_series_stores_no_negative_index(lat_d1, lat_d6, lat_d10):
+    for lat in (lat_d1, lat_d6, lat_d10):
+        s = idn.degree_series(lat, v=1.0, n=20)
+        assert sorted(s.coefficients) == list(range(21))
+        assert all(s.coefficient(-t) == 0 for t in range(1, 41))
+
+
 def test_degree_series_v_independent(lat_d1):
     a = idn.degree_series(lat_d1, v=0.25, n=5)
     b = idn.degree_series(lat_d1, v=7.5, n=5)

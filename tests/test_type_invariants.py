@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ariththeta import binforms
 from ariththeta import identities as idn
 from ariththeta import numtheory as nt
 from ariththeta.errors import PreconditionViolation, QuadratureFailure
@@ -130,3 +131,26 @@ def test_numpy_integer_norms_pass(lat_d1, lat_lipschitz):
     assert enumerate_by_majorant(lat_d1, z, 20.0, norm=t) == enumerate_by_majorant(lat_d1, z, 20.0, norm=2)
     assert big_xi(lat_d1, t, 1.0, z) == big_xi(lat_d1, 2, 1.0, z)
     assert representation_count(lat_lipschitz, np.int64(5)) == 24
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: binforms.hurwitz_class_number(7.5),
+        lambda: binforms.hurwitz_class_number(3.0),
+        lambda: binforms.hurwitz_class_number_boxdedup(3.0),
+        lambda: binforms.hurwitz_class_number_boxdedup(Fraction(3)),
+        lambda: binforms.reduced_classes(-3.0),
+        lambda: binforms.reduced_classes("-3"),
+    ],
+    ids=["hurwitz-7.5", "hurwitz-3.0", "boxdedup-3.0", "boxdedup-fraction", "classes-float", "classes-str"],
+)
+def test_non_integer_class_number_argument_is_a_typed_error(call):
+    with pytest.raises(PreconditionViolation, match="must be an integer"):
+        call()
+
+
+def test_numpy_integer_class_number_arguments_pass():
+    for route in (binforms.hurwitz_class_number, binforms.hurwitz_class_number_boxdedup):
+        assert route(np.int64(23)) == route(23) == 3
+    assert binforms.reduced_classes(np.int32(-20)) == [(1, 0, 5), (2, 2, 3)]
