@@ -138,12 +138,8 @@ def hurwitz_class_number_boxdedup(n: int) -> Fraction:
     return Fraction(sum(12 // _reduced_automorphism_count(form) for form in seen), 6)
 
 
-def automorphism_count(form: tuple[int, int, int]) -> int:
-    """Order of the proper automorphism group of a positive definite form."""
-    return _reduced_automorphism_count(reduce_form(form))
-
-
 def _reduced_automorphism_count(form: tuple[int, int, int]) -> int:
+    """Order of the proper automorphism group of a reduced positive definite form."""
     a, b, c = form
     if b == 0 and a == c:
         return 4

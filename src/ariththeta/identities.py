@@ -58,9 +58,10 @@ def degree_series(lat: TraceZeroLattice, v: float, n: int) -> DegreeSeries:
     2 h(d)/w(d) prod_{p | D} (1 - {d/p}), {d/p} the Eichler symbol.  A reduced
     form of discriminant -4t and content f is f times a primitive form of
     discriminant d, so one pass over the forms of -4t covers every f; at D = 1
-    the sum is H(4t).  Each form adds local * (12 // aut) sixths to an int, one
-    Fraction per t.  The constant term is zeta_D(-1) = -hodge_degree; negative
-    indices vanish and are not stored.  Other levels need other local factors.
+    the sum is H(4t).  Each form adds local times its Hurwitz weight, counted
+    in sixths, to an int, one Fraction per t.  The constant term is
+    zeta_D(-1) = -hodge_degree; negative indices vanish and are not stored.
+    Other levels need other local factors.
     """
     if n < 1:
         raise PreconditionViolation("N must be >= 1")
@@ -79,7 +80,8 @@ def degree_series(lat: TraceZeroLattice, v: float, n: int) -> DegreeSeries:
         for form in binforms.reduced_classes(-4 * t):
             f = math.gcd(*form)
             local = math.prod(1 - eichler_symbol(-4 * t // (f * f), p) for p in primes)
-            sixths += local * (12 // binforms.automorphism_count(form))
+            num, den = binforms.hurwitz_weight(form)
+            sixths += local * (6 * num // den)
         coeffs[t] = Fraction(sixths, 6)
     return DegreeSeries(v=v, coefficients=coeffs, hodge_degree=-coeffs[0])
 

@@ -32,7 +32,7 @@ from .errors import (
     QuadratureFailure,
     UnsupportedDiscriminant,
 )
-from .numtheory import integer_row_kernel, signature
+from .numtheory import integer_kernel
 from .quatalg import QuaternionAlgebra, QuaternionElement, make_algebra
 
 
@@ -40,6 +40,9 @@ from .quatalg import QuaternionAlgebra, QuaternionElement, make_algebra
 class Order:
     """An order in a quaternion algebra, given by a basis in 1, i, j, ij coordinates.
 
+    The basis matrix B, whose rows are the basis elements, carries the exact
+    invariants: one Gauss-Jordan pass gives B^-1 and det B, membership is
+    integrality of x B^-1, and the reduced discriminant is 4 |a b det B|.
     Maximality is asserted by the data source; the loader verifies only that
     the data is an order (contains 1, multiplicatively closed, integral traces
     and norms) and that the declared discriminant matches the basis.
@@ -49,31 +52,56 @@ class Order:
     basis: tuple[QuaternionElement, QuaternionElement, QuaternionElement, QuaternionElement]
     label: str = ""
 
+    @cached_property
+    def _inverse_and_det(self) -> tuple[tuple[tuple[Fraction, ...], ...], Fraction]:
+        """(B^-1, det B) by one exact Gauss-Jordan pass over [B | I].
+
+        Columns without a pivot are skipped, so a dependent basis leaves row 3
+        zero on the left; its right half is the relation OrderDataError names.
+        """
+        m = [list(e.coeffs) + [Fraction(int(r == k)) for k in range(4)] for r, e in enumerate(self.basis)]
+        det, rank = Fraction(1), 0
+        for col in range(4):
+            piv = next((r for r in range(rank, 4) if m[r][col]), None)
+            if piv is None:
+                continue
+            if piv != rank:
+                m[rank], m[piv] = m[piv], m[rank]
+                det = -det
+            det *= m[rank][col]
+            m[rank] = [x / m[rank][col] for x in m[rank]]
+            for r in range(4):
+                if r != rank and m[r][col]:
+                    f = m[r][col]
+                    m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+            rank += 1
+        if rank < 4:
+            relation = ", ".join(map(str, m[3][4:]))
+            raise OrderDataError(f"order basis is linearly dependent: ({relation}) . basis = 0")
+        return tuple(tuple(row[4:]) for row in m), det
+
     def coordinates_of(self, x: QuaternionElement) -> list[Fraction] | None:
-        """Coordinates of x in the order basis, or None if x is not in the order."""
-        sol = _solve_rational_4x4(
-            [[self.basis[k].coeffs[r] for k in range(4)] for r in range(4)],
-            list(x.coeffs),
-        )
-        if sol is None:
-            return None
-        if all(c.denominator == 1 for c in sol):
-            return sol
-        return None
+        """Coordinates x B^-1 of x in the order basis, or None unless all are integers."""
+        inv = self._inverse_and_det[0]
+        coords = [sum(c * row[k] for c, row in zip(x.coeffs, inv)) for k in range(4)]
+        return coords if all(c.denominator == 1 for c in coords) else None
 
     def contains(self, x: QuaternionElement) -> bool:
         return self.coordinates_of(x) is not None
 
     def reduced_discriminant(self) -> int:
-        """Square root of |det| of the reduced-trace pairing on the basis."""
-        gram = [
-            [(ei * ej.conj()).trace() for ej in self.basis] for ei in self.basis
-        ]
-        det = _det4(gram)
-        root = Fraction(math.isqrt(abs(det.numerator)), math.isqrt(det.denominator))
-        if root * root != abs(det):
-            raise OrderDataError("trace pairing determinant is not a perfect square")
-        return int(root)
+        """Square root of |det| of the reduced-trace pairing on the basis: 4 |a b det B|.
+
+        On 1, i, j, ij the pairing trd(x conj(y)) is diag(2, -2a, -2b, 2ab),
+        so on the basis it is B diag(2, -2a, -2b, 2ab) B^T, of determinant
+        16 a^2 b^2 det(B)^2.  On an order the pairing is integral, and a
+        rational square root of an integer is an integer; a value that is
+        not one raises OrderDataError.
+        """
+        value = abs(4 * self.algebra.a * self.algebra.b * self._inverse_and_det[1])
+        if value.denominator != 1:
+            raise OrderDataError(f"reduced discriminant {value} is not an integer")
+        return value.numerator
 
 
 def validate_order(order: Order) -> None:
@@ -109,15 +137,15 @@ def load_order(source: str | Path | dict) -> Order:
     try:
         alg = make_algebra(Fraction(data["a"]), Fraction(data["b"]))
         rows = data["basis"]
-        basis = tuple(
-            alg.element(*[Fraction(entry) for entry in row]) for row in rows
-        )
-        declared = int(data["discriminant"])
+        if not isinstance(rows, list) or [len(r) if isinstance(r, list) else None for r in rows] != [4] * 4:
+            raise OrderDataError("order basis must be a list of 4 rows of 4 entries")
+        basis = tuple(alg.element(*[Fraction(entry) for entry in row]) for row in rows)
+        declared = data["discriminant"]
+        if not isinstance(declared, int) or isinstance(declared, bool):
+            raise OrderDataError(f"declared discriminant must be an integer, got {declared!r}")
         label = data.get("label", "")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise OrderDataError(f"malformed order data: {exc}") from exc
-    if len(basis) != 4:
-        raise OrderDataError("order basis must have 4 elements")
     order = Order(algebra=alg, basis=basis, label=label)
     validate_order(order)
     if alg.discriminant != declared:
@@ -192,41 +220,31 @@ class TraceZeroLattice:
         arr.flags.writeable = False
         return arr
 
-    def gram_fractions(self) -> list[list[Fraction]]:
-        return [[Fraction(self.gram[i][j]) for j in range(3)] for i in range(3)]
-
-    def sig(self) -> tuple[int, int]:
-        return signature(self.gram_fractions())
-
 
 def trace_zero_lattice(order: Order) -> TraceZeroLattice:
     """Intersect the order with the trace-zero hyperplane.
 
     The kernel of the trace functional on the order basis is computed by
-    exact integer linear algebra; it is saturated by construction.
+    exact integer linear algebra; it is saturated by construction.  The gram
+    needs no signature search: on i, j, ij the pairing (x, y) is
+    diag(-2a, -2b, 2ab), so by Sylvester's law of inertia a nondegenerate
+    gram on a rank-3 sublattice of V has the signature of <-a, -b, ab>,
+    (3, 0) for a definite algebra and (1, 2) otherwise.  A gram of
+    determinant 0, which only a dependent basis gives, raises DegenerateOrder.
     """
     traces = [e.trace() for e in order.basis]
     den = math.lcm(*[t.denominator for t in traces])
-    int_row = [int(t * den) for t in traces]
-    kernel = integer_row_kernel(int_row)
-    kernel = [v for v in kernel if any(c != 0 for c in v)]
+    kernel = integer_kernel([[int(t * den) for t in traces]])
     if len(kernel) != 3:
         raise DegenerateOrder(f"trace-zero intersection has rank {len(kernel)}")
-    basis = []
-    for vec in kernel:
-        el = order.basis[0] * vec[0]
-        for k in range(1, 4):
-            el = el + order.basis[k] * vec[k]
-        basis.append(el)
+    basis = tuple(sum((e * c for e, c in zip(order.basis, vec)), order.algebra.element(0)) for vec in kernel)
     gram_f = [[bi.inner(bj) for bj in basis] for bi in basis]
     if any(entry.denominator != 1 for row in gram_f for entry in row):
         raise DegenerateOrder("trace-zero gram is not integral")
     gram = tuple(tuple(int(entry) for entry in row) for row in gram_f)
-    lat = TraceZeroLattice(order=order, basis=tuple(basis), gram=gram)
-    expect = (3, 0) if order.algebra.is_definite else (1, 2)
-    if lat.sig() != expect:
-        raise DegenerateOrder(f"unexpected signature {lat.sig()}")
-    return lat
+    if _det3(gram) == 0:
+        raise DegenerateOrder("trace-zero gram is degenerate")
+    return TraceZeroLattice(order=order, basis=basis, gram=gram)
 
 
 # --- real coordinates (the split 2x2 matrix model) -------------------------
@@ -521,22 +539,6 @@ def weighted_orbit_degree(lat: TraceZeroLattice, t: int) -> Fraction:
 # --- exact helpers ----------------------------------------------------------
 
 
-def _solve_rational_4x4(mat, rhs):
-    m = [[Fraction(mat[i][j]) for j in range(4)] + [Fraction(rhs[i])] for i in range(4)]
-    for col in range(4):
-        piv = next((r for r in range(col, 4) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(4):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][4] for r in range(4)]
-
-
 def _det3(m):
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
@@ -544,11 +546,3 @@ def _det3(m):
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
 
-
-def _det4(m):
-    total = Fraction(0)
-    for j in range(4):
-        minor = [[m[r][c] for c in range(4) if c != j] for r in range(1, 4)]
-        term = Fraction(m[0][j]) * _det3(minor)
-        total += term if j % 2 == 0 else -term
-    return total

@@ -184,11 +184,6 @@ def integer_kernel(rows: list[list[int]]) -> list[list[int]]:
     return [[u[i][j] for i in range(k)] for j in active]
 
 
-def integer_row_kernel(row: list[int]) -> list[list[int]]:
-    """Basis of the saturated kernel of a single integer linear form."""
-    return integer_kernel([row])
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """g, x, y with a*x + b*y = g = gcd(a, b) >= 0."""
     old_r, r = a, b
@@ -221,48 +216,3 @@ def solve_integer_linear(coeffs: list[int], target: int) -> list[int] | None:
     m = target // g
     return [m * s for s in sol]
 
-
-def rational_diagonal(gram: list[list[Fraction]]) -> list[Fraction]:
-    """Diagonal entries of a congruent diagonal form of a symmetric rational matrix.
-
-    Zero entries are kept (degenerate directions), so len(output) == dim.
-    """
-    m = [row[:] for row in gram]
-    n = len(m)
-    diag: list[Fraction] = []
-    idx = list(range(n))
-    while idx:
-        # Find a pivot with nonzero diagonal, creating one if needed.
-        piv = next((i for i in idx if m[i][i] != 0), None)
-        if piv is None:
-            pair = next(
-                ((i, j) for i in idx for j in idx if i != j and m[i][j] != 0), None
-            )
-            if pair is None:
-                diag.extend(Fraction(0) for _ in idx)
-                break
-            i, j = pair
-            for t in range(n):
-                m[i][t] += m[j][t]
-            for t in range(n):
-                m[t][i] += m[t][j]
-            piv = i
-        d = m[piv][piv]
-        diag.append(d)
-        idx.remove(piv)
-        for i in idx:
-            if m[i][piv] != 0:
-                lam = m[i][piv] / d
-                for t in range(n):
-                    m[i][t] -= lam * m[piv][t]
-                for t in range(n):
-                    m[t][i] -= lam * m[t][piv]
-    return diag
-
-
-def signature(gram: list[list[Fraction]]) -> tuple[int, int]:
-    """(positive, negative) inertia of a nondegenerate symmetric rational matrix."""
-    diag = rational_diagonal(gram)
-    pos = sum(1 for d in diag if d > 0)
-    neg = sum(1 for d in diag if d < 0)
-    return pos, neg

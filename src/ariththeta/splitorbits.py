@@ -13,7 +13,7 @@ import math
 
 from . import binforms
 from .errors import PreconditionViolation
-from .numtheory import integer_kernel, integer_row_kernel, solve_integer_linear, squarefree_part
+from .numtheory import integer_kernel, solve_integer_linear, squarefree_part
 
 # Bilinear gram of (x, y) = nu(x+y) - nu(x) - nu(y) in (alpha, beta, gamma).
 G_STD = ((-2, 0, 0), (0, 0, -1), (0, -1, 0))
@@ -169,7 +169,7 @@ def _fiber(x1: Vec, two_m: int, t2: int) -> list[Vec]:
     y0 = solve_integer_linear(row, two_m)
     if y0 is None:
         return []
-    k1, k2 = (tuple(k) for k in integer_row_kernel(row))
+    k1, k2 = (tuple(k) for k in integer_kernel([row]))
     return sorted(_norm_points(t2, k1, k2, tuple(y0)))
 
 
@@ -259,7 +259,7 @@ def _pair_reps_sig02(t1: int, m: int, t2: int) -> list[tuple[Vec, Vec]]:
             if neg_label < form:
                 continue  # the opposite orbit carries this anchor
             row = [sum(G_STD[i][j] * v0[i] for i in range(3)) for j in range(3)]
-            k1, k2 = (tuple(k) for k in integer_row_kernel(row))
+            k1, k2 = (tuple(k) for k in integer_kernel([row]))
             x1_list = _norm_points(t1, k1, k2)
             x2_list = x1_list if t2 == t1 else _norm_points(t2, k1, k2)
             group = commuting_units(v0) + anticommuting_flips(v0)

@@ -1,3 +1,7 @@
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -112,3 +116,25 @@ def _ball_by_norms(lat, z, bound):
 @pytest.fixture(scope="session")
 def ball_by_norms():
     return _ball_by_norms
+
+
+def _trace_pairing_discriminant(order):
+    """sqrt |det trd(e_i conj(e_j))| on the order basis, from 16 quaternion products.
+
+    The reduced discriminant by its definition, as an oracle for the closed
+    form 4 |a b det B|: an exact Leibniz sum over the 24 permutations, whose
+    absolute value must be the square of a rational.
+    """
+    gram = [[(ei * ej.conj()).trace() for ej in order.basis] for ei in order.basis]
+    det = Fraction(0)
+    for perm in itertools.permutations(range(4)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+        det += sign * math.prod(gram[r][perm[r]] for r in range(4))
+    root = Fraction(math.isqrt(abs(det.numerator)), math.isqrt(det.denominator))
+    assert root * root == abs(det)
+    return root
+
+
+@pytest.fixture(scope="session")
+def trace_pairing_discriminant():
+    return _trace_pairing_discriminant

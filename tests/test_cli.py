@@ -81,6 +81,10 @@ def test_missing_order_file_names_path():
     assert "/no/such/order.json" in proc.stderr
 
 
+HURWITZ = '[["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["1/2", "1/2", "1/2", "1/2"]]'
+SPLIT = '[["1/2", "1/2", "0", "0"], ["1/2", "-1/2", "0", "0"], ["0", "0", "1/2", "1/2"], ["0", "0", "1/2", "-1/2"]]'
+
+
 @pytest.mark.parametrize(
     "content,code,message",
     [
@@ -88,8 +92,27 @@ def test_missing_order_file_names_path():
         ("{not json", 1, "OrderDataError"),
         ('["a", "b"]', 1, "OrderDataError"),
         ('{"a": "-1", "b": "-1", "discriminant": 1, "basis": 5}', 1, "OrderDataError"),
+        ('{"a": "1/0", "b": "-1", "discriminant": 2, "basis": %s}' % HURWITZ, 1, "OrderDataError"),
+        ('{"a": Infinity, "b": "-1", "discriminant": 2, "basis": %s}' % HURWITZ, 1, "OrderDataError"),
+        ('{"a": "-1", "b": "-1", "discriminant": 2, "basis": ["1000", "0100", "0010", "0001"]}', 1, "OrderDataError"),
+        ('{"a": "-1", "b": "-1", "discriminant": 2, "basis": %s}' % HURWITZ.replace(', "0"]', "]", 1), 1, "OrderDataError"),
+        ('{"a": "-1", "b": "-1", "discriminant": 2.9, "basis": %s}' % HURWITZ, 1, "OrderDataError"),
+        ('{"a": "1", "b": "1", "discriminant": true, "basis": %s}' % SPLIT, 1, "OrderDataError"),
+        ('{"a": "-1", "b": "-1", "discriminant": 2, "basis": %s}' % HURWITZ.replace("1/2", "0"), 1, "linearly dependent"),
     ],
-    ids=["directory", "not-json", "not-an-object", "basis-not-a-list"],
+    ids=[
+        "directory",
+        "not-json",
+        "not-an-object",
+        "basis-not-a-list",
+        "zero-denominator",
+        "infinity",
+        "rows-as-strings",
+        "row-of-three",
+        "discriminant-float",
+        "discriminant-bool",
+        "dependent-basis",
+    ],
 )
 def test_bad_order_file_is_a_typed_error(content, code, message, tmp_path, capsys):
     # None names a directory; the others are files that hold no valid order.

@@ -1,6 +1,8 @@
 """Orders as data, trace-zero lattices, majorants and enumeration."""
 
 import json
+import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -10,9 +12,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ariththeta as at
-from ariththeta.errors import BoundTooLarge, OrderDataError, PreconditionViolation
+from ariththeta.errors import (
+    BoundTooLarge,
+    DegenerateOrder,
+    OrderDataError,
+    PreconditionViolation,
+    UnsupportedDiscriminant,
+)
 from ariththeta.greens import UHPoint, r_value
+from ariththeta.identities import degree_series
 from ariththeta.lattice import (
+    Order,
     _cholesky3,
     _enumerate_norm,
     is_split_model,
@@ -21,8 +31,17 @@ from ariththeta.lattice import (
     model_coordinates,
     model_coordinates_float,
     representation_count,
+    trace_zero_lattice,
+    validate_order,
     vectors_of_norm,
 )
+from ariththeta.quatalg import make_algebra
+
+
+def _signature(gram):
+    """(positive, negative) eigenvalue counts of an integer gram."""
+    eig = np.linalg.eigvalsh(np.array(gram, dtype=float))
+    return int(np.sum(eig > 0)), int(np.sum(eig < 0))
 
 
 def test_bundled_orders_validate(lat_d1, lat_d6, lat_d10):
@@ -30,7 +49,7 @@ def test_bundled_orders_validate(lat_d1, lat_d6, lat_d10):
     assert lat_d6.discriminant == 6
     assert lat_d10.discriminant == 10
     for lat in (lat_d1, lat_d6, lat_d10):
-        assert lat.sig() == (1, 2)
+        assert _signature(lat.gram) == (1, 2)
 
 
 def test_gram_regressions(lat_d1, lat_d6, lat_d10):
@@ -63,7 +82,7 @@ def test_d1_q_is_determinant(lat_d1):
 
 
 def test_lipschitz_definite_lattice_is_sum_of_squares(lat_lipschitz):
-    assert lat_lipschitz.sig() == (3, 0)
+    assert _signature(lat_lipschitz.gram) == (3, 0)
     assert sorted(lat_lipschitz.gram[i][i] for i in range(3)) == [2, 2, 2]
     assert representation_count(lat_lipschitz, 1) == 6
     assert representation_count(lat_lipschitz, 7) == 0
@@ -103,6 +122,97 @@ def test_loader_rejects_nonintegral_trace():
     }
     with pytest.raises(OrderDataError):
         load_order(bad)
+
+
+HALF = Fraction(1, 2)
+# (a, b, reduced discriminant, basis): the definite maximal orders of class
+# number one at D = 2, 3, 7, and the Eichler order of level 2 in the split
+# algebra, the upper triangular matrices mod 2 inside d1's M_2(Z).
+EXTRA_ORDERS = {
+    "D2": ("-1", "-1", 2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [HALF, HALF, HALF, HALF]]),
+    "D3": ("-1", "-3", 3, [[1, 0, 0, 0], [0, 1, 0, 0], [HALF, 0, HALF, 0], [0, HALF, 0, HALF]]),
+    "D7": ("-1", "-7", 7, [[1, 0, 0, 0], [0, 1, 0, 0], [HALF, 0, HALF, 0], [0, HALF, 0, HALF]]),
+    "eichler2": ("1", "1", 2, [[HALF, HALF, 0, 0], [HALF, -HALF, 0, 0], [0, 0, HALF, HALF], [0, 0, 1, -1]]),
+}
+
+
+def _order(name):
+    """A bundled order by name, or one of EXTRA_ORDERS, through load_order."""
+    if name in EXTRA_ORDERS:
+        a, b, _, basis = EXTRA_ORDERS[name]
+        disc = make_algebra(Fraction(a), Fraction(b)).discriminant
+        return load_order({"a": a, "b": b, "discriminant": disc, "basis": basis})
+    return at.bundled_order(name)
+
+
+def _unimodular(rng):
+    """A random matrix of GL_4(Z): elementary row operations, then one row negated."""
+    u = [[int(i == j) for j in range(4)] for i in range(4)]
+    for _ in range(12):
+        i, j = rng.sample(range(4), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        u[i] = [x + k * y for x, y in zip(u[i], u[j])]
+    i = rng.randrange(4)
+    u[i] = [-x for x in u[i]]
+    return u
+
+
+def _rebased(order, u):
+    """The same order on the basis u B, built without load_order."""
+    basis = tuple(
+        sum((e * c for e, c in zip(order.basis, row)), order.algebra.element(0)) for row in u
+    )
+    return Order(algebra=order.algebra, basis=basis)
+
+
+@pytest.mark.parametrize("name,expect", [("d1", 1), ("d6", 6), ("d10", 10), ("D2", 2), ("D3", 3), ("D7", 7), ("eichler2", 2)])
+def test_reduced_discriminant_matches_trace_pairing(name, expect, trace_pairing_discriminant):
+    # 4 |a b det B| against sqrt |det trd(e_i conj(e_j))|, on the given basis
+    # and on four random GL_4(Z) changes of it.
+    order = _order(name)
+    assert order.reduced_discriminant() == trace_pairing_discriminant(order) == expect
+    rng = random.Random(name)
+    for _ in range(4):
+        u = _unimodular(rng)
+        assert round(abs(np.linalg.det(np.array(u, dtype=float)))) == 1
+        moved = _rebased(order, u)
+        validate_order(moved)
+        assert moved.reduced_discriminant() == trace_pairing_discriminant(moved) == expect
+
+
+def test_degree_series_refuses_the_eichler_order():
+    lat = trace_zero_lattice(_order("eichler2"))
+    with pytest.raises(UnsupportedDiscriminant):
+        degree_series(lat, v=1.0, n=2)
+
+
+@pytest.mark.parametrize("name", ["d1", "d6", "d10", "D3"])
+def test_coordinates_of_recovers_integer_coordinates(name):
+    order = _order(name)
+    rng = random.Random(name)
+    for _ in range(20):
+        c = [rng.randint(-9, 9) for _ in range(4)]
+        x = sum((e * k for e, k in zip(order.basis, c)), order.algebra.element(0))
+        assert order.coordinates_of(x) == c
+        assert order.contains(x)
+        c[rng.randrange(4)] += HALF
+        y = sum((e * k for e, k in zip(order.basis, c)), order.algebra.element(0))
+        assert order.coordinates_of(y) is None
+        assert not order.contains(y)
+
+
+def test_dependent_basis_is_an_order_data_error():
+    # e2 = e0 + e1: the relation (-1, -1, 1, 0) . basis = 0.
+    basis = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["1", "1", "0", "0"], ["0", "0", "0", "1"]]
+    with pytest.raises(OrderDataError, match=re.escape("linearly dependent: (-1, -1, 1, 0)")):
+        load_order({"a": "-1", "b": "-1", "discriminant": 2, "basis": basis})
+    # Built without load_order, the trace-zero gram is degenerate.
+    alg = make_algebra(-1, -1)
+    order = Order(algebra=alg, basis=(alg.one, alg.i, alg.j, alg.i + alg.j))
+    with pytest.raises(DegenerateOrder):
+        trace_zero_lattice(order)
+    with pytest.raises(OrderDataError, match="linearly dependent"):
+        order.reduced_discriminant()
 
 
 # --- majorant ---------------------------------------------------------------
