@@ -1,35 +1,39 @@
-"""Check that two source trees give identical big_xi results.
+"""Check that two source trees give the same big_xi results.
 
     python scripts/big_xi_identity.py --against ../other-checkout [--seeds 1-3]
                                       [--value-rtol 0]
 
 Runs the same inputs in a fresh interpreter on this tree's `src/` and on the
-other tree's `src/`, and compares the results with `==`:
+other tree's `src/`, and compares the results:
 
 - every big_xi input of round 0 of the benchmark's `green-sums` workload at
   the given seeds and at the probe seed, each at the default spec;
 - 600 further seeded points: d1, d6 and d10, t = +-1..3 where represented,
   weights 0.1 to 2, at the default spec and at the orbifold spec;
-- four edge points: on a divisor, next to one, one that doubles its bound
-  several times and one whose tail never certifies;
+- five edge points: on a divisor, next to one, one that doubles its bound
+  several times, one whose tail certifies only by the row count of
+  _tail_bound (not by the eigenvalue count used before it) and one whose
+  tail never certifies;
 - 200 seeded enumerate_by_majorant lists of one norm each, bounds up to
   200, the norm t running through the lattice's represented norms;
 - the orbifold integral of z -> big_xi(d1, -2, 1, z) at the orbifold spec,
-  and every big_xi value it asked for;
-- the accepted vectors of every big_xi call above, in order; those of the
-  orbifold's calls are kept with each call.
+  and every big_xi call it made.
 
-Results are compared as plain tuples (value, tail_bound, terms, excluded) and
-(value, err, cusp_height).  Everything but the summed values (`value`, and
-the orbifold's `err`) must be equal; those may differ by a relative
---value-rtol, for a change to the beta1 kernel, and the largest relative
-change is printed per group.  Inputs come from this tree's `perfbench/`.
+Each big_xi call is kept with the majorant bound it enumerated at and the
+vectors it accepted.  Where both trees chose the same bound, `terms`,
+`excluded` and the vectors must be equal, this tree's `tail_bound` at most
+the other's, and `value` within a relative --value-rtol (0 by default: bit
+for bit).  Where the bounds differ, the call is listed, and the two values
+must agree within the tail bound at the smaller of the two bounds: the sum
+at the larger bound holds the other's terms and only vectors beyond it.  A
+call that raises must raise the same error in both trees, with the same
+message unless it is an uncertified tail (QuadratureFailure, whose message
+carries the tail); a call may certify here where the other tree's tail did
+not, and is then listed.  Enumerations and
+the orbifold's (value, err, cusp_height) must be equal, the summed `value`
+and `err` again within --value-rtol.  Inputs come from this tree's
+`perfbench/`; both trees need enumerate_by_majorant's `norm` keyword.
 Exits 1 if anything differs beyond that.
-
-Against a tree from before the orbifold integral moved to the exact domain
-(v = sqrt(1 - u^2) + s, no masked nodes), the two groups `orbifold` and
-`orbifold big_xi calls` differ by design: the integral asks for other
-points and gives another value.  Every other group must still be equal.
 """
 
 from __future__ import annotations
@@ -59,31 +63,31 @@ def _collect(seeds: list[int]) -> dict:
     sys.path[:0] = [str(HERE / "perfbench")]
     import workloads
     from ariththeta import greens, identities
-    from ariththeta.greens import DEFAULT_SPEC, QuadratureSpec, UHPoint, big_xi
+    from ariththeta.greens import DEFAULT_SPEC, QuadratureSpec, UHPoint
     from ariththeta.lattice import enumerate_by_majorant
 
     lats = workloads.Lattices()
     out: dict = {}
-    accepted = []
+    last: dict = {}
 
-    def recording(fn, wanted=lambda kwargs: True):
-        def wrapper(*args, **kwargs):
-            pts = fn(*args, **kwargs)
-            if wanted(kwargs):
-                accepted.append(pts)
-            return pts
+    def recording(*args, **kwargs):
+        pts = enumerate_by_majorant(*args, **kwargs)
+        last["bound"] = args[2] if len(args) > 2 else kwargs["bound"]
+        last["vectors"] = pts
+        return pts
 
-        return wrapper
+    greens.enumerate_by_majorant = recording
 
-    # big_xi lists its terms through enumerate_by_majorant(..., norm=t); a
-    # tree from before that keyword filters the full list through with_norm.
-    greens.enumerate_by_majorant = recording(greens.enumerate_by_majorant, lambda kw: "norm" in kw)
-    if hasattr(greens, "with_norm"):
-        greens.with_norm = recording(greens.with_norm)
+    def call(label, name, t, w, z, spec=DEFAULT_SPEC):
+        """(label, outcome, bound enumerated at, accepted vectors) of one big_xi call."""
+        last.clear()
+        outcome = _outcome(greens.big_xi, lats[name], t, w, z, spec)
+        return (label, outcome, last.get("bound"), last.get("vectors"))
+
     for seed in sorted(set(seeds) | {workloads.PROBE_SEED}):
         items = [i for i in workloads.make_round("green-sums", seed, 0) if isinstance(i, workloads.BigXiItem)]
         out[f"green-sums seed {seed}"] = [
-            _outcome(big_xi, lats[i.lattice], i.t, i.w, UHPoint(*i.z)) for i in items
+            call(f"{i.lattice} t={i.t} w={i.w} z={i.z}", i.lattice, i.t, i.w, UHPoint(*i.z)) for i in items
         ]
     rng = random.Random(1729)
     extra = []
@@ -93,14 +97,16 @@ def _collect(seeds: list[int]) -> dict:
         w = rng.choice((0.1, 0.15, 0.5, 1.0, 2.0))
         z = UHPoint(rng.uniform(-0.6, 0.6), rng.uniform(0.5, 2.5))
         for spec in (DEFAULT_SPEC, workloads.ORBIFOLD_SPEC):
-            extra.append(_outcome(big_xi, lats[name], t, w, z, spec))
+            label = f"{name} t={t} w={w} z=({z.u!r}, {z.v!r}) bound {spec.truncation_majorant_bound:g}"
+            extra.append(call(label, name, t, w, z, spec))
     out["random points"] = extra
     near = QuadratureSpec(singular_r_floor=1e-6)
     out["edge points"] = [
-        _outcome(big_xi, lats["d1"], 1, 1.0, UHPoint(0.0, 1.0)),  # on a divisor: raises
-        _outcome(big_xi, lats["d1"], 1, 1.0, UHPoint(0.0, 1.0 + 1e-4), near),  # excludes terms
-        _outcome(big_xi, lats["d1"], -1, 0.02, UHPoint(0.1, 1.2)),  # doubles its bound
-        _outcome(big_xi, lats["d1"], -1, 0.005, UHPoint(0.1, 1.2)),  # tail never certified
+        call("on a divisor", "d1", 1, 1.0, UHPoint(0.0, 1.0)),  # raises
+        call("next to a divisor", "d1", 1, 1.0, UHPoint(0.0, 1.0 + 1e-4), near),  # excludes terms
+        call("doubles its bound", "d1", -1, 0.02, UHPoint(0.1, 1.2)),
+        call("certified only by the row count", "d1", -1, 0.005, UHPoint(0.1, 1.2)),
+        call("tail never certified", "d1", -1, 0.003, UHPoint(0.1, 1.2)),
     ]
     enumerations = []
     for k in range(200):
@@ -113,15 +119,13 @@ def _collect(seeds: list[int]) -> dict:
     calls = []
 
     def green_sum(z):
-        start = len(accepted)
+        last.clear()
         res = greens.big_xi(lats["d1"], workloads.ORBIFOLD_T, workloads.ORBIFOLD_W, z, workloads.ORBIFOLD_SPEC)
-        calls.append(((z.u, z.v), dataclasses.astuple(res), accepted[start:]))
-        del accepted[start:]
+        calls.append((f"z=({z.u!r}, {z.v!r})", ("value", dataclasses.astuple(res)), last["bound"], last["vectors"]))
         return res.value
 
     out["orbifold"] = [_outcome(identities.arithmetic_degree_archimedean, green_sum, workloads.ORBIFOLD_SPEC)]
     out["orbifold big_xi calls"] = calls
-    out["accepted vectors"] = accepted
     return out
 
 
@@ -144,19 +148,40 @@ def _seed_range(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
-def _parts(key: str, item) -> tuple:
-    """(the part of a result that must be equal, its summed values)."""
-    if key == "orbifold big_xi calls":
-        point, res, vectors = item
-        return (point, res[1:], vectors), res[:1]
-    if key in ("enumerations", "accepted vectors") or item[0] != "value":
-        return item, ()
-    n = 2 if key == "orbifold" else 1
-    return ("value", item[1][n:]), item[1][:n]
+def _relative_change(a: float, b: float) -> float:
+    return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
 
 
-def _relative_change(a: tuple, b: tuple) -> float:
-    return max((abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b) if x != y), default=0.0)
+def _compare_call(mine, theirs, rtol: float) -> tuple[bool, float, str | None]:
+    """(agrees, relative change of the value, a line if the bound changed) for one big_xi call."""
+    (label, out, bound, vectors), (label_o, out_o, bound_o, vectors_o) = mine, theirs
+    if label != label_o:
+        return False, 0.0, None
+    if out[0] == "value" and out_o[:2] == ("raised", "QuadratureFailure"):
+        return True, 0.0, f"  certified at bound {bound:g} here, not there: {label}: {out_o[2]}"
+    if "raised" in (out[0], out_o[0]):
+        # An uncertified tail carries its value in the message, and that may fall.
+        same = out == out_o or out[:2] == out_o[:2] == ("raised", "QuadratureFailure")
+        return same, 0.0, None if out == out_o else f"  {label}: {out_o[2]} -> {out[2]}"
+    (value, tail, terms, excluded), (value_o, tail_o, terms_o, excluded_o) = out[1], out_o[1]
+    change = _relative_change(value, value_o)
+    if bound == bound_o:
+        same = (terms, excluded, vectors) == (terms_o, excluded_o, vectors_o)
+        return same and tail <= tail_o and change <= rtol, change, None
+    gap = abs(value - value_o)
+    allowed = tail if bound < bound_o else tail_o
+    line = (f"  bound {bound_o:g} -> {bound:g}: {label}: value {value_o!r} -> {value!r},"
+            f" |change| {gap:.2e} within the tail {allowed:.2e}" if gap <= allowed + 1e-15 else
+            f"  bound {bound_o:g} -> {bound:g}: {label}: |change| {gap:.2e} ABOVE the tail {allowed:.2e}")
+    return gap <= allowed + 1e-15, 0.0, line
+
+
+def _compare_plain(key: str, mine, theirs, rtol: float) -> tuple[bool, float]:
+    """Enumerations and the orbifold: equal, apart from the summed values within rtol."""
+    if key != "orbifold" or "raised" in (mine[0], theirs[0]):
+        return mine == theirs, 0.0
+    change = max(_relative_change(a, b) for a, b in zip(mine[1][:2], theirs[1][:2]))
+    return mine[1][2:] == theirs[1][2:] and change <= rtol, change
 
 
 def main() -> int:
@@ -168,17 +193,24 @@ def main() -> int:
     mine, theirs = _run_tree(HERE, args.seeds), _run_tree(args.against.resolve(), args.seeds)
     differ = 0
     for key in mine:
-        a, b = mine[key], theirs.get(key)
-        pairs = [(_parts(key, x), _parts(key, y)) for x, y in zip(a, b or [])]
-        same = sum(x[0] == y[0] for x, y in pairs)
-        change = max((_relative_change(x[1], y[1]) for x, y in pairs), default=0.0)
-        ok = b is not None and len(a) == len(b) and same == len(a) and change <= args.value_rtol
+        a, b = mine[key], theirs.get(key) or []
+        calls = key not in ("enumerations", "orbifold")
+        if calls:
+            results = [_compare_call(x, y, args.value_rtol) for x, y in zip(a, b)]
+        else:
+            results = [(*_compare_plain(key, x, y, args.value_rtol), None) for x, y in zip(a, b)]
+        same = sum(ok for ok, _, _ in results)
+        change = max((c for _, c, _ in results), default=0.0)
+        moved = [line for _, _, line in results if line]
+        ok = len(a) == len(b) and same == len(a)
         differ += not ok
-        raised = sum(r[:1] == ("raised",) for r in a)
+        raised = sum((r[1] if calls else r)[:1] == ("raised",) for r in a)
         print(
-            f"{'equal' if ok else 'DIFFER'}: {key}: {same}/{len(a)} results equal apart from"
-            f" values ({raised} raised); largest relative change of a value {change:.2e}"
+            f"{'equal' if ok else 'DIFFER'}: {key}: {same}/{len(a)} results agree ({raised} raised), {len(moved)}"
+            f" listed as changed; largest relative change of a value at the same bound {change:.2e}"
         )
+        for line in moved:
+            print(line)
     orbifold = mine["orbifold"][0]
     print(f"orbifold: {orbifold[1] if orbifold[0] == 'value' else orbifold}")
     return 1 if differ else 0

@@ -36,6 +36,7 @@ from .errors import (
 )
 from .lattice import (
     TraceZeroLattice,
+    _cholesky3,
     enumerate_by_majorant,
     majorant,
     model_coordinates_float,
@@ -134,11 +135,6 @@ def beta1(r: float) -> float:
     [1e-300, 700], and the tests check both ends of every octave and the
     Chebyshev extrema of every row, where a truncated sum is worst.  Above
     700 the value is 0, an absolute error below E_1(700) < 1e-306.
-
-    This scalar kernel serves big_xi and xi, whose terms come a few per
-    call: on a 2-core x86-64 host a call takes 1.5 to 2.5 us on r in
-    [12.6, 40], and six such terms take 9 to 15 us here against 60 to
-    143 us in one beta1_vec call.  mpmath is the oracle of both kernels.
     """
     if not r > 0:
         raise NonpositiveArgument(f"beta1 needs r > 0, got {r}")
@@ -176,8 +172,9 @@ def beta1_vec(r: np.ndarray) -> np.ndarray:
 
     This kernel is for quadrature batches, whose median call in the heights
     benchmark has 1,920 points: on a 2-core x86-64 host such a call takes
-    0.26 to 0.56 ms, while one point alone takes 86 to 210 us, so big_xi
-    and xi, a few terms per call, use the scalar beta1.
+    0.26 to 0.56 ms, while one point alone takes 86 to 210 us.  So big_xi
+    and xi, a few terms per call, use the scalar beta1, which takes 1.5 to
+    2.5 us a call on r in [12.6, 40].  mpmath is the oracle of both kernels.
     """
     r = np.asarray(r, dtype=float)
     positive = r > 0
@@ -302,34 +299,21 @@ class BigXiResult:
 
 
 def big_xi(
-    lat: TraceZeroLattice,
-    t: int,
-    v: float,
-    z: UHPoint,
-    spec: QuadratureSpec = DEFAULT_SPEC,
+    lat: TraceZeroLattice, t: int, v: float, z: UHPoint, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> BigXiResult:
     """Xi(t, v)(z) = sum over Q(x) = t of beta_1(2 pi v R(x, z)), truncated.
 
-    The sum runs over lattice vectors with majorant value at most the
-    truncation bound; the remainder is covered by a certified tail bound
-    below abs_tol, derived from beta_1(r) <= e^-r / r and shell counts of
-    the majorant.  The truncation bound is doubled (a few times) if the
-    certificate does not reach abs_tol at the configured value.
-
-    One pass: the majorant is built once; its eigenvalues serve the tail
-    bound at every doubling, and its entries the enumeration.  The per-call
-    work is done in plain Python floats, where numpy would spend its time on
-    dispatch for 3-vectors and 3x3 matrices: the majorant's entries, the
-    tail bound, the enumeration's Cholesky factor, and each term's
-    (alpha, beta, gamma) as dot products of the coordinate rows.  The one
-    LAPACK call is the eigvalsh that feeds the tail bound.  Each term takes
-    the scalar beta1 (see beta1_vec for why).  The enumeration lists
-    only the vectors with Q(x) = t (enumerate_by_majorant with norm=t): on
-    each (n3, n2) row of the majorant ellipsoid it finds the n1 with
-    n^T G n = 2t as exact integer roots, and accepts each root inside the
-    row's padded n1 range whose majorant value, summed from six products in
-    Python floats, is within the bound.  The terms come ordered by n3, then
-    n2, then n1, and are summed one by one in that order.
+    The sum runs over the vectors whose majorant value is at most the
+    truncation bound, and a certified tail bound below abs_tol covers the
+    rest (_tail_bound); the bound is doubled (a few times) until the tail
+    certifies.  One Cholesky factor of the majorant serves the tail at every
+    doubling and the enumeration, and no LAPACK routine runs: all is plain
+    Python floats, where numpy would spend its time on dispatch for
+    3-vectors.  The enumeration (enumerate_by_majorant with norm=t) solves
+    n^T G n = 2t exactly on each (n3, n2) row of the majorant ellipsoid and
+    accepts a root by its majorant value, summed from six products.  The
+    terms are summed one by one in its order (n3, then n2, then n1), each R
+    written out as r_value computes it, each beta_1 by the scalar kernel.
 
     For t > 0, terms with R below the singular floor: an exact zero raises
     SingularEvaluation, a positive value below the floor is excluded from
@@ -343,63 +327,84 @@ def big_xi(
         raise PreconditionViolation("v must be positive")
     (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = model_coordinates_float(lat).tolist()
     m = majorant(lat, z)
-    lam = [e * (1.0 - 1e-9) for e in np.linalg.eigvalsh(m).tolist()]
-    if lam[0] <= 0:
-        raise QuadratureFailure("majorant lost positivity")
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = m.tolist()
+    try:
+        factor = _cholesky3(m00, m01, m02, m11, m12, m22)
+    except PreconditionViolation:
+        raise QuadratureFailure("majorant lost positivity") from None
+    pivots = [factor[k] * (1.0 - 1e-9) for k in (0, 3, 5)]
     bound = spec.truncation_majorant_bound
     for _ in range(7):
-        tail = _tail_bound(lam, t, v, bound)
+        tail = _tail_bound(pivots, t, v, bound, lat.gram[0][0] == 0)
         if tail <= spec.abs_tol:
             break
         bound *= 2.0
     else:
-        raise QuadratureFailure(
-            f"tail bound {tail:.3g} above abs_tol at majorant bound {bound}"
-        )
-    pts = enumerate_by_majorant(lat, z, bound, form=m, norm=t)
+        raise QuadratureFailure(f"tail bound {tail:.3g} above abs_tol at majorant bound {bound}")
+    pts = enumerate_by_majorant(lat, z, bound, form=m, norm=t, factor=factor)
     value = 0.0
     excluded = []
-    zf = UHPoint(float(z.u), float(z.v))
+    # r_value's float operations with its constants hoisted, so the same bits.
+    x, y = float(z.u), float(z.v)
+    zr, x2, y2, den, scale = x * x - y * y, 2 * x, 2 * y, 4 * y * y, TWO_PI * v
     for n in pts:
         n1, n2, n3 = n
-        vec = (c00 * n1 + c01 * n2 + c02 * n3, c10 * n1 + c11 * n2 + c12 * n3, c20 * n1 + c21 * n2 + c22 * n3)
-        r = r_value(vec, zf)
+        alpha, gamma = c00 * n1 + c01 * n2 + c02 * n3, c20 * n1 + c21 * n2 + c22 * n3
+        re = gamma * zr - x2 * alpha - (c10 * n1 + c11 * n2 + c12 * n3)
+        im = y2 * (gamma * x - alpha)
+        r = (re * re + im * im) / den
         if r == 0.0:
             raise SingularEvaluation(f"z lies on the divisor of {n}")
         if r < spec.singular_r_floor:
             excluded.append(n)
             continue
-        value += beta1(TWO_PI * v * r)
+        arg = scale * r  # positive unless it underflows, which beta1 refuses
+        value += _beta1(arg, arg < 0.5) if arg > 0 else beta1(arg)
     return BigXiResult(value=value, tail_bound=tail, terms=len(pts), excluded=tuple(excluded))
 
 
-def _tail_bound(lam: list[float], t: int, v: float, bound: float) -> float:
-    """Rigorous bound for the sum over majorant values above `bound`.
+def _norm_count(pivots, x: float, whole_rows: bool) -> float:
+    """At least the number of norm-t vectors with majorant value <= x; see _tail_bound."""
+    root = math.sqrt(x)
+    k1, rows = 2.0 * root / pivots[0] + 1.0, (2.0 * root / pivots[2] + 1.0) * (2.0 * root / pivots[1] + 1.0)
+    return rows * min(2.0, k1) + (2.0 * max(0.0, k1 - 2.0) if whole_rows else 0.0)
 
-    lam holds the eigenvalues of the majorant form, shrunk by a relative
-    1e-9 against rounding, as Python floats (an array gives the same bits,
-    slower).  Points with majorant value M have
-    R = (M - 2t)/4, and the number with M <= X is at most
-    prod_i (2 sqrt(X / lambda_i) + 1).  Dyadic shells then give a convergent
-    series dominating the tail of beta_1(2 pi v R) <= e^-r / r.
+
+def _tail_bound(pivots, t: int, v: float, bound: float, whole_rows: bool) -> float:
+    """Rigorous bound for the sum over majorant values M above `bound`.
+
+    pivots are U00, U11, U22 of the majorant's upper Cholesky factor U,
+    shrunk by a relative 1e-9; whole_rows is G00 = 0.  R = (M - 2t)/4 and
+    beta_1(r) <= e^-r / r, so dyadic shells [lo, 2 lo) of M, each counted by
+    _norm_count(2 lo), give a convergent series.
+
+    The count: M(n) = |U n|^2, so |U22 n3| and |U11 n2 + U12 n3| are at
+    most sqrt X on the vectors with M <= X, which lie on at most
+    rows(X) = (2 sqrt(X)/U22 + 1)(2 sqrt(X)/U11 + 1) rows (n3, n2), each
+    with at most k1 = 2 sqrt(X)/U00 + 1 integers n1.  A row holds at most
+    two norm-t vectors unless it is one of at most two whole rows, which
+    need G00 = 0 (_enumerate_norm proves both).  So the count is at most
+    rows(X) min(2, k1) + 2 max(0, k1 - 2) [G00 = 0]: O(X), and at most the
+    Cholesky box prod (2 sqrt(X)/Uii + 1), whose leading term
+    8 X^1.5 / sqrt(det M) is the eigenvalue box's.
+
+    The shrink: the computed U is the exact factor of M + E with
+    |E_ij| <= 4.5e-16 sqrt(Mii Mjj) (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 10), so M + E <= (1 + 1.4e-15 s) M for s the
+    norm of the inverse of M scaled to a unit diagonal.  The shrunk pivots
+    count the vectors with M + E <= X (1 + 2e-9), which covers s up to
+    1.4e6 and the rounding of the count.  On d1, d6 and d10, s is at most
+    1.1e4 on |u| <= 1.5, 0.3 <= v <= 2.5 and 1.01e6 on |u| <= 1/2,
+    0.87 <= v <= 30; beyond, it grows like ((u^2 + v^2 + 1)/v)^4.
     """
     if bound <= 2 * t + 1:
         return math.inf
-    total = 0.0
-    lo = bound
+    total, lo = 0.0, bound
     for _ in range(200):
-        hi = 2.0 * lo
-        count = 1.0
-        for ev in lam:
-            count *= 2.0 * math.sqrt(hi / ev) + 1.0
-        r_min = (lo - 2 * t) / 4.0
-        arg = TWO_PI * v * r_min
-        if arg > 745:
-            term = 0.0
-        else:
-            term = count * math.exp(-arg) / arg
+        arg = TWO_PI * v * (lo - 2 * t) / 4.0
+        term = 0.0 if arg > 745 else _norm_count(pivots, 2.0 * lo, whole_rows) * math.exp(-arg) / arg
         total += term
         if term < 1e-22 and lo > 4 * bound:
             break
-        lo = hi
+        lo *= 2.0
     return total

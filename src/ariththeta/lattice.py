@@ -31,6 +31,7 @@ from .errors import (
     PreconditionViolation,
     QuadratureFailure,
     UnsupportedDiscriminant,
+    ZeroStructureConstant,
 )
 from .numtheory import integer_kernel
 from .quatalg import QuaternionAlgebra, QuaternionElement, make_algebra
@@ -144,7 +145,7 @@ def load_order(source: str | Path | dict) -> Order:
         if not isinstance(declared, int) or isinstance(declared, bool):
             raise OrderDataError(f"declared discriminant must be an integer, got {declared!r}")
         label = data.get("label", "")
-    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError, ZeroStructureConstant) as exc:
         raise OrderDataError(f"malformed order data: {exc}") from exc
     order = Order(algebra=alg, basis=basis, label=label)
     validate_order(order)
@@ -355,29 +356,22 @@ def majorant(lat: TraceZeroLattice, z) -> np.ndarray:
 
 
 def enumerate_by_majorant(
-    lat: TraceZeroLattice,
-    z,
-    bound: float,
-    cap: int = 2_000_000,
-    form=None,
-    *,
-    norm: int,
+    lat: TraceZeroLattice, z, bound: float, cap: int = 2_000_000, form=None, *, norm: int, factor=None
 ):
     """All integer coordinate vectors n with Q(n) = norm and majorant value <= bound.
 
-    Complete by construction (see _enumerate_norm): every such n lies on an
-    (n3, n2) row of the ellipsoid's Cholesky slicing, inside the row's
-    slack-padded n1 range, and is found there as an exact integer root of
-    n^T G n = 2 norm; a root is accepted exactly when its majorant value,
-    summed from six products in Python floats, is at most `bound`.  The
-    list is ordered by n3, then n2, then n1.  `form` is majorant(lat, z),
-    if the caller has it.  A norm that is not an integer raises
-    PreconditionViolation, and more than `cap` rows to visit raise
-    BoundTooLarge.  A count of the vectors returned (the benchmark's traced
-    `lattice.candidates`) counts vectors of norm t, found in O(bound) rows.
+    Complete by construction (see _enumerate_norm): every such n is an
+    exact integer root of n^T G n = 2 norm on an (n3, n2) row of the
+    ellipsoid's Cholesky slicing, accepted exactly when its majorant value,
+    summed from six products in Python floats, is at most `bound`; the list
+    is ordered by n3, then n2, then n1.  `form` is majorant(lat, z) and
+    `factor` its _cholesky3 factor, if the caller has them.  A norm that is
+    not an integer raises PreconditionViolation, and more than `cap` rows to
+    visit raise BoundTooLarge.  The benchmark's traced `lattice.candidates`
+    counts the vectors returned, found in O(bound) rows.
     """
     m = majorant(lat, z) if form is None else form
-    return _enumerate_norm(m, bound, lat.gram, norm, cap)
+    return _enumerate_norm(m, bound, lat.gram, norm, cap, factor)
 
 
 def _cholesky3(m00, m01, m02, m11, m12, m22):
@@ -388,22 +382,35 @@ def _cholesky3(m00, m01, m02, m11, m12, m22):
     that is not positive definite never reaches a square root of a negative
     number.
     """
-    if not m00 > 0:
-        raise PreconditionViolation("form is not positive definite")
-    u00 = math.sqrt(m00)
+    u00 = _pivot_root(m00)
     u01, u02 = m01 / u00, m02 / u00
-    p11 = m11 - u01 * u01
-    if not p11 > 0:
-        raise PreconditionViolation("form is not positive definite")
-    u11 = math.sqrt(p11)
+    u11 = _pivot_root(m11 - u01 * u01)
     u12 = (m12 - u01 * u02) / u11
-    p22 = m22 - u02 * u02 - u12 * u12
-    if not p22 > 0:
+    return u00, u01, u02, u11, u12, _pivot_root(m22 - u02 * u02 - u12 * u12)
+
+
+def _pivot_root(p: float) -> float:
+    if not p > 0:
         raise PreconditionViolation("form is not positive definite")
-    return u00, u01, u02, u11, u12, math.sqrt(p22)
+    return math.sqrt(p)
 
 
-def _enumerate_norm(m: np.ndarray, bound: float, gram, t: int, cap: int = 2_000_000):
+def _nonnegative_rows(a: int, d1: int, d0: int, lo: int, hi: int):
+    """The n2 in [lo, hi] where (a n2 + d1) n2 + d0 >= 0, for a <= 0, in integers.
+
+    For a < 0 they have |2 a n2 + d1| <= isqrt(d1^2 - 4 a d0).  A constant
+    value (a = d1 = 0) that is not a square keeps none: no row has a root.
+    """
+    if a:
+        disc = d1 * d1 - 4 * a * d0
+        s = math.isqrt(max(disc, 0))
+        return range(max(lo, -((s - d1) // (-2 * a))), min(hi, (d1 + s) // (-2 * a)) + 1) if disc >= 0 else ()
+    if d1:
+        return range(max(lo, -(d0 // d1)), hi + 1) if d1 > 0 else range(lo, min(hi, d0 // -d1) + 1)
+    return range(lo, hi + 1) if d0 >= 0 and math.isqrt(d0) ** 2 == d0 else ()
+
+
+def _enumerate_norm(m: np.ndarray, bound: float, gram, t: int, cap: int = 2_000_000, factor=None):
     """Nonzero n with n^T G n = 2t and value(n) <= bound, in (n3, n2, n1) order.
 
     value(n) = m00 n1^2 + m11 n2^2 + m22 n3^2 + 2 (m01 n1 n2 + m02 n1 n3 +
@@ -412,14 +419,17 @@ def _enumerate_norm(m: np.ndarray, bound: float, gram, t: int, cap: int = 2_000_
     PreconditionViolation.
 
     Complete: with value = |U n|^2 for the upper Cholesky factor U of m
-    (_cholesky3; a pivot that is not positive raises PreconditionViolation),
-    the loop walks the n3 range, then each n3's n2 range, then each
-    (n3, n2) row's n1 range, all three from U and padded against rounding,
-    so they hold every point of the ellipsoid.  On each row
-    G00 n1^2 + 2 b n1 + c = 0, where b = G01 n2 + G02 n3 and
+    (`factor`, else _cholesky3; a pivot that is not positive raises
+    PreconditionViolation), the loop walks the n3 range, then each n3's n2
+    range, then each (n3, n2) row's n1 range, all three from U and padded
+    against rounding, so they hold every point of the ellipsoid.  On each
+    row G00 n1^2 + 2 b n1 + c = 0, where b = G01 n2 + G02 n3 and
     c = G11 n2^2 + 2 G12 n2 n3 + G22 n3^2 - 2t, is solved exactly in Python
     integers (by isqrt of the discriminant, or as a linear equation when
-    G00 = 0); only a row with an integer root needs its n1 range.
+    G00 = 0); only a row with an integer root needs its n1 range.  For
+    G00 != 0 that discriminant b^2 - G00 c is (a n2 + d1) n2 + d0 on an n3
+    slice; for a <= 0 the n2 range is clipped to where it is not negative
+    (_nonnegative_rows), for a > 0 a negative row is skipped in the loop.
 
     Bounded: each n2 range holds at most 2 sqrt(bound)/U11 + 4 integers, so
     more than cap rows, (2 lim3 + 1)(2 sqrt(bound)/U11 + 4), raise
@@ -439,7 +449,7 @@ def _enumerate_norm(m: np.ndarray, bound: float, gram, t: int, cap: int = 2_000_
     if bound <= 0:
         return []
     (m00, m01, m02), (_, m11, m12), (_, _, m22) = m.tolist()
-    u00, u01, u02, u11, u12, u22 = _cholesky3(m00, m01, m02, m11, m12, m22)
+    u00, u01, u02, u11, u12, u22 = factor or _cholesky3(m00, m01, m02, m11, m12, m22)
     lim3 = math.floor(math.sqrt(bound * (1 + 1e-12)) / u22 + 1e-9) + 1
     rows = (2 * lim3 + 1) * (2 * math.sqrt(bound) / u11 + 4)
     if rows > cap:
@@ -448,6 +458,7 @@ def _enumerate_norm(m: np.ndarray, bound: float, gram, t: int, cap: int = 2_000_
     (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram
     # With g00 != 0, the discriminant b^2 - g00 c is (a n2 + d1) n2 + d0 on a slice.
     a = g01 * g01 - g00 * g11
+    clip = g00 and a <= 0
     out = []
     for n3 in range(-lim3, lim3 + 1):
         r3 = u22 * n3
@@ -459,7 +470,8 @@ def _enumerate_norm(m: np.ndarray, bound: float, gram, t: int, cap: int = 2_000_
         center2 = -c2 / u11
         b3, c3, c0 = g02 * n3, 2 * g12 * n3, g22 * n3 * n3 - 2 * t
         d1, d0 = 2 * g01 * b3 - g00 * c3, b3 * b3 - g00 * c0
-        for n2 in range(math.floor(center2 - half2 - 1e-9), math.ceil(center2 + half2 + 1e-9) + 1):
+        lo2, hi2 = math.floor(center2 - half2 - 1e-9), math.ceil(center2 + half2 + 1e-9)
+        for n2 in _nonnegative_rows(a, d1, d0, lo2, hi2) if clip else range(lo2, hi2 + 1):
             # The integer roots n1 of g00 n1^2 + 2 b n1 + c = 0, increasing;
             # None when every n1 is one.
             if g00:

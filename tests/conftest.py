@@ -7,6 +7,7 @@ import pytest
 
 import ariththeta as at
 from ariththeta.greens import QuadratureSpec
+from ariththeta.lattice import _cholesky3
 
 
 @pytest.fixture(scope="session")
@@ -101,6 +102,18 @@ def form_value():
 @pytest.fixture(scope="session")
 def brute_force_ball():
     return _brute_force_ball
+
+
+def _tail_pivots(m):
+    """U00, U11, U22 of the Cholesky factor of the majorant m, shrunk by 1e-9 as big_xi shrinks them."""
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = m.tolist()
+    u = _cholesky3(m00, m01, m02, m11, m12, m22)
+    return [u[k] * (1.0 - 1e-9) for k in (0, 3, 5)]
+
+
+@pytest.fixture(scope="session")
+def tail_pivots():
+    return _tail_pivots
 
 
 def _ball_by_norms(lat, z, bound):

@@ -345,14 +345,35 @@ def test_big_xi_tail_bound_is_certified(lat_d1, spec):
     assert abs(wide.value - base.value) <= base.tail_bound + 1e-15
 
 
+def _eigenvalue_tail(m, t, w, bound):
+    """_tail_bound's shells with the count prod_i (2 sqrt(X / lambda_i) + 1) of the eigenvalue box."""
+    lam = np.linalg.eigvalsh(m) * (1.0 - 1e-9)
+    if bound <= 2 * t + 1:
+        return math.inf
+    total, lo = 0.0, bound
+    for _ in range(200):
+        count = math.prod(2.0 * math.sqrt(2.0 * lo / ev) + 1.0 for ev in lam)
+        arg = 2.0 * math.pi * w * (lo - 2 * t) / 4.0
+        term = 0.0 if arg > 745 else count * math.exp(-arg) / arg
+        total += term
+        if term < 1e-22 and lo > 4 * bound:
+            break
+        lo *= 2.0
+    return total
+
+
 @pytest.mark.parametrize("name", ["lat_d1", "lat_d6", "lat_d10"])
-def test_tail_bound_of_a_list_equals_that_of_the_array(request, name):
+def test_row_tail_is_at_most_the_eigenvalue_tail(request, tail_pivots, name):
+    # 300 seeded points of the usual range and 300 skewed ones, v from 0.02
+    # to 30 and |u| up to 6: the row count never certifies less.
     lat = request.getfixturevalue(name)
     rng = np.random.default_rng(1729)
-    for u, v in zip(rng.uniform(-1.5, 1.5, 300), rng.uniform(0.3, 2.5, 300)):
-        lam = np.linalg.eigvalsh(majorant(lat, UHPoint(float(u), float(v)))) * (1.0 - 1e-9)
+    usual = list(zip(rng.uniform(-1.5, 1.5, 300), rng.uniform(0.3, 2.5, 300)))
+    skewed = list(zip(rng.uniform(-6.0, 6.0, 300), np.exp(rng.uniform(math.log(0.02), math.log(30.0), 300))))
+    for u, v in usual + skewed:
+        m = majorant(lat, UHPoint(float(u), float(v)))
         for t, w, bound in ((-2, 1.0, 48.0), (1, 0.15, 96.0), (3, 2.0, 12.0)):
-            assert _tail_bound(lam.tolist(), t, w, bound) == _tail_bound(lam, t, w, bound)
+            assert _tail_bound(tail_pivots(m), t, w, bound, False) <= _eigenvalue_tail(m, t, w, bound), (u, v, t)
 
 
 def test_big_xi_gamma_invariance_spot_check(lat_d1, spec):

@@ -1,6 +1,7 @@
 """Orders as data, trace-zero lattices, majorants and enumeration."""
 
 import json
+import math
 import random
 import re
 from collections import Counter
@@ -19,12 +20,13 @@ from ariththeta.errors import (
     PreconditionViolation,
     UnsupportedDiscriminant,
 )
-from ariththeta.greens import UHPoint, r_value
+from ariththeta.greens import UHPoint, _norm_count, r_value
 from ariththeta.identities import degree_series
 from ariththeta.lattice import (
     Order,
     _cholesky3,
     _enumerate_norm,
+    _nonnegative_rows,
     is_split_model,
     load_order,
     majorant,
@@ -110,6 +112,17 @@ def test_loader_rejects_wrong_discriminant():
     }
     with pytest.raises(OrderDataError):
         load_order(bad)
+
+
+@pytest.mark.parametrize("zero", ["a", "b"])
+def test_loader_types_a_zero_structure_constant(tmp_path, zero):
+    # make_algebra refuses a = 0 or b = 0; from an order file that is malformed data.
+    basis = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+    data = {"a": "-1", "b": "-1", "discriminant": 2, "basis": basis, zero: "0"}
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(OrderDataError, match="structure constants must be nonzero"):
+        load_order(path)
 
 
 def test_loader_rejects_nonintegral_trace():
@@ -410,6 +423,25 @@ def test_norm_rows_whole_row_case(lat_d1, brute_force_ball, t):
 
 
 @pytest.mark.parametrize(
+    "name,perm", [("lat_d1", (0, 1, 2)), ("lat_d6", (0, 1, 2)), ("lat_d10", (0, 1, 2)), ("lat_d1", (1, 0, 2))]
+)
+def test_row_count_bounds_the_norm_vectors(request, brute_force_ball, tail_pivots, name, perm):
+    # big_xi's tail counts the norm-t vectors with M <= X by rows; here at
+    # skewed z against the true count.  (1, 0, 2) on d1 is the whole-row
+    # basis above (G00 = 0), whose rows at t = -1 and -4 are whole.
+    lat = request.getfixturevalue(name)
+    ts = (-4, -3, -2, -1, 1, 2, 3, 5)
+    for z in (UHPoint(0.0, 0.05), UHPoint(5.3, 0.3), UHPoint(0.4, 0.7), UHPoint(-4.1, 2.2), UHPoint(2.7, 25.0)):
+        m, gram = _permuted(lat, z, perm)
+        pivots = tail_pivots(m)
+        for x in (8.0, 16.0, 48.0, 96.0):
+            found = brute_force_ball(m, x, gram, ts)
+            true = Counter(sum(p * g * q for p, row in zip(n, gram) for g, q in zip(row, n)) // 2 for n in found)
+            for t in ts:
+                assert _norm_count(pivots, x, gram[0][0] == 0) >= true[t], (z, x, t)
+
+
+@pytest.mark.parametrize(
     "name,perm", [("lat_d1", (0, 1, 2)), ("lat_d6", (1, 0, 2)), ("lat_d10", (1, 0, 2))]
 )
 @pytest.mark.parametrize("t", [-3, -2, -1, 1, 2, 3])
@@ -420,6 +452,28 @@ def test_norm_rows_negative_leading_coefficient(request, brute_force_ball, name,
         m, gram = _permuted(lat, z, perm)
         assert gram[0][0] < 0
         _solver_matches_oracle(brute_force_ball, m, gram, 40.0, t)
+
+
+def test_nonnegative_rows_is_exact():
+    # Every (a, d1, d0) with a <= 0 in a small box, against the value itself.
+    for a in range(-4, 1):
+        for d1 in range(-9, 10):
+            for d0 in range(-12, 13):
+                want = [n2 for n2 in range(-7, 8) if (a * n2 + d1) * n2 + d0 >= 0]
+                if a == 0 and d1 == 0 and math.isqrt(max(d0, 0)) ** 2 != d0:
+                    want = []  # a constant that is not a square: no row has a root
+                assert list(_nonnegative_rows(a, d1, d0, -7, 7)) == want, (a, d1, d0)
+
+
+@pytest.mark.parametrize("t", [-3, -2, -1, 1, 2, 3, 6])
+def test_norm_rows_clipped_slices(lat_d6, lat_d10, brute_force_ball, t):
+    # (1, 2, 0) puts a negative definite plane first (a = G01^2 - G00 G11
+    # is -24 and -40), where each slice keeps an interval of n2.
+    for lat in (lat_d6, lat_d10):
+        for z in (UHPoint(0.0, 1.0), UHPoint(0.3, 0.5), UHPoint(-0.7, 1.4)):
+            m, gram = _permuted(lat, z, (1, 2, 0))
+            assert gram[0][1] ** 2 - gram[0][0] * gram[1][1] < 0
+            _solver_matches_oracle(brute_force_ball, m, gram, 60.0, t)
 
 
 def test_norm_rows_two_roots_in_one_row(lat_d10, brute_force_ball):
