@@ -1,17 +1,24 @@
 #!/usr/bin/env python3
-"""Write the Chebyshev table of the E_1 kernels, src/ariththeta/_e1_table.py.
+"""Write the polynomial table of the E_1 kernels, src/ariththeta/_e1_table.py.
 
 Usage: python scripts/e1_table.py [--check]
 
-The table holds, for each frexp exponent e = 0..10, the Chebyshev
-coefficients of g(r) = r e^r E_1(r) on the octave [2^(e-1), 2^e), in the
-variable x = 4 m - 3 of r = m 2^e, m in [1/2, 1).  After them comes one more
-row, for the entire function Ein(r) = E_1(r) + gamma + log r on [0, 1], in
-x = 2 r - 1 (Abramowitz and Stegun 5.1.11).  Each function is sampled with
-mpmath at 40 digits on the 30 Chebyshev nodes of its interval, the discrete
-cosine transform gives the coefficients (the first halved, so the function
-is sum c_k T_k(x)), and the first 21 are kept, each rounded once to a
-double.  The largest dropped coefficient is printed to stderr.
+The table has one row per piece.  For each frexp exponent e = 0..10 the
+octave [2^(e-1), 2^e) of r = m 2^e, m in [1/2, 1), is cut into 8 equal
+pieces in m: piece j = floor(16 (m - 1/2)) is m in [1/2 + j/16, 1/2 + (j+1)/16),
+its row is 8 e + j, and its variable is x = 2 (16 m - 8 - j) - 1 in [-1, 1),
+exact in floats.  Its function is g(r) = r e^r E_1(r).  After the 88 octave
+rows come 4 rows for the entire function Ein(r) = E_1(r) + gamma + log r
+(Abramowitz and Stegun 5.1.11) on the pieces [j/4, (j+1)/4] of [0, 1], in
+x = 2 (4 r - j) - 1.
+
+Each function is sampled with mpmath at 40 digits on the 30 Chebyshev nodes
+of its piece, the discrete cosine transform gives its Chebyshev coefficients
+(the first halved, so the function is sum c_k T_k(x)), the first 11 are
+kept, and their sum is written out in powers of x, a_0..a_10, each rounded
+once to a double.  The kernels sum a row by Horner's rule.  The largest
+dropped Chebyshev coefficient, which bounds the truncation, is printed to
+stderr.
 
 With --check nothing is written: the table is regenerated and compared with
 the committed file, and the exit status is 1 unless they are equal.
@@ -27,12 +34,15 @@ import mpmath
 
 TARGET = Path(__file__).resolve().parent.parent / "src" / "ariththeta" / "_e1_table.py"
 OCTAVES = range(0, 11)
+PIECES = 8
+EIN_PIECES = 4
 NODES = 30
-KEPT = 21
+KEPT = 11
 DPS = 40
+PER_LINE = 3
 
 
-def coefficients(f) -> list:
+def chebyshev(f) -> list:
     """All NODES Chebyshev coefficients of f on x in [-1, 1]."""
     half_turns = [mpmath.pi * (j + mpmath.mpf(1) / 2) / NODES for j in range(NODES)]
     values = [f(mpmath.cos(theta)) for theta in half_turns]
@@ -44,6 +54,18 @@ def coefficients(f) -> list:
     return coefs
 
 
+def powers(coefs: list) -> list:
+    """a_0..a_{n-1} with sum a_k x^k = sum c_k T_k(x), exactly in mpmath."""
+    out = [coefs[0]] + [mpmath.mpf(0)] * (len(coefs) - 1)
+    prev, cur = [1], [0, 1]  # T_0 and T_1 by powers of x, in integers
+    for c in coefs[1:]:
+        for i, p in enumerate(cur):
+            out[i] += c * p
+        # T_{k+1} = 2 x T_k - T_{k-1}
+        prev, cur = cur, [2 * p - (prev[i] if i < len(prev) else 0) for i, p in enumerate([0] + cur)]
+    return out
+
+
 def g(r):
     return r * mpmath.exp(r) * mpmath.e1(r)
 
@@ -52,39 +74,43 @@ def ein(r):
     return mpmath.e1(r) + mpmath.euler + mpmath.log(r)
 
 
-def rows() -> list:
-    """(comment, coefficients) for the octaves e = 0..10, then for Ein."""
-    out = [
-        (
-            f"e = {e}: g on [{2.0 ** (e - 1)!r}, {2.0 ** e!r})",
-            coefficients(lambda x, e=e: g(mpmath.ldexp((x + 3) / 4, e))),
-        )
-        for e in OCTAVES
-    ]
-    return out + [("Ein on [0.0, 1.0]", coefficients(lambda x: ein((x + 1) / 2)))]
+def pieces() -> list:
+    """(comment, function of x) per octave, then per Ein piece, in row order."""
+    out = []
+    for e in OCTAVES:
+        for j in range(PIECES):
+            comment = f"e = {e}: g on [{2.0 ** (e - 1)!r}, {2.0 ** e!r}) in {PIECES} pieces" if j == 0 else None
+            out.append((comment, lambda x, e=e, j=j: g(mpmath.ldexp((x + 17 + 2 * j) / 32, e))))
+    for j in range(EIN_PIECES):
+        comment = f"Ein on [0.0, 1.0] in {EIN_PIECES} pieces" if j == 0 else None
+        out.append((comment, lambda x, j=j: ein((x + 1 + 2 * j) / 8)))
+    return out
 
 
 def render() -> tuple[str, float]:
-    """Text of the table module and the largest dropped coefficient."""
+    """Text of the table module and the largest dropped Chebyshev coefficient."""
     lines = [
-        '"""Chebyshev coefficients of the E_1 kernels: one row per octave, then Ein.',
+        '"""Polynomials of the E_1 kernels: one row per piece, 8 per octave, then 4 of Ein.',
         "",
-        "Generated by scripts/e1_table.py; do not edit.  Row e = 0..10 holds c_0..c_20",
-        "of g(r) = r e^r E_1(r) on [2^(e-1), 2^e), in x = 4 m - 3 for r = m 2^e,",
-        "m in [1/2, 1): g = sum c_k T_k(x).  Row 11 holds c_0..c_20 of",
-        "Ein(r) = E_1(r) + gamma + log r on [0, 1], in x = 2 r - 1.",
+        "Generated by scripts/e1_table.py; do not edit.  Row 8 e + j, e = 0..10,",
+        "j = 0..7, holds a_0..a_10 of g(r) = r e^r E_1(r) on r = m 2^e,",
+        "m in [1/2 + j/16, 1/2 + (j+1)/16), in x = 2 (16 m - 8 - j) - 1:",
+        "g = sum a_k x^k.  Row 88 + j, j = 0..3, holds a_0..a_10 of",
+        "Ein(r) = E_1(r) + gamma + log r on [j/4, (j+1)/4], in x = 2 (4 r - j) - 1.",
         '"""',
         "",
-        "E1_CHEBYSHEV = (",
+        "E1_PIECES = (",
     ]
     dropped = 0.0
     with mpmath.workdps(DPS):
-        for comment, coefs in rows():
+        for comment, f in pieces():
+            coefs = chebyshev(f)
             dropped = max(dropped, max(abs(float(c)) for c in coefs[KEPT:]))
-            lines.append(f"    # {comment}")
-            lines.append("    (")
-            lines.extend(f"        {float(c)!r}," for c in coefs[:KEPT])
-            lines.append("    ),")
+            if comment:
+                lines.append(f"    # {comment}")
+            text = [f"{float(a)!r}" for a in powers(coefs[:KEPT])]
+            groups = [", ".join(text[i : i + PER_LINE]) for i in range(0, KEPT, PER_LINE)]
+            lines.append("    (" + ",\n     ".join(groups) + "),")
     lines.append(")")
     return "\n".join(lines) + "\n", dropped
 
@@ -94,7 +120,7 @@ def main() -> int:
     parser.add_argument("--check", action="store_true", help="compare with the committed table")
     args = parser.parse_args()
     text, dropped = render()
-    print(f"largest dropped coefficient: {dropped:.2e}", file=sys.stderr)
+    print(f"largest dropped Chebyshev coefficient: {dropped:.2e}", file=sys.stderr)
     if args.check:
         if TARGET.read_text() != text:
             print(f"{TARGET.name} differs from the regenerated table", file=sys.stderr)

@@ -83,18 +83,18 @@ def reduced_classes(disc: int) -> list[tuple[int, int, int]]:
     return sorted(out)
 
 
-def hurwitz_weight(form: tuple[int, int, int]) -> tuple[int, int]:
-    """Hurwitz weight of a class as a (num, den) rational.
+def hurwitz_weight(form: tuple[int, int, int]) -> int:
+    """Hurwitz weight of a reduced class in sixths, an int.
 
-    Forms proportional to x^2 + y^2 weigh 1/2, forms proportional to
-    x^2 + xy + y^2 weigh 1/3, everything else 1.
+    Forms proportional to x^2 + y^2 weigh 1/2 (3 sixths), forms proportional
+    to x^2 + xy + y^2 weigh 1/3 (2 sixths), everything else 1 (6 sixths).
     """
     a, b, c = form
     if b == 0 and a == c:
-        return (1, 2)
+        return 3
     if a == b == c:
-        return (1, 3)
-    return (1, 1)
+        return 2
+    return 6
 
 
 def hurwitz_class_number(n: int) -> Fraction:
@@ -102,7 +102,8 @@ def hurwitz_class_number(n: int) -> Fraction:
 
     Weighted count of SL2(Z)-classes of positive forms of discriminant -n;
     H(0) = -1/12 by convention, H(n) = 0 unless n = 0 or -n = 0, 1 mod 4.
-    The weights 1, 1/2 and 1/3 are summed as 6, 3 and 2 sixths in an int.
+    The weights 1, 1/2 and 1/3 are summed as 6, 3 and 2 sixths in an int
+    (hurwitz_weight).
     """
     n = _integer(n, "n")
     if n < 0:
@@ -111,7 +112,7 @@ def hurwitz_class_number(n: int) -> Fraction:
         return Fraction(-1, 12)
     if n % 4 not in (0, 3):
         return Fraction(0)
-    return Fraction(sum(6 * num // den for num, den in map(hurwitz_weight, reduced_classes(-n))), 6)
+    return Fraction(sum(map(hurwitz_weight, reduced_classes(-n))), 6)
 
 
 def hurwitz_class_number_boxdedup(n: int) -> Fraction:

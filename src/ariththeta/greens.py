@@ -15,7 +15,7 @@ D_x = the conjugate pair of roots of (x, w(z)) = 0; there R vanishes, and
 R(x, z) = t sinh^2(d(z, z_x)) in the hyperbolic distance d.
 
 beta_1 = E_1 has a scalar kernel (beta1) and a vectorized one (beta1_vec)
-with one route: a Clenshaw sum over one row of ariththeta._e1_table.
+with one route: a Horner sum over one row of ariththeta._e1_table.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._e1_table import E1_CHEBYSHEV
+from ._e1_table import E1_PIECES
 from .errors import (
     NonpositiveArgument,
     OnSingularLocus,
@@ -37,6 +37,7 @@ from .errors import (
 from .lattice import (
     TraceZeroLattice,
     _cholesky3,
+    _pivot_shrink,
     enumerate_by_majorant,
     majorant,
     model_coordinates_float,
@@ -107,34 +108,36 @@ DEFAULT_SPEC = QuadratureSpec()
 
 # --- beta_1 -----------------------------------------------------------------
 
-# Per row of the table, c_20..c_1 for beta1's Clenshaw loop, and c_0.  Rows
-# 0..10 are the octaves, indexed by frexp exponent; the last row is Ein's.
-_E1_DESCENDING = tuple(row[:0:-1] for row in E1_CHEBYSHEV)
-_E1_C0 = tuple(row[0] for row in E1_CHEBYSHEV)
-_EIN = len(E1_CHEBYSHEV) - 1
-# The same table by degree: _E1_ROWS[k, e] is c_k of row e, for beta1_vec.
-_E1_ROWS = np.array(E1_CHEBYSHEV).T.copy()
+# The table's rows: row 8 e + j is piece j of the octave of frexp exponent
+# e = 0..10, row _EIN + j the Ein piece [j/4, (j+1)/4].  For beta1's Horner
+# loop each row as (a_10, (a_9, ..., a_0)); for beta1_vec the same by
+# degree, _E1_BY_DEGREE[k, row] being a_k of the row.
+_E1_HORNER = tuple((row[-1], row[-2::-1]) for row in E1_PIECES)
+_EIN = len(E1_PIECES) - 4
+_E1_BY_DEGREE = np.array(E1_PIECES).T.copy()
 
 
 def beta1(r: float) -> float:
     """beta_1(r) = integral_1^oo e^(-r u) du / u, the exponential integral E_1.
 
-    One Clenshaw sum of 21 Chebyshev coefficients from the table
+    One Horner sum of 11 coefficients over one row of the table
     ariththeta._e1_table, which scripts/e1_table.py writes from mpmath at 40
-    digits (CI regenerates it with --check).  For r < 1/2 the row is the
-    entire function Ein(r) = E_1(r) + gamma + log r on [0, 1], in
-    x = 2 r - 1 (Abramowitz and Stegun 5.1.11), and E_1(r) = Ein(r) - gamma
-    - log r.  For r >= 1/2 the rows are octaves in the manner of Cody and
-    Thacher (Rational Chebyshev approximations for the exponential integral
-    E1(x), Math. Comp. 22, 1968): write r = m 2^e with m in [1/2, 1)
-    (math.frexp) and x = 4 m - 3 in [-1, 1); then E_1(r) = e^-r g(r) / r
-    with g(r) = r e^r E_1(r) = sum_{k<=20} c_k T_k(x) on the octave
-    [2^(e-1), 2^e), e = 0..10, that is r in [1/2, 1024).  The largest
-    dropped coefficient is 2e-18, below the rounding of the sums.  Relative
-    error below 2e-15 on (0, 700]; measured at most 4e-16 against mpmath on
-    [1e-300, 700], and the tests check both ends of every octave and the
-    Chebyshev extrema of every row, where a truncated sum is worst.  Above
-    700 the value is 0, an absolute error below E_1(700) < 1e-306.
+    digits (CI regenerates it with --check).  For r < 1/2 the rows are the
+    entire function Ein(r) = E_1(r) + gamma + log r on the pieces
+    [j/4, (j+1)/4], j = floor(4 r), in x = 2 (4 r - j) - 1 (Abramowitz and
+    Stegun 5.1.11), and E_1(r) = Ein(r) - gamma - log r.  For r >= 1/2 the
+    rows cut the octaves of Cody and Thacher (Rational Chebyshev
+    approximations for the exponential integral E1(x), Math. Comp. 22, 1968)
+    into 8 pieces each: write r = m 2^e with m in [1/2, 1) (math.frexp),
+    j = floor(16 (m - 1/2)) and x = 2 (16 m - 8 - j) - 1 in [-1, 1), exact
+    in floats; then E_1(r) = e^-r g(r) / r with g(r) = r e^r E_1(r) =
+    sum_{k<=10} a_k x^k on row 8 e + j, e = 0..10, that is r in [1/2, 1024).
+    Each row is the Chebyshev interpolant of its piece truncated after T_10
+    and written in powers of x; the largest dropped Chebyshev coefficient is
+    6e-19, below the rounding of the sums.  Relative error below 2e-15 on
+    (0, 700]; measured at most 4.1e-16 against mpmath on [1e-300, 700], and
+    the tests check both ends and the midpoint of every piece.  Above 700
+    the value is 0, an absolute error below E_1(700) < 1e-306.
     """
     if not r > 0:
         raise NonpositiveArgument(f"beta1 needs r > 0, got {r}")
@@ -142,60 +145,69 @@ def beta1(r: float) -> float:
 
 
 def _beta1(r: float, ein: bool) -> float:
-    # beta1's Clenshaw sum on the Ein row if ein (r <= 1), else on r's octave.
+    # beta1's Horner sum on r's Ein piece if ein (r <= 1), else on r's octave piece.
     if r > 700:
         return 0.0
     if ein:
-        row, x = _EIN, 2.0 * r - 1.0
+        f = 4.0 * r
+        j = min(int(f), 3)
+        row = _EIN + j
     else:
-        m, row = math.frexp(r)
-        x = 4.0 * m - 3.0
-    x2 = x + x
-    b1 = b2 = 0.0
-    for c in _E1_DESCENDING[row]:
-        b1, b2 = x2 * b1 - b2 + c, b1
-    t = x * b1 - b2 + _E1_C0[row]
+        m, e = math.frexp(r)
+        f = 16.0 * m - 8.0
+        j = int(f)
+        row = 8 * e + j
+    x = 2.0 * (f - j) - 1.0
+    t, rest = _E1_HORNER[row]
+    for c in rest:
+        t = t * x + c
     return t - EULER_GAMMA - math.log(r) if ein else math.exp(-r) * t / r
 
 
 def beta1_vec(r: np.ndarray) -> np.ndarray:
     """Vectorized beta1 on positive arrays: the same rows and sums.
 
-    Each point gets its row (Ein for r < 1/2, else its frexp octave) and its
-    x, and one Clenshaw pass runs over all points: each step is one take of
-    the step's coefficient, by each point's row, and three in-place ufuncs,
-    in the order beta1's float operations run.  So a value depends on its
-    own r alone, not on the batch, and differs from beta1 by the rounding of
-    exp or log at most.  Relative error below 2e-15 on (0, 700], as for
-    beta1, and 0 above 700.  An entry that is not > 0, NaN included, raises
-    NonpositiveArgument.
+    Each point gets its row (its Ein piece for r < 1/2, else its octave
+    piece) and its x, and one Horner pass runs over all points: each step is
+    one in-place multiply by x and one take of the step's coefficient, by
+    each point's row, added in place, in the order beta1's float operations
+    run.  So a value depends on its own r alone, not on the batch, and
+    differs from beta1 by the rounding of exp or log at most.  Relative
+    error below 2e-15 on (0, 700], as for beta1, and 0 above 700.  An entry
+    that is not > 0, NaN included, raises NonpositiveArgument.
 
     This kernel is for quadrature batches, whose median call in the heights
     benchmark has 1,920 points: on a 2-core x86-64 host such a call takes
-    0.26 to 0.56 ms, while one point alone takes 86 to 210 us.  So big_xi
-    and xi, a few terms per call, use the scalar beta1, which takes 1.5 to
-    2.5 us a call on r in [12.6, 40].  mpmath is the oracle of both kernels.
+    0.08 to 0.10 ms, while one point alone takes 48 to 60 us.  So big_xi
+    and xi, a few terms per call, use the scalar beta1, which takes 0.86 to
+    1.1 us a call on r in [12.6, 40].  mpmath is the oracle of both kernels.
     """
     r = np.asarray(r, dtype=float)
     positive = r > 0
     if not positive.all():
         raise NonpositiveArgument(f"beta1_vec needs r > 0, got {r[~positive][0]}")
     rc = np.minimum(r, 700.0)
-    m, row = np.frexp(rc, out=(np.empty_like(rc), np.empty(rc.shape, np.intp)))
-    ein = rc < 0.5
-    row[ein] = _EIN
-    x = np.where(ein, 2.0 * rc - 1.0, 4.0 * m - 3.0)
-    x2 = x + x
-    b1, b2, t, c = np.zeros_like(rc), np.zeros_like(rc), np.empty_like(rc), np.empty_like(rc)
-    for coefs in _E1_ROWS[:0:-1]:
-        np.multiply(x2, b1, out=t)
-        t -= b2
+    f, e = np.frexp(rc)
+    f *= 16.0
+    f -= 8.0
+    ein = np.flatnonzero(rc < 0.5)
+    f[ein] = 4.0 * rc[ein]
+    j = f.astype(np.intp)
+    row = e.astype(np.intp)
+    row *= 8
+    row += j
+    row[ein] = _EIN + j[ein]
+    x = f - j
+    x *= 2.0
+    x -= 1.0
+    t, c = _E1_BY_DEGREE[-1].take(row, mode="clip"), np.empty_like(rc)
+    for coefs in _E1_BY_DEGREE[-2::-1]:
+        t *= x
         t += coefs.take(row, out=c, mode="clip")
-        b1, b2, t = t, b1, b2
-    np.multiply(x, b1, out=t)
-    t -= b2
-    t += _E1_ROWS[0].take(row, out=c, mode="clip")
-    out = np.where(ein, t - EULER_GAMMA - np.log(rc), np.exp(-rc) * t / rc)
+    out = np.exp(-rc)
+    out *= t
+    out /= rc
+    out[ein] = t[ein] - EULER_GAMMA - np.log(rc[ein])
     out[r > 700] = 0.0
     return out
 
@@ -332,7 +344,8 @@ def big_xi(
         factor = _cholesky3(m00, m01, m02, m11, m12, m22)
     except PreconditionViolation:
         raise QuadratureFailure("majorant lost positivity") from None
-    pivots = [factor[k] * (1.0 - 1e-9) for k in (0, 3, 5)]
+    shrink = _pivot_shrink(m00, m11, m22, factor)
+    pivots = [factor[k] * (1.0 - shrink) for k in (0, 3, 5)]
     bound = spec.truncation_majorant_bound
     for _ in range(7):
         tail = _tail_bound(pivots, t, v, bound, lat.gram[0][0] == 0)
@@ -374,7 +387,7 @@ def _tail_bound(pivots, t: int, v: float, bound: float, whole_rows: bool) -> flo
     """Rigorous bound for the sum over majorant values M above `bound`.
 
     pivots are U00, U11, U22 of the majorant's upper Cholesky factor U,
-    shrunk by a relative 1e-9; whole_rows is G00 = 0.  R = (M - 2t)/4 and
+    shrunk by lattice._pivot_shrink; whole_rows is G00 = 0.  R = (M - 2t)/4 and
     beta_1(r) <= e^-r / r, so dyadic shells [lo, 2 lo) of M, each counted by
     _norm_count(2 lo), give a convergent series.
 
@@ -391,11 +404,13 @@ def _tail_bound(pivots, t: int, v: float, bound: float, whole_rows: bool) -> flo
     The shrink: the computed U is the exact factor of M + E with
     |E_ij| <= 4.5e-16 sqrt(Mii Mjj) (Higham, Accuracy and Stability of
     Numerical Algorithms, ch. 10), so M + E <= (1 + 1.4e-15 s) M for s the
-    norm of the inverse of M scaled to a unit diagonal.  The shrunk pivots
-    count the vectors with M + E <= X (1 + 2e-9), which covers s up to
-    1.4e6 and the rounding of the count.  On d1, d6 and d10, s is at most
-    1.1e4 on |u| <= 1.5, 0.3 <= v <= 2.5 and 1.01e6 on |u| <= 1/2,
-    0.87 <= v <= 30; beyond, it grows like ((u^2 + v^2 + 1)/v)^4.
+    norm of the inverse of M scaled to a unit diagonal.  Pivots shrunk by
+    1e-9 count the vectors with M + E <= X (1 + 2e-9), which covers s up to
+    1.4e6 and the rounding of the count; beyond, _pivot_shrink takes a
+    shrink of 1.4e-15 times a bound on s read from U.  On d1, d6 and d10,
+    s is at most 1.1e4 on |u| <= 1.5, 0.3 <= v <= 2.5 and 1.01e6 on
+    |u| <= 1/2, 0.87 <= v <= 30; beyond, it grows like ((u^2 + v^2 + 1)/v)^4,
+    to 1.1e13 at u = 6, v = 0.02 on d6.
     """
     if bound <= 2 * t + 1:
         return math.inf

@@ -80,8 +80,7 @@ def degree_series(lat: TraceZeroLattice, v: float, n: int) -> DegreeSeries:
         for form in binforms.reduced_classes(-4 * t):
             f = math.gcd(*form)
             local = math.prod(1 - eichler_symbol(-4 * t // (f * f), p) for p in primes)
-            num, den = binforms.hurwitz_weight(form)
-            sixths += local * (6 * num // den)
+            sixths += local * binforms.hurwitz_weight(form)
         coeffs[t] = Fraction(sixths, 6)
     return DegreeSeries(v=v, coefficients=coeffs, hodge_degree=-coeffs[0])
 

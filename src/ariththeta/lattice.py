@@ -221,6 +221,16 @@ class TraceZeroLattice:
         arr.flags.writeable = False
         return arr
 
+    @cached_property
+    def is_split_model(self) -> bool:
+        """True when the lattice maps unimodularly onto trace-zero integer matrices."""
+        if self.discriminant != 1:
+            return False
+        c = model_coordinates(self)
+        if not all(isinstance(e, Fraction) and e.denominator == 1 for row in c for e in row):
+            return False
+        return abs(_det3(c)) == 1
+
 
 def trace_zero_lattice(order: Order) -> TraceZeroLattice:
     """Intersect the order with the trace-zero hyperplane.
@@ -307,15 +317,8 @@ def model_coordinates_float(lat: TraceZeroLattice) -> np.ndarray:
 
 
 def is_split_model(lat: TraceZeroLattice) -> bool:
-    """True when the lattice maps unimodularly onto trace-zero integer matrices."""
-    if lat.discriminant != 1:
-        return False
-    c = model_coordinates(lat)
-    entries = [e for row in c for e in row]
-    if not all(isinstance(e, Fraction) and e.denominator == 1 for e in entries):
-        return False
-    det = _det3([[Fraction(e) for e in row] for row in c])
-    return abs(det) == 1
+    """True when the lattice maps unimodularly onto trace-zero integer matrices (cached)."""
+    return lat.is_split_model
 
 
 # --- majorant and enumeration ----------------------------------------------
@@ -389,6 +392,32 @@ def _cholesky3(m00, m01, m02, m11, m12, m22):
     return u00, u01, u02, u11, u12, _pivot_root(m22 - u02 * u02 - u12 * u12)
 
 
+def _pivot_shrink(m00: float, m11: float, m22: float, factor) -> float:
+    """Relative shrink of the Cholesky pivots that covers the rounding of `factor`.
+
+    The computed factor U of the form M is the exact factor of M + E with
+    |E_ij| <= 4.5e-16 sqrt(Mii Mjj) (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 10), so |n^T E n| <= 1.4e-15 s n^T M n for s
+    the norm of M^-1 scaled to a unit diagonal.  With D = diag M,
+    s = |D^1/2 U^-1|_2^2 <= |D^1/2 U^-1|_F^2 = sF, summed from U^-1
+    written out.  A shrink of 1e-9 covers s up to 1.4e6 and the rounding of
+    the counts (see greens._tail_bound), and it is kept there, bit for bit;
+    above, the shrink is 1.4e-15 sF, twice what s needs, which covers the
+    rounding of sF itself.  An sF above 1e14, where E may be a tenth of M,
+    raises QuadratureFailure.
+    """
+    u00, u01, u02, u11, u12, u22 = factor
+    w01, w12 = u01 / (u00 * u11), u12 / (u11 * u22)
+    w02 = (u01 * u12 - u02 * u11) / (u00 * u11 * u22)
+    s_f = m00 * (1.0 / (u00 * u00) + w01 * w01 + w02 * w02)
+    s_f += m11 * (1.0 / (u11 * u11) + w12 * w12) + m22 / (u22 * u22)
+    if s_f <= 1.4e6:
+        return 1e-9
+    if not s_f <= 1e14:
+        raise QuadratureFailure(f"majorant too ill-conditioned: scaled inverse norm {s_f:.3g} above 1e14")
+    return 1.4e-15 * s_f
+
+
 def _pivot_root(p: float) -> float:
     if not p > 0:
         raise PreconditionViolation("form is not positive definite")
@@ -422,7 +451,11 @@ def _enumerate_norm(m: np.ndarray, bound: float, gram, t: int, cap: int = 2_000_
     (`factor`, else _cholesky3; a pivot that is not positive raises
     PreconditionViolation), the loop walks the n3 range, then each n3's n2
     range, then each (n3, n2) row's n1 range, all three from U and padded
-    against rounding, so they hold every point of the ellipsoid.  On each
+    against rounding, so they hold every point of the ellipsoid.  Where the
+    computed U is far enough from the exact factor of m that _pivot_shrink
+    widens the tail's pivots, the slices are those of the widened ellipsoid
+    |U n|^2 <= bound / (1 - shrink)^2, which holds every n with
+    value(n) <= bound.  On each
     row G00 n1^2 + 2 b n1 + c = 0, where b = G01 n2 + G02 n3 and
     c = G11 n2^2 + 2 G12 n2 n3 + G22 n3^2 - 2t, is solved exactly in Python
     integers (by isqrt of the discriminant, or as a linear equation when
@@ -431,11 +464,12 @@ def _enumerate_norm(m: np.ndarray, bound: float, gram, t: int, cap: int = 2_000_
     slice; for a <= 0 the n2 range is clipped to where it is not negative
     (_nonnegative_rows), for a > 0 a negative row is skipped in the loop.
 
-    Bounded: each n2 range holds at most 2 sqrt(bound)/U11 + 4 integers, so
-    more than cap rows, (2 lim3 + 1)(2 sqrt(bound)/U11 + 4), raise
+    Bounded: each n2 range holds at most 2 sqrt(reach)/U11 + 4 integers, for
+    reach the slicing bound, so more than cap rows,
+    (2 lim3 + 1)(2 sqrt(reach)/U11 + 4), raise
     BoundTooLarge before any row is visited.  A row yields at most two
     roots unless it is whole: G00 = 0, b = 0 and c = 0, when every n1 of
-    its range (at most 2 sqrt(bound)/U00 + 4 of them) is one.  The (n2, n3)
+    its range (at most 2 sqrt(reach)/U00 + 4 of them) is one.  The (n2, n3)
     of whole rows satisfy G01 n2 + G02 n3 = 0, a line k (p, q); Q(0, p, q)
     is nonzero, since it is orthogonal to the isotropic e1 and a
     nondegenerate ternary form has no isotropic plane, so c = 0 holds for
@@ -449,12 +483,16 @@ def _enumerate_norm(m: np.ndarray, bound: float, gram, t: int, cap: int = 2_000_
     if bound <= 0:
         return []
     (m00, m01, m02), (_, m11, m12), (_, _, m22) = m.tolist()
-    u00, u01, u02, u11, u12, u22 = factor or _cholesky3(m00, m01, m02, m11, m12, m22)
-    lim3 = math.floor(math.sqrt(bound * (1 + 1e-12)) / u22 + 1e-9) + 1
-    rows = (2 * lim3 + 1) * (2 * math.sqrt(bound) / u11 + 4)
+    factor = factor or _cholesky3(m00, m01, m02, m11, m12, m22)
+    u00, u01, u02, u11, u12, u22 = factor
+    shrink = _pivot_shrink(m00, m11, m22, factor)
+    # The slicing bound: `bound` itself, or widened by the tail's shrink.
+    reach = bound / (1.0 - shrink) ** 2 if shrink > 1e-9 else bound
+    lim3 = math.floor(math.sqrt(reach * (1 + 1e-12)) / u22 + 1e-9) + 1
+    rows = (2 * lim3 + 1) * (2 * math.sqrt(reach) / u11 + 4)
     if rows > cap:
         raise BoundTooLarge(f"{rows:.3g} rows to visit exceed cap {cap}")
-    pad = 1e-9 * (1.0 + abs(bound))
+    pad = 1e-9 * (1.0 + abs(reach))
     (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram
     # With g00 != 0, the discriminant b^2 - g00 c is (a n2 + d1) n2 + d0 on a slice.
     a = g01 * g01 - g00 * g11
@@ -462,7 +500,7 @@ def _enumerate_norm(m: np.ndarray, bound: float, gram, t: int, cap: int = 2_000_
     out = []
     for n3 in range(-lim3, lim3 + 1):
         r3 = u22 * n3
-        rem2 = bound - r3 * r3
+        rem2 = reach - r3 * r3
         if rem2 < -pad:
             continue
         c2 = u12 * n3
@@ -536,7 +574,7 @@ def weighted_orbit_degree(lat: TraceZeroLattice, t: int) -> Fraction:
         raise UnsupportedDiscriminant(
             "orbit counting is implemented only for the split model"
         )
-    if not is_split_model(lat):
+    if not lat.is_split_model:
         raise PreconditionViolation("lattice does not match the split matrix model")
     if t < 1:
         raise PreconditionViolation("t must be >= 1")

@@ -45,7 +45,7 @@ from .greens import (
     xi,
     xi_vec,
 )
-from .lattice import TraceZeroLattice, is_split_model
+from .lattice import TraceZeroLattice
 from .quadrature import adaptive_integrate
 
 Vec3 = tuple[float, float, float]
@@ -53,6 +53,9 @@ Vec3 = tuple[float, float, float]
 # Hyperbolic radius of the disc about the log point of xi(y2) on which the
 # cut-off chi = 1 - S(d / DISC_RADIUS) falls from 1 to 0.
 DISC_RADIUS = 0.5
+# d(z, i) < DISC_RADIUS exactly when |z - i|^2 < 4 v sinh^2(DISC_RADIUS / 2);
+# the factor 1 + 1e-9 keeps every node where chi may be nonzero.
+_DISC_REACH = 4.0 * math.sinh(DISC_RADIUS / 2.0) ** 2 * (1.0 + 1e-9)
 _RADIAL_NODES = 24
 _MAX_ANGLES = 1024
 
@@ -282,9 +285,14 @@ def lambda_star(pair: PairConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> Lambda
         vals = ddc_xi_vec(y1, u, v) * xi_vec(y2, u, v)
         if disc:
             # f = chi f + (1 - chi) f: the box gets (1 - chi) f, which
-            # vanishes to fourth order at the log point i of xi(y2).
-            d = 2.0 * np.arcsinh(np.hypot(u, v - 1.0) / (2.0 * np.sqrt(v)))
-            vals = vals * _smoothstep(np.minimum(d / DISC_RADIUS, 1.0))
+            # vanishes to fourth order at the log point i of xi(y2).  Off the
+            # disc the factor is S(1) = 1.0 exactly, so only nodes on it
+            # are multiplied.
+            near = np.flatnonzero(u * u + (v - 1.0) ** 2 < _DISC_REACH * v)
+            if near.size:
+                un, vn = u[near], v[near]
+                d = 2.0 * np.arcsinh(np.hypot(un, vn - 1.0) / (2.0 * np.sqrt(vn)))
+                vals[near] *= _smoothstep(np.minimum(d / DISC_RADIUS, 1.0))
         return vals
 
     abs_tol = max(spec.abs_tol, 1e-9)
@@ -325,7 +333,7 @@ def z_hat_indefinite(
     if t_mat[1][0] != t_mat[0][1]:
         raise PreconditionViolation("T must be symmetric")
     if orbit_reps is None:
-        if not (lat.discriminant == 1 and is_split_model(lat)):
+        if not lat.is_split_model:
             raise UnsupportedDiscriminant(
                 "orbit enumeration needs the split model; pass orbit_reps explicitly"
             )

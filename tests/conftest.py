@@ -7,7 +7,7 @@ import pytest
 
 import ariththeta as at
 from ariththeta.greens import QuadratureSpec
-from ariththeta.lattice import _cholesky3
+from ariththeta.lattice import _cholesky3, _pivot_shrink
 
 
 @pytest.fixture(scope="session")
@@ -105,10 +105,11 @@ def brute_force_ball():
 
 
 def _tail_pivots(m):
-    """U00, U11, U22 of the Cholesky factor of the majorant m, shrunk by 1e-9 as big_xi shrinks them."""
+    """U00, U11, U22 of the Cholesky factor of the majorant m, shrunk as big_xi shrinks them."""
     (m00, m01, m02), (_, m11, m12), (_, _, m22) = m.tolist()
     u = _cholesky3(m00, m01, m02, m11, m12, m22)
-    return [u[k] * (1.0 - 1e-9) for k in (0, 3, 5)]
+    shrink = _pivot_shrink(m00, m11, m22, u)
+    return [u[k] * (1.0 - shrink) for k in (0, 3, 5)]
 
 
 @pytest.fixture(scope="session")

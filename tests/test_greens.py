@@ -15,12 +15,13 @@ from ariththeta.errors import (
     PreconditionViolation,
     SingularEvaluation,
 )
-from ariththeta._e1_table import E1_CHEBYSHEV
+from ariththeta._e1_table import E1_PIECES
 from ariththeta.greens import (
     EULER_GAMMA,
     BigXiResult,
     QuadratureSpec,
     UHPoint,
+    _beta1,
     _tail_bound,
     beta1,
     beta1_vec,
@@ -75,7 +76,7 @@ def test_beta1_decreasing_positive_bounded(r):
 
 
 def test_beta1_vec_matches_scalar():
-    # Both kernels run one Clenshaw sum on the same row and differ by the
+    # Both kernels run one Horner sum on the same row and differ by the
     # rounding of exp or log alone; over [1e-300, 700] they differ by at most
     # 4e-16 (measured).
     rs = np.geomspace(1e-5, 80.0, 64)
@@ -102,35 +103,41 @@ def test_beta1_vec_is_batch_independent():
     assert single.tobytes() == whole.tobytes()
 
 
-def _chebyshev_extrema():
-    """The extrema of T_21 on [-1, 1], at x = cos(pi j / 21), the ends among them.
+def _piece_points(lo, hi):
+    """Both ends of the piece [lo, hi), its midpoint and the extrema of T_11 on it.
 
-    A row's truncated sum has error about c_21 T_21(x), largest there.
+    The last float below hi stands for the right end.  A row's truncated sum
+    has error about c_11 T_11(x), largest at x = cos(pi j / 11).
     """
-    kept = len(E1_CHEBYSHEV[0])
-    return [math.cos(math.pi * j / kept) for j in range(kept + 1)]
+    kept = len(E1_PIECES[0])
+    xs = [math.cos(math.pi * j / kept) for j in range(1, kept)] + [0.0]
+    return [lo, math.nextafter(hi, 0.0)] + [lo + (hi - lo) * (x + 1.0) / 2.0 for x in xs]
 
 
 def _octave_test_points():
-    """Both ends of every table octave e = 0..10 and its extrema of T_21, up to 700."""
+    """The points of every piece of every table octave e = 0..10, up to 700."""
     points = []
     for e in range(11):
-        points += [2.0**e, math.nextafter(2.0**e, 0.0)]
-        points += [math.ldexp((x + 3.0) / 4.0, e) for x in _chebyshev_extrema()]
+        for j in range(8):
+            points += _piece_points(math.ldexp(0.5 + j / 16, e), math.ldexp(0.5 + (j + 1) / 16, e))
     return [r for r in points if r <= 700.0]
 
 
-def _ein_test_points():
-    """The extrema of T_21 on the Ein row, r = (x + 1) / 2, without r = 0."""
-    return [(x + 1.0) / 2.0 for x in _chebyshev_extrema() if x > -1.0]
+def _ein_test_points(pieces=range(2)):
+    """The points of the Ein pieces [j/4, (j+1)/4], without r = 0.
+
+    The kernels take pieces 0 and 1, below 1/2; pieces 2 and 3 serve the
+    crossover check of `check beta1` alone.
+    """
+    return [r for j in pieces for r in _piece_points(j / 4, (j + 1) / 4) if r > 0.0]
 
 
 def test_beta1_accuracy_against_mpmath():
     # The docstring's claim for both kernels: relative error below 2e-15 on
     # (0, 700], against mpmath's E_1 at 30 digits.  The grid starts at
-    # 1e-300, where xi_vec floors R.  The octave ends and the Chebyshev
-    # extrema of every row, where the table is worst, are all checked, with
-    # a grid over the whole range.
+    # 1e-300, where xi_vec floors R.  Both ends, the midpoint and the
+    # Chebyshev extrema of every piece, where its row is worst, are all
+    # checked, with a grid over the whole range.
     mpmath = pytest.importorskip("mpmath")
     rs = np.concatenate(
         [
@@ -147,6 +154,11 @@ def test_beta1_accuracy_against_mpmath():
     vec = beta1_vec(rs)
     assert np.max(np.abs(scalar - ref) / ref) < 2e-15
     assert np.max(np.abs(vec - ref) / ref) < 2e-15
+    # The Ein rows above 1/2, which only the crossover check reads.
+    upper = _ein_test_points(range(2, 4)) + [1.0]
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.e1(mpmath.mpf(r))) for r in upper])
+    assert np.max(np.abs(np.array([_beta1(r, True) for r in upper]) - ref) / ref) < 2e-15
 
 
 @pytest.mark.parametrize("bad", [[0.0], [-1.0], [math.nan], [2.0, math.nan]])

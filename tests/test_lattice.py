@@ -25,8 +25,10 @@ from ariththeta.identities import degree_series
 from ariththeta.lattice import (
     Order,
     _cholesky3,
+    _det3,
     _enumerate_norm,
     _nonnegative_rows,
+    _pivot_shrink,
     is_split_model,
     load_order,
     majorant,
@@ -439,6 +441,86 @@ def test_row_count_bounds_the_norm_vectors(request, brute_force_ball, tail_pivot
             true = Counter(sum(p * g * q for p, row in zip(n, gram) for g, q in zip(row, n)) // 2 for n in found)
             for t in ts:
                 assert _norm_count(pivots, x, gram[0][0] == 0) >= true[t], (z, x, t)
+
+
+def _exact_pivots_squared(m):
+    """U00^2, U11^2, U22^2 of the exact Cholesky factor of the float form m: ratios of leading minors."""
+    f = [[Fraction(x) for x in row] for row in m.tolist()]
+    minors = [Fraction(1), f[0][0], f[0][0] * f[1][1] - f[0][1] ** 2, Fraction(_det3(f))]
+    return [minors[k + 1] / minors[k] for k in range(3)]
+
+
+@pytest.mark.parametrize("name", ["lat_d1", "lat_d6", "lat_d10"])
+def test_shrunk_pivots_are_at_most_the_exact_ones(request, tail_pivots, name):
+    # The tail's count needs pivots at most the exact ones of the float
+    # majorant.  On skewed points (|u| <= 6, v from 0.02 to 30) the 1e-9
+    # shrink alone fails this at about one point in ten; the widened shrink
+    # holds at every point.
+    lat = request.getfixturevalue(name)
+    rng = random.Random(23)
+    widened = 0
+    for _ in range(100):
+        z = UHPoint(rng.uniform(-6.0, 6.0), math.exp(rng.uniform(math.log(0.02), math.log(30.0))))
+        m = majorant(lat, z)
+        pivots = tail_pivots(m)
+        assert all(Fraction(p) ** 2 <= e for p, e in zip(pivots, _exact_pivots_squared(m))), z
+        widened += pivots[0] < math.sqrt(m[0, 0]) * (1.0 - 1e-9)
+    assert widened > 10
+
+
+def _exact_ball(m, bound, gram, ts):
+    """The n with n^T G n = 2t for a t in ts and n^T m n <= 21/20 bound, sorted.
+
+    An oracle in exact arithmetic: the float form m is taken as Fractions,
+    and its LDL^T factor (pivots the ratios of its leading minors) slices
+    the ellipsoid exactly.  It holds every vector whose six-product float
+    value, off by far less than 5%, is at most bound.
+    """
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = [[Fraction(x) for x in row] for row in m.tolist()]
+    l10, l20 = m01 / m00, m02 / m00
+    d1 = m11 - l10 * l10 * m00
+    l21 = (m12 - l10 * l20 * m00) / d1
+    d2 = m22 - l20 * l20 * m00 - l21 * l21 * d1
+
+    def span(c, q):  # the integers k with (k - c)^2 <= q
+        r = math.isqrt(math.floor(q)) + 1
+        return [k for k in range(math.floor(c) - r, math.ceil(c) + r + 1) if (k - c) ** 2 <= q]
+
+    reach, norms, out = Fraction(bound) * Fraction(21, 20), {2 * t for t in ts}, []
+    for n3 in span(0, reach / d2):
+        rem2 = reach - d2 * n3 * n3
+        for n2 in span(-l21 * n3, rem2 / d1):
+            for n1 in span(-(l10 * n2 + l20 * n3), (rem2 - d1 * (n2 + l21 * n3) ** 2) / m00):
+                n = (n1, n2, n3)
+                norm2 = sum(p * g * q for p, row in zip(n, gram) for g, q in zip(row, n))
+                if any(n) and norm2 in norms:
+                    out.append(n)
+    return sorted(out)
+
+
+def test_pivot_shrink_reaches_a_skewed_majorant(lat_d6, brute_force_ball, form_value, tail_pivots):
+    # At u = 6, v = 0.02 on d6 the majorant's inverse, scaled to a unit
+    # diagonal, has norm 1.1e13: the computed U22^2 is 1.5e-4 off the exact
+    # pivot, far beyond the 1e-9 shrink that covers norms up to 1.4e6.
+    z = UHPoint(6.0, 0.02)
+    m = majorant(lat_d6, z)
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = m.tolist()
+    factor = _cholesky3(m00, m01, m02, m11, m12, m22)
+    exact = _exact_pivots_squared(m)
+    assert max(abs(Fraction(factor[k]) ** 2 / e - 1) for k, e in zip((0, 3, 5), exact)) > 1e-4
+    pivots = tail_pivots(m)
+    assert 1e-3 < _pivot_shrink(m00, m11, m22, factor) < 0.1
+    assert all(Fraction(p) ** 2 <= e for p, e in zip(pivots, exact))
+    ts = (-6, -5, -3, -2, 1, 3, 4, 6)
+    found = _exact_ball(m, 16.0, lat_d6.gram, ts)
+    for bound in (12.0, 16.0):
+        ball = [n for n in found if form_value(m, n) <= bound]
+        for t in ts:
+            want = [n for n in ball if lat_d6.q_value(n) == t]
+            assert sorted(at.enumerate_by_majorant(lat_d6, z, bound, norm=t)) == want, (bound, t)
+            assert brute_force_ball(m, bound, lat_d6.gram, t) == want, (bound, t)
+            assert _norm_count(pivots, bound, False) >= len(want)
+    assert len(ball) > 20
 
 
 @pytest.mark.parametrize(
