@@ -7,10 +7,11 @@ The table has one row per piece.  For each frexp exponent e = 0..10 the
 octave [2^(e-1), 2^e) of r = m 2^e, m in [1/2, 1), is cut into 8 equal
 pieces in m: piece j = floor(16 (m - 1/2)) is m in [1/2 + j/16, 1/2 + (j+1)/16),
 its row is 8 e + j, and its variable is x = 2 (16 m - 8 - j) - 1 in [-1, 1),
-exact in floats.  Its function is g(r) = r e^r E_1(r).  After the 88 octave
-rows come 4 rows for the entire function Ein(r) = E_1(r) + gamma + log r
-(Abramowitz and Stegun 5.1.11) on the pieces [j/4, (j+1)/4] of [0, 1], in
-x = 2 (4 r - j) - 1.
+exact in floats.  Its function is g(r) = r e^r E_1(r).  The rows stop at the
+piece that holds 700, row 82 = [640, 704), since both kernels return 0 above
+700.  After the 83 octave rows come 4 rows for the entire function
+Ein(r) = E_1(r) + gamma + log r (Abramowitz and Stegun 5.1.11) on the pieces
+[j/4, (j+1)/4] of [0, 1], in x = 2 (4 r - j) - 1.
 
 Each function is sampled with mpmath at 40 digits on the 30 Chebyshev nodes
 of its piece, the discrete cosine transform gives its Chebyshev coefficients
@@ -27,13 +28,15 @@ the committed file, and the exit status is 1 unless they are equal.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 import mpmath
 
 TARGET = Path(__file__).resolve().parent.parent / "src" / "ariththeta" / "_e1_table.py"
-OCTAVES = range(0, 11)
+# Both kernels return 0 above LAST, so the octave rows end with LAST's piece.
+LAST = 700.0
 PIECES = 8
 EIN_PIECES = 4
 NODES = 30
@@ -76,11 +79,18 @@ def ein(r):
 
 def pieces() -> list:
     """(comment, function of x) per octave, then per Ein piece, in row order."""
+    m, e_last = math.frexp(LAST)
+    rows = PIECES * e_last + int(2 * PIECES * m - PIECES) + 1
     out = []
-    for e in OCTAVES:
-        for j in range(PIECES):
-            comment = f"e = {e}: g on [{2.0 ** (e - 1)!r}, {2.0 ** e!r}) in {PIECES} pieces" if j == 0 else None
-            out.append((comment, lambda x, e=e, j=j: g(mpmath.ldexp((x + 17 + 2 * j) / 32, e))))
+    for row in range(rows):
+        e, j = divmod(row, PIECES)
+        if j == 0:
+            count = min(PIECES, rows - row)
+            hi = math.ldexp(0.5 + count / (2 * PIECES), e)
+            comment = f"e = {e}: g on [{2.0 ** (e - 1)!r}, {hi!r}) in {count} pieces"
+        else:
+            comment = None
+        out.append((comment, lambda x, e=e, j=j: g(mpmath.ldexp((x + 17 + 2 * j) / 32, e))))
     for j in range(EIN_PIECES):
         comment = f"Ein on [0.0, 1.0] in {EIN_PIECES} pieces" if j == 0 else None
         out.append((comment, lambda x, j=j: ein((x + 1 + 2 * j) / 8)))
@@ -92,10 +102,10 @@ def render() -> tuple[str, float]:
     lines = [
         '"""Polynomials of the E_1 kernels: one row per piece, 8 per octave, then 4 of Ein.',
         "",
-        "Generated by scripts/e1_table.py; do not edit.  Row 8 e + j, e = 0..10,",
-        "j = 0..7, holds a_0..a_10 of g(r) = r e^r E_1(r) on r = m 2^e,",
-        "m in [1/2 + j/16, 1/2 + (j+1)/16), in x = 2 (16 m - 8 - j) - 1:",
-        "g = sum a_k x^k.  Row 88 + j, j = 0..3, holds a_0..a_10 of",
+        "Generated by scripts/e1_table.py; do not edit.  Row 8 e + j, j = 0..7,",
+        "up to row 82 (r < 704), holds a_0..a_10 of g(r) = r e^r E_1(r) on",
+        "r = m 2^e, m in [1/2 + j/16, 1/2 + (j+1)/16), in x = 2 (16 m - 8 - j) - 1:",
+        "g = sum a_k x^k.  Row 83 + j, j = 0..3, holds a_0..a_10 of",
         "Ein(r) = E_1(r) + gamma + log r on [j/4, (j+1)/4], in x = 2 (4 r - j) - 1.",
         '"""',
         "",

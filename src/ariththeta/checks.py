@@ -18,6 +18,7 @@ from .errors import PreconditionViolation, UnsupportedDiscriminant
 from .greens import EULER_GAMMA, QuadratureSpec, _beta1, beta1
 from .identities import degree_series
 from .lattice import TraceZeroLattice
+from .splitorbits import apply3, conj_action, pair_action
 from .starprod import PairConfig, lambda_star, z_hat_indefinite
 
 Row = tuple[str, bool, str]
@@ -91,11 +92,7 @@ def random_rotation(rng: random.Random) -> np.ndarray:
 
 
 def rotate_pair(pair: PairConfig, k: np.ndarray) -> PairConfig:
-    x1 = np.array(pair.x1)
-    x2 = np.array(pair.x2)
-    y1 = k[0, 0] * x1 + k[1, 0] * x2
-    y2 = k[0, 1] * x1 + k[1, 1] * x2
-    return PairConfig.from_vectors(tuple(y1), tuple(y2))
+    return PairConfig.from_vectors(*pair_action((pair.x1, pair.x2), k.ravel()))
 
 
 def conjugate_pair(pair: PairConfig, rng: random.Random) -> PairConfig:
@@ -103,17 +100,8 @@ def conjugate_pair(pair: PairConfig, rng: random.Random) -> PairConfig:
     p = rng.uniform(0.7, 1.4)
     q = rng.uniform(-0.6, 0.6)
     r = rng.uniform(-0.6, 0.6)
-    s = (1 + q * r) / p
-
-    def conj(x):
-        al, be, ga = x
-        return (
-            (p * s + q * r) * al - p * r * be + q * s * ga,
-            -2 * p * q * al + p * p * be - q * q * ga,
-            2 * r * s * al - r * r * be + s * s * ga,
-        )
-
-    y1, y2 = conj(pair.x1), conj(pair.x2)
+    conj = conj_action((p, q, r, (1 + q * r) / p))
+    y1, y2 = apply3(conj, pair.x1), apply3(conj, pair.x2)
     if rng.random() < 0.5:
         # Improper ambient isometry (reflection u -> -u of the half-plane).
         y1 = (-y1[0], y1[1], y1[2])

@@ -13,6 +13,7 @@ from .greens import UHPoint, big_xi
 from .identities import classify, degree_series
 from .lattice import trace_zero_lattice
 from .numtheory import is_squarefree
+from .splitorbits import pair_action
 from .starprod import PairConfig, lambda_star
 from . import checks
 
@@ -137,10 +138,8 @@ def cmd_lambda(args, cfg: RunConfig) -> int:
         from .starprod import _square_root
 
         a = _square_root(np.array([[v11, v12], [v12, v22]]), "symmetric")
-        y1 = a[0, 0] * x1 + a[1, 0] * x2
-        y2 = a[0, 1] * x1 + a[1, 1] * x2
-        x1, x2 = y1, y2
-    res = lambda_star(PairConfig.from_vectors(tuple(x1), tuple(x2)), cfg.quadrature)
+        x1, x2 = pair_action((x1, x2), a.ravel())
+    res = lambda_star(PairConfig.from_vectors(x1, x2), cfg.quadrature)
     _emit(
         args,
         "lambda",

@@ -42,6 +42,7 @@ from .lattice import (
     majorant,
     model_coordinates_float,
 )
+from .splitorbits import q_value
 
 # Euler-Mascheroni constant, 30 certified digits (mpmath, 40 dps).
 EULER_GAMMA = 0.577215664901532860606512090082
@@ -109,9 +110,10 @@ DEFAULT_SPEC = QuadratureSpec()
 # --- beta_1 -----------------------------------------------------------------
 
 # The table's rows: row 8 e + j is piece j of the octave of frexp exponent
-# e = 0..10, row _EIN + j the Ein piece [j/4, (j+1)/4].  For beta1's Horner
-# loop each row as (a_10, (a_9, ..., a_0)); for beta1_vec the same by
-# degree, _E1_BY_DEGREE[k, row] being a_k of the row.
+# e, up to the piece of 700 (row 82), row _EIN + j the Ein piece
+# [j/4, (j+1)/4].  For beta1's Horner loop each row as (a_10, (a_9, ...,
+# a_0)); for beta1_vec the same by degree, _E1_BY_DEGREE[k, row] being a_k
+# of the row.
 _E1_HORNER = tuple((row[-1], row[-2::-1]) for row in E1_PIECES)
 _EIN = len(E1_PIECES) - 4
 _E1_BY_DEGREE = np.array(E1_PIECES).T.copy()
@@ -131,7 +133,7 @@ def beta1(r: float) -> float:
     into 8 pieces each: write r = m 2^e with m in [1/2, 1) (math.frexp),
     j = floor(16 (m - 1/2)) and x = 2 (16 m - 8 - j) - 1 in [-1, 1), exact
     in floats; then E_1(r) = e^-r g(r) / r with g(r) = r e^r E_1(r) =
-    sum_{k<=10} a_k x^k on row 8 e + j, e = 0..10, that is r in [1/2, 1024).
+    sum_{k<=10} a_k x^k on row 8 e + j, up to row 82, that is r in [1/2, 704).
     Each row is the Chebyshev interpolant of its piece truncated after T_10
     and written in powers of x; the largest dropped Chebyshev coefficient is
     6e-19, below the rounding of the sums.  Relative error below 2e-15 on
@@ -228,15 +230,10 @@ def r_value(x, z: UHPoint):
     return (re * re + im * im) / (4 * v * v)
 
 
-def q_model(x):
-    alpha, beta, gamma = x
-    return -alpha * alpha - beta * gamma
-
-
 def cm_point(x) -> UHPoint:
     """Upper half-plane point of the divisor D_x, for Q(x) > 0."""
     alpha, beta, gamma = (float(c) for c in x)
-    t = q_model((alpha, beta, gamma))
+    t = q_value((alpha, beta, gamma))
     if t <= 0:
         raise PreconditionViolation("D_x is empty unless Q(x) > 0")
     return UHPoint(alpha / gamma, math.sqrt(t) / abs(gamma))
@@ -249,18 +246,18 @@ def geodesic_endpoints(x) -> tuple[float, float] | None:
     the second endpoint is reported as math.inf.
     """
     alpha, beta, gamma = (float(c) for c in x)
-    t = q_model((alpha, beta, gamma))
+    t = q_value((alpha, beta, gamma))
     if t >= 0:
         return None
     if gamma == 0.0:
         return (-beta / (2 * alpha), math.inf)
-    disc = math.sqrt(alpha * alpha + beta * gamma)
+    disc = math.sqrt(-t)
     return ((alpha - disc) / gamma, (alpha + disc) / gamma)
 
 
 def xi(x, z: UHPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """Green function xi(x, z) = beta_1(2 pi R(x, z)); Q(x) must be nonzero."""
-    if q_model(x) == 0:
+    if q_value(x) == 0:
         raise PreconditionViolation("xi needs Q(x) != 0")
     r = float(r_value(x, z))
     if r < spec.singular_r_floor:
@@ -279,7 +276,7 @@ def ddc_xi_vec(x, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     Laplace R = 6 R + 4 t, which reduce it to the closed form.
     """
     r = _r_vec(x, u, v)
-    return np.exp(-TWO_PI * r) * (2.0 * (r + q_model(x)) - 1.0 / TWO_PI)
+    return np.exp(-TWO_PI * r) * (2.0 * (r + q_value(x)) - 1.0 / TWO_PI)
 
 
 def xi_vec(x, u: np.ndarray, v: np.ndarray, floor: float = 1e-300) -> np.ndarray:

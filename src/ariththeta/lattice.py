@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedDiscriminant,
     ZeroStructureConstant,
 )
-from .numtheory import integer_kernel
+from .numtheory import concave_window, integer_kernel
 from .quatalg import QuaternionAlgebra, QuaternionElement, make_algebra
 
 
@@ -316,11 +316,6 @@ def model_coordinates_float(lat: TraceZeroLattice) -> np.ndarray:
     return lat.model_coordinates_array
 
 
-def is_split_model(lat: TraceZeroLattice) -> bool:
-    """True when the lattice maps unimodularly onto trace-zero integer matrices (cached)."""
-    return lat.is_split_model
-
-
 # --- majorant and enumeration ----------------------------------------------
 
 
@@ -427,13 +422,12 @@ def _pivot_root(p: float) -> float:
 def _nonnegative_rows(a: int, d1: int, d0: int, lo: int, hi: int):
     """The n2 in [lo, hi] where (a n2 + d1) n2 + d0 >= 0, for a <= 0, in integers.
 
-    For a < 0 they have |2 a n2 + d1| <= isqrt(d1^2 - 4 a d0).  A constant
-    value (a = d1 = 0) that is not a square keeps none: no row has a root.
+    For a < 0 they are numtheory.concave_window.  A constant value
+    (a = d1 = 0) that is not a square keeps none: no row has a root.
     """
     if a:
-        disc = d1 * d1 - 4 * a * d0
-        s = math.isqrt(max(disc, 0))
-        return range(max(lo, -((s - d1) // (-2 * a))), min(hi, (d1 + s) // (-2 * a)) + 1) if disc >= 0 else ()
+        window = concave_window(a, d1, d0)
+        return range(max(lo, window.start), min(hi + 1, window.stop))
     if d1:
         return range(max(lo, -(d0 // d1)), hi + 1) if d1 > 0 else range(lo, min(hi, d0 // -d1) + 1)
     return range(lo, hi + 1) if d0 >= 0 and math.isqrt(d0) ** 2 == d0 else ()

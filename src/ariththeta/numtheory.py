@@ -149,6 +149,20 @@ def splits_in_quadratic_field(ell: int, m: int) -> bool:
 # --- exact linear algebra -------------------------------------------------
 
 
+def concave_window(p: int, q: int, r: int) -> range:
+    """The integers u with p u^2 + q u + r >= 0, for p < 0.
+
+    They are the u with (2 p u + q)^2 <= q^2 - 4 p r, that is
+    |2 p u + q| <= isqrt(q^2 - 4 p r), or none when q^2 - 4 p r < 0.
+    """
+    span = q * q - 4 * p * r
+    if span < 0:
+        return range(0)
+    w = math.isqrt(span)
+    # q - w <= -2p u <= q + w, with -2p > 0.
+    return range(-((w - q) // (-2 * p)), (q + w) // (-2 * p) + 1)
+
+
 def integer_kernel(rows: list[list[int]]) -> list[list[int]]:
     """Basis of {n in Z^k : A n = 0} for an integer matrix A given by rows.
 

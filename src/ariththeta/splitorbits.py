@@ -1,10 +1,13 @@
-"""Unit-group orbits on the split trace-zero lattice.
+"""The split matrix model, and unit-group orbits on its integer lattice.
 
-Vectors are integer triples (alpha, beta, gamma) standing for the trace-zero
-matrix [[alpha, beta], [gamma, -alpha]] with Q = det = -alpha^2 - beta*gamma.
-The unit group of the split order acts by conjugation; orbits of vectors of
-norm t > 0 correspond to reduced positive binary forms of discriminant -4t,
-which is how representatives, stabilizers, and pair orbits are produced here.
+Vectors are triples (alpha, beta, gamma) standing for the trace-zero matrix
+[[alpha, beta], [gamma, -alpha]] with Q = det = -alpha^2 - beta*gamma.  The
+model's formulas are written here once, for integer and real vectors alike:
+Q, the pairing, conjugation by any invertible g and the action of a 2x2
+matrix on pairs.  The unit group of the split order acts by conjugation;
+orbits of vectors of norm t > 0 correspond to reduced positive binary forms
+of discriminant -4t, which is how representatives, stabilizers, and pair
+orbits are produced here.
 """
 
 from __future__ import annotations
@@ -13,22 +16,26 @@ import math
 
 from . import binforms
 from .errors import PreconditionViolation
-from .numtheory import integer_kernel, solve_integer_linear, squarefree_part
-
-# Bilinear gram of (x, y) = nu(x+y) - nu(x) - nu(y) in (alpha, beta, gamma).
-G_STD = ((-2, 0, 0), (0, 0, -1), (0, -1, 0))
+from .numtheory import concave_window, integer_kernel, solve_integer_linear, squarefree_part
 
 Vec = tuple[int, int, int]
 Mat2 = tuple[int, int, int, int]  # (p, q, r, s) for [[p, q], [r, s]]
 
 
 def q_value(v: Vec) -> int:
+    """Q(v) = det [[alpha, beta], [gamma, -alpha]] = -alpha^2 - beta gamma."""
     a, b, g = v
     return -a * a - b * g
 
 
 def inner(v: Vec, w: Vec) -> int:
-    return sum(v[i] * G_STD[i][j] * w[j] for i in range(3) for j in range(3))
+    """The pairing (v, w) = Q(v + w) - Q(v) - Q(w), so (v, v) = 2 Q(v)."""
+    return -2 * v[0] * w[0] - v[1] * w[2] - v[2] * w[1]
+
+
+def _pairing_row(v: Vec) -> list[int]:
+    """The row of w -> (v, w)."""
+    return [inner(v, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
 
 
 def vector_of_form(form: tuple[int, int, int]) -> Vec:
@@ -56,22 +63,42 @@ def orbit_reps(t: int) -> list[Vec]:
     return [vector_of_form(f) for f in binforms.reduced_classes(-4 * t)]
 
 
-def conj_action(g: Mat2) -> tuple[tuple[int, int, int], ...]:
-    """3x3 integer matrix of x -> g x g^{-1} on (alpha, beta, gamma); |det g| = 1."""
+def conj_action(g: Mat2) -> tuple[tuple, ...]:
+    """3x3 matrix of x -> g x g^{-1} on (alpha, beta, gamma), for real g with det g != 0.
+
+    It preserves Q and the pairing, and moves the divisor of x by z -> g z.
+    For an integer g with det g = +-1 its entries are exact integers.
+    """
     p, q, r, s = g
     d = p * s - q * r
-    if abs(d) != 1:
-        raise PreconditionViolation("need |det| = 1")
+    if d == 0:
+        raise PreconditionViolation("g must have det != 0")
     rows = (
         (p * s + q * r, -p * r, q * s),
         (-2 * p * q, p * p, -q * q),
         (2 * r * s, -r * r, s * s),
     )
-    return tuple(tuple(e * d for e in row) for row in rows)  # divide by det = multiply
+    if d in (1, -1):
+        return tuple(tuple(e * d for e in row) for row in rows)  # divide by det = multiply
+    return tuple(tuple(e / d for e in row) for row in rows)
 
 
 def apply3(m, v: Vec) -> Vec:
-    return tuple(sum(m[i][j] * v[j] for j in range(3)) for i in range(3))  # type: ignore[return-value]
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    a, b, g = v
+    return (m00 * a + m01 * b + m02 * g, m10 * a + m11 * b + m12 * g, m20 * a + m21 * b + m22 * g)
+
+
+def pair_action(pair, a: Mat2):
+    """The pair (x1, x2) times the 2x2 matrix a: the columns of [x1 x2] @ a.
+
+    Its gram is a^T T a for the gram T of the pair.
+    """
+    (x1, x2), (p, q, r, s) = pair, a
+    return (
+        tuple(p * c1 + r * c2 for c1, c2 in zip(x1, x2)),
+        tuple(q * c1 + s * c2 for c1, c2 in zip(x1, x2)),
+    )
 
 
 def _conic_points(
@@ -81,21 +108,15 @@ def _conic_points(
 
     As a quadratic in s the equation has discriminant disc(u) = p u^2 + q u + r,
     p = b^2 - 4ac < 0, q = 2bd - 4ae, r = d^2 - 4af. Since p < 0, disc(u) >= 0
-    exactly when (2pu + q)^2 <= q^2 - 4pr, so u runs over the integers with
-    |2pu + q| <= isqrt(q^2 - 4pr). Each such u gives the roots
+    exactly on the integers of concave_window(p, q, r). Each such u gives the roots
     s = (-(bu + d) +- w) / 2a when disc(u) = w^2 and 2a divides the numerator.
     """
     p = b * b - 4 * a * c
     if p >= 0:
         raise PreconditionViolation("form must be definite")
     q, r = 2 * b * d - 4 * a * e, d * d - 4 * a * f
-    span = q * q - 4 * p * r
-    if span < 0:
-        return []
-    w = math.isqrt(span)
     out = []
-    # q - w <= -2p u <= q + w, with -2p > 0.
-    for u in range(-((w - q) // (-2 * p)), (q + w) // (-2 * p) + 1):
+    for u in concave_window(p, q, r):
         disc = (p * u + q) * u + r
         root = math.isqrt(disc)
         if root * root != disc:
@@ -165,7 +186,7 @@ def _orbit_canonical(actions, pair):
 
 def _fiber(x1: Vec, two_m: int, t2: int) -> list[Vec]:
     """All y with (x1, y) = two_m and Q(y) = t2, sorted; finite since Q(x1) > 0."""
-    row = [sum(G_STD[i][j] * x1[i] for i in range(3)) for j in range(3)]
+    row = _pairing_row(x1)
     y0 = solve_integer_linear(row, two_m)
     if y0 is None:
         return []
@@ -237,10 +258,7 @@ def _pair_reps_sig11(t1: int, m: int, t2: int) -> list[tuple[Vec, Vec]]:
             if key in seen:
                 continue
             seen.add(key)
-            # Back to the original gram: (x1, y) . S^{-1}
-            p1 = tuple(inv[0] * x1[i] + inv[2] * y[i] for i in range(3))
-            p2 = tuple(inv[1] * x1[i] + inv[3] * y[i] for i in range(3))
-            reps.append((p1, p2))
+            reps.append(pair_action((x1, y), inv))  # back to the gram T
     return reps
 
 
@@ -258,7 +276,7 @@ def _pair_reps_sig02(t1: int, m: int, t2: int) -> list[tuple[Vec, Vec]]:
             neg_label = canonical_orbit_form((-v0[0], -v0[1], -v0[2]))
             if neg_label < form:
                 continue  # the opposite orbit carries this anchor
-            row = [sum(G_STD[i][j] * v0[i] for i in range(3)) for j in range(3)]
+            row = _pairing_row(v0)
             k1, k2 = (tuple(k) for k in integer_kernel([row]))
             x1_list = _norm_points(t1, k1, k2)
             x2_list = x1_list if t2 == t1 else _norm_points(t2, k1, k2)

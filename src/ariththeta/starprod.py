@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,13 +41,13 @@ from .greens import (
     cm_point,
     ddc_xi_vec,
     geodesic_endpoints,
-    q_model,
     r_value,
     xi,
     xi_vec,
 )
 from .lattice import TraceZeroLattice
 from .quadrature import adaptive_integrate
+from .splitorbits import apply3, conj_action, pair_action, q_value
 
 Vec3 = tuple[float, float, float]
 
@@ -62,35 +63,22 @@ _MAX_ANGLES = 1024
 
 @dataclass(frozen=True)
 class PairConfig:
-    """A pair of trace-zero vectors with its matrix of inner products.
+    """A pair of trace-zero vectors; its gram derives from them.
 
     gram is T = ((t1, m), (m, t2)) with t_i = Q(x_i) and m = (x1, x2)/2.
     """
 
     x1: Vec3
     x2: Vec3
-    gram: tuple[tuple[float, float], tuple[float, float]]
 
     @classmethod
     def from_vectors(cls, x1, x2) -> "PairConfig":
-        x1 = tuple(float(c) for c in x1)
-        x2 = tuple(float(c) for c in x2)
-        t1 = q_model(x1)
-        t2 = q_model(x2)
-        s = tuple(a + b for a, b in zip(x1, x2))
-        m = (q_model(s) - t1 - t2) / 2.0
-        return cls(x1=x1, x2=x2, gram=((t1, m), (m, t2)))
+        return cls(x1=tuple(float(c) for c in x1), x2=tuple(float(c) for c in x2))
 
-    def __post_init__(self):
-        (t1, m), (m2, t2) = self.gram
-        if abs(m - m2) > 1e-9 * (1 + abs(m)):
-            raise PreconditionViolation("gram matrix is not symmetric")
-        q1, q2 = q_model(self.x1), q_model(self.x2)
-        s = tuple(a + b for a, b in zip(self.x1, self.x2))
-        mm = (q_model(s) - q1 - q2) / 2.0
-        scale = 1 + max(abs(t1), abs(t2), abs(m))
-        if max(abs(q1 - t1), abs(q2 - t2), abs(mm - m)) > 1e-8 * scale:
-            raise PreconditionViolation("gram does not match the vectors")
+    @cached_property
+    def gram(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        m = splitorbits.inner(self.x1, self.x2) / 2.0
+        return ((q_value(self.x1), m), (m, q_value(self.x2)))
 
     @property
     def det(self) -> float:
@@ -175,18 +163,6 @@ def _disc_integral(y1: Vec3, y2: Vec3, abs_tol: float, rel_tol: float) -> tuple[
     return value, e_angle + e_radius
 
 
-def _moved(vec: Vec3, g) -> Vec3:
-    """The vector of vec after the isometry z -> g z, g real 2x2 with det > 0.
-
-    The matrix [[alpha, beta], [gamma, -alpha]] goes to g X g^-1, so Q and the
-    pairing are unchanged and the divisor moves by z -> g z.
-    """
-    al, be, ga = vec
-    m = np.asarray(g, dtype=float)
-    x = m @ np.array([[al, be], [ga, -al]]) @ np.linalg.inv(m)
-    return (float(x[0, 0]), float(x[0, 1]), float(x[1, 0]))
-
-
 def _log_point_box(y1: Vec3, y2: Vec3, eps: float) -> tuple[float, float, float, float]:
     """Box in (x, s) holding the ball B(i, D) outside which the integral of
     |omega(y1) xi(y2)| is at most eps, when xi(y2) has its log point at i.
@@ -199,8 +175,8 @@ def _log_point_box(y1: Vec3, y2: Vec3, eps: float) -> tuple[float, float, float,
     a Y^2 >= log(M pi / (a^2 eps)).  B(i, D) lies in |x| <= sinh D,
     |s| <= D.
     """
-    m = 2.0 * abs(q_model(y1)) + 0.3
-    a = TWO_PI * q_model(y2)
+    m = 2.0 * abs(q_value(y1)) + 0.3
+    a = TWO_PI * q_value(y2)
     y = math.sqrt(max(1.0, math.log(m * math.pi / (a * a * eps)) / a))
     d = math.asinh(y)
     return -y, y, -d, d
@@ -224,14 +200,14 @@ def _geodesic_box(y1: Vec3, y2: Vec3, eps: float) -> tuple[float, float, float, 
     R* makes the s tails of |x| <= X below eps / 2, and X, by
     int_X^oo x^3 e^{-a1 x^2} dx <= e^{-a1 X^2 / 2} / a1^2, the part |x| > X.
     """
-    t1 = abs(q_model(y1))
+    t1 = abs(q_value(y1))
     a1 = TWO_PI * t1
     al, be, ga = (abs(c) for c in y2)
     if be * ga == 0.0:
         raise QuadratureFailure("the two geodesics share an endpoint")
     r_star = max(1.0, math.log(math.exp(-a1) / (2.0 * math.pi**2.5 * math.sqrt(a1) * eps)) / TWO_PI)
     n = 2.0 * al + 2.0 * math.sqrt(r_star) + math.sqrt(be * ga)
-    e1 = beta1(TWO_PI * abs(q_model(y2)))
+    e1 = beta1(TWO_PI * abs(q_value(y2)))
     p = e1 * math.log(n * n / (be * ga)) + 2.0 * math.exp(-TWO_PI * r_star) / (8.0 * math.pi**2 * r_star**2)
     c = 4.0 * (2.0 * t1 + 1.0 / TWO_PI) * (p + e1) * math.exp(-a1) / (a1 * a1 * eps)
     x = math.sqrt(max(1.0, 2.0 * math.log(c) / a1))
@@ -245,9 +221,9 @@ def lambda_star(pair: PairConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> Lambda
     entries, and depends on the pair only through its gram matrix; those
     properties are the calibration suite for this routine.
     """
-    if abs(pair.det) < 1e-12 * (1 + abs(pair.gram[0][0]) + abs(pair.gram[1][1])) ** 2:
+    (q1, _), (_, q2) = pair.gram
+    if abs(pair.det) < 1e-12 * (1 + abs(q1) + abs(q2)) ** 2:
         raise PreconditionViolation("gram matrix is singular")
-    q1, q2 = q_model(pair.x1), q_model(pair.x2)
     if min(abs(q1), abs(q2)) < 1e-12 * (1 + abs(q1) + abs(q2)):
         # xi is a Green function only for anisotropic vectors; an isotropic
         # component can be avoided by scaling the pair (e.g. by a square root
@@ -268,14 +244,15 @@ def lambda_star(pair: PairConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> Lambda
     # imaginary axis.  Then integrate in z = e^s (x + i), where the measure
     # is dx ds and x = sinh of the distance to the imaginary axis, so 1 x 1
     # start cells are of unit hyperbolic size where the integrand lives.
-    disc = q_model(y2) > 0
+    disc = q_value(y2) > 0
     if disc:
         z2 = cm_point(y2)
-        g = ((1.0, -z2.u), (0.0, z2.v))
+        g = (1.0, -z2.u, 0.0, z2.v)
     else:
         lo, hi = sorted(geodesic_endpoints(y1))
-        g = ((1.0, -lo), (0.0, 1.0)) if math.isinf(hi) else ((1.0, -lo), (-1.0, hi))
-    y1, y2 = _moved(y1, g), _moved(y2, g)
+        g = (1.0, -lo, 0.0, 1.0) if math.isinf(hi) else (1.0, -lo, -1.0, hi)
+    move = conj_action(g)
+    y1, y2 = apply3(move, y1), apply3(move, y2)
     tol_here = max(spec.abs_tol, 1e-4 * spec.rel_tol)
     box = (_log_point_box if disc else _geodesic_box)(y1, y2, 0.01 * tol_here)
 
@@ -341,10 +318,8 @@ def z_hat_indefinite(
     a = _square_root(np.asarray(v_mat, dtype=float), square_root)
     total = 0.0
     err = 0.0
-    for x1, x2 in orbit_reps:
-        y1 = tuple(a[0, 0] * c1 + a[1, 0] * c2 for c1, c2 in zip(x1, x2))
-        y2 = tuple(a[0, 1] * c1 + a[1, 1] * c2 for c1, c2 in zip(x1, x2))
-        res = lambda_star(PairConfig.from_vectors(y1, y2), spec)
+    for pair in orbit_reps:
+        res = lambda_star(PairConfig.from_vectors(*pair_action(pair, a.ravel())), spec)
         total += res.value
         err += res.err
     return ZhatResult(value=total, err=err, orbits=len(orbit_reps))

@@ -244,7 +244,7 @@ def test_fiber_solver_against_box_scan():
     # At the CM point of x1, the majorant 2 (x1, y)^2 / (x1, x1) - (y, y) is
     # 4 m^2 / t1 - 2 t2 on every y of the fiber, so the Cauchy-Schwarz box
     # of that majorant ball holds the whole fiber.
-    g = np.array(so.G_STD)
+    g = np.array([[-2, 0, 0], [0, 0, -1], [0, -1, 0]])  # the gram of the pairing
     for x1, m, t2 in [
         ((0, 1, -1), 1, -1),
         ((0, 1, -1), 0, -2),
@@ -333,3 +333,69 @@ def test_pair_reps_pairwise_inequivalent_under_random_conjugation():
             if moved in seen:
                 assert seen[moved] == k
             seen[moved] = k
+
+
+# --- the split model's formulas ------------------------------------------------
+
+
+def _matrix(x):
+    a, b, c = x
+    return np.array([[a, b], [c, -a]], dtype=float)
+
+
+def test_conj_action_on_real_matrices():
+    # Oracle: g X g^{-1} by numpy, inverse included, for real g of any det != 0.
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        g = rng.uniform(-2.0, 2.0, 4)
+        det = g[0] * g[3] - g[1] * g[2]
+        if abs(det) < 0.05:
+            continue
+        x, y = rng.uniform(-3.0, 3.0, (2, 3))
+        act = so.conj_action(tuple(g))
+        moved = so.apply3(act, tuple(x))
+        want = g.reshape(2, 2) @ _matrix(x) @ np.linalg.inv(g.reshape(2, 2))
+        assert np.allclose(_matrix(moved), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        scale = 1.0 + np.abs(x).max() * np.abs(y).max()
+        assert math.isclose(so.q_value(moved), so.q_value(x), rel_tol=1e-12, abs_tol=1e-12 * scale)
+        assert math.isclose(
+            so.inner(moved, so.apply3(act, tuple(y))), so.inner(x, y), rel_tol=1e-12, abs_tol=1e-12 * scale
+        )
+    for singular in [(1, 2, 2, 4), (0.0, 0.0, 0.0, 0.0), (0.5, 1.0, 1.5, 3.0)]:
+        with pytest.raises(PreconditionViolation):
+            so.conj_action(singular)
+
+
+def test_inner_is_the_polarization_of_q():
+    # (x, y) = Q(x + y) - Q(x) - Q(y): exactly on integers, to rounding on
+    # floats; PairConfig's gram is (Q(x1), (x1, x2)/2, Q(x2)) exactly.
+    from ariththeta.starprod import PairConfig
+
+    rng = random.Random(5)
+    for _ in range(300):
+        x = tuple(rng.randint(-50, 50) for _ in range(3))
+        y = tuple(rng.randint(-50, 50) for _ in range(3))
+        s = tuple(a + b for a, b in zip(x, y))
+        assert so.inner(x, y) == so.q_value(s) - so.q_value(x) - so.q_value(y)
+        assert so.inner(x, x) == 2 * so.q_value(x)
+    for _ in range(300):
+        x = tuple(rng.uniform(-3.0, 3.0) for _ in range(3))
+        y = tuple(rng.uniform(-3.0, 3.0) for _ in range(3))
+        s = tuple(a + b for a, b in zip(x, y))
+        polar = so.q_value(s) - so.q_value(x) - so.q_value(y)
+        assert math.isclose(so.inner(x, y), polar, rel_tol=1e-12, abs_tol=1e-13)
+        m = so.inner(x, y) / 2.0
+        assert PairConfig.from_vectors(x, y).gram == ((so.q_value(x), m), (m, so.q_value(y)))
+
+
+def test_pair_action_is_the_matrix_product():
+    # (x1, x2) . a is the columns of [x1 x2] @ a: exactly on integers.
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        x = rng.integers(-20, 21, (3, 2))
+        a = rng.integers(-5, 6, (2, 2))
+        got = so.pair_action((tuple(x[:, 0].tolist()), tuple(x[:, 1].tolist())), tuple(a.ravel().tolist()))
+        assert np.array_equal(np.array(got).T, x @ a)
+        xf, af = rng.uniform(-3.0, 3.0, (3, 2)), rng.uniform(-2.0, 2.0, (2, 2))
+        got = so.pair_action((tuple(xf[:, 0]), tuple(xf[:, 1])), af.ravel())
+        assert np.allclose(np.array(got).T, xf @ af, rtol=1e-15, atol=1e-14)

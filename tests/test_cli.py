@@ -5,11 +5,14 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ariththeta import checks
 from ariththeta.cli import main
 from ariththeta.errors import PreconditionViolation
+from ariththeta.lattice import model_coordinates_float
+from ariththeta.starprod import PairConfig, lambda_star
 
 
 def run_cli(args, **kw):
@@ -67,6 +70,20 @@ def test_lambda_cli(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "err <=" in out
+
+
+def test_lambda_cli_with_weight(capsys, lat_d1):
+    # --v moves the pair to [x1 x2] a for the square root a of v; scipy's
+    # sqrtm gives the same root, so the same height to the printed digits.
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    assert main(["--out", "json", "lambda", "--x1", "0,1,1", "--x2", "1,0,0", "--v", "2,0.5,1"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    coords = model_coordinates_float(lat_d1)
+    x = np.column_stack([coords @ np.array([0, 1, 1]), coords @ np.array([1, 0, 0])])
+    y = x @ scipy_linalg.sqrtm(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    ref = lambda_star(PairConfig.from_vectors(y[:, 0], y[:, 1]))
+    assert math.isclose(float(rec["value"]), ref.value, rel_tol=1e-9)
+    assert float(rec["err"]) == float(f"{ref.err:.3g}")
 
 
 def test_classify_cli(capsys):

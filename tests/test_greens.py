@@ -29,11 +29,11 @@ from ariththeta.greens import (
     cm_point,
     ddc_xi_vec,
     geodesic_endpoints,
-    q_model,
     r_value,
     xi,
 )
 from ariththeta.lattice import majorant
+from ariththeta.splitorbits import q_value
 
 CM_VECTOR = (0.0, 1.0, -1.0)  # [[0, 1], [-1, 0]]: Q = 1, divisor at i
 
@@ -188,7 +188,7 @@ def test_r_pinned_values_exact():
 
 def test_r_positive_for_negative_norm():
     x = (1.0, 2.0, 1.0)  # Q = -3
-    assert q_model(x) == -3.0
+    assert q_value(x) == -3.0
     for u, v in [(-1.3, 0.4), (0.0, 1.0), (2.0, 3.0)]:
         assert r_value(x, UHPoint(u, v)) > 0
 
@@ -277,7 +277,7 @@ def test_ddc_matches_finite_differences():
     while checked < 20:
         x = tuple(rng.uniform(-2, 2, size=3))
         u, v = rng.uniform(-1.5, 1.5), rng.uniform(0.4, 2.5)
-        if float(r_value(x, UHPoint(u, v))) < 1e-3 or abs(q_model(x)) < 1e-3:
+        if float(r_value(x, UHPoint(u, v))) < 1e-3 or abs(q_value(x)) < 1e-3:
             continue
         h = 1e-4
         lap = (
@@ -301,7 +301,7 @@ def test_ddc_decay_regression():
         x = tuple(rng.uniform(-2, 2, size=3))
         u, v = rng.uniform(-3, 3), rng.uniform(0.2, 4.0)
         r = float(r_value(x, UHPoint(u, v)))
-        if not 5 <= r <= 80 or abs(q_model(x)) < 1e-3:
+        if not 5 <= r <= 80 or abs(q_value(x)) < 1e-3:
             continue
         val = _ddc(x, UHPoint(u, v))
         assert abs(val) <= C * math.exp(-2 * math.pi * r) * (1 + r)
@@ -322,7 +322,7 @@ def test_ddc_on_divisor_is_2q_minus_1_over_2pi():
     x = (0.3, -1.7, 1.1)  # Q = 1.78
     for vec in (CM_VECTOR, x):
         z = cm_point(vec)
-        expect = 2 * q_model(vec) - 1 / (2 * math.pi)
+        expect = 2 * q_value(vec) - 1 / (2 * math.pi)
         assert abs(_ddc(vec, z) - expect) <= 1e-12 * abs(expect)
         near = _ddc(vec, UHPoint(z.u + 1e-4, z.v))
         assert abs(near - expect) <= 1e-6

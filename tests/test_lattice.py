@@ -29,7 +29,6 @@ from ariththeta.lattice import (
     _enumerate_norm,
     _nonnegative_rows,
     _pivot_shrink,
-    is_split_model,
     load_order,
     majorant,
     model_coordinates,
@@ -64,7 +63,7 @@ def test_gram_regressions(lat_d1, lat_d6, lat_d10):
 
 
 def test_d1_is_split_matrix_model(lat_d1):
-    assert is_split_model(lat_d1)
+    assert lat_d1.is_split_model
     # Q on the model is the determinant of [[a, b], [c, -a]].
     assert lat_d1.q_value((1, 0, 0)) in (-1, -1)
     c = model_coordinates(lat_d1)

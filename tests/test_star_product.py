@@ -17,7 +17,7 @@ from ariththeta.errors import (
     SingularConfiguration,
     UnsupportedDiscriminant,
 )
-from ariththeta.greens import QuadratureSpec, q_model
+from ariththeta.greens import QuadratureSpec
 from ariththeta.starprod import PairConfig, lambda_star, z_hat_indefinite
 
 
@@ -25,11 +25,6 @@ def test_pair_config_computes_gram():
     pair = PairConfig.from_vectors((0, 1, -1), (1, 0, 0))
     assert pair.gram == ((1.0, 0.0), (0.0, -1.0))
     assert pair.det == -1.0
-
-
-def test_pair_config_rejects_wrong_gram():
-    with pytest.raises(PreconditionViolation):
-        PairConfig(x1=(0, 1, -1), x2=(1, 0, 0), gram=((1.0, 0.5), (0.5, -1.0)))
 
 
 def test_lambda_rejects_singular_gram(spec):
@@ -41,9 +36,7 @@ def test_lambda_singular_configuration(spec):
     # Proportional positive vectors share their divisor.
     x1 = (0.0, 1.0, -1.0)
     x2 = (0.0, 2.0, -2.0)
-    pair = PairConfig(
-        x1=x1, x2=x2, gram=PairConfig.from_vectors(x1, x2).gram
-    )
+    pair = PairConfig(x1=x1, x2=x2)
     with pytest.raises((SingularConfiguration, PreconditionViolation)):
         lambda_star(pair, spec)
 
