@@ -73,7 +73,7 @@ def degree_series(lat: TraceZeroLattice, v: float, n: int) -> DegreeSeries:
         raise UnsupportedDiscriminant(
             f"degrees need a maximal order; reduced discriminant {level} is not D = {d}"
         )
-    primes = list(factorint(d)) if d > 1 else []
+    primes = list(factorint(d))
     coeffs: dict[int, Fraction] = {0: zeta_db_at_minus1(d)}
     for t in range(1, n + 1):
         sixths = 0
@@ -184,12 +184,11 @@ def arithmetic_degree_archimedean(
 
 def zeta_db_at_minus1(d: int) -> Fraction:
     """zeta_{D}(-1) = zeta(-1) prod_{p | D} (1 - p), exact."""
-    if d < 1 or not (d == 1 or is_squarefree(d)):
+    if d < 1 or not is_squarefree(d):
         raise NotSquarefree(f"{d} is not a squarefree positive integer")
     out = Fraction(-1, 12)
-    if d > 1:
-        for p in factorint(d):
-            out *= 1 - p
+    for p in factorint(d):
+        out *= 1 - p
     return out
 
 
@@ -207,12 +206,11 @@ def constant_c(hodge_pairing: float, d: int, hodge_degree: Fraction) -> float:
 
 
 def bracket_constant(d: int) -> float:
-    if d < 1 or not (d == 1 or is_squarefree(d)):
+    if d < 1 or not is_squarefree(d):
         raise NotSquarefree(f"{d} is not a squarefree positive integer")
     total = 2.0 * ZETA_PRIME_MINUS_ONE / (-1.0 / 12.0) + 1.0 - math.log(4.0 * math.pi) - EULER_GAMMA
-    if d > 1:
-        for p in factorint(d):
-            total -= p * math.log(p) / (p - 1)
+    for p in factorint(d):
+        total -= p * math.log(p) / (p - 1)
     return total
 
 
@@ -247,37 +245,6 @@ class CycleClassification:
     supersingular_support: bool
 
 
-def _hasse(diag, place) -> int:
-    out = 1
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            out *= hilbert_symbol(diag[i], diag[j], place)
-    return out
-
-
-def _binary_diag(t_mat) -> tuple[Fraction, Fraction]:
-    t1 = Fraction(t_mat[0][0])
-    m = Fraction(t_mat[0][1])
-    t2 = Fraction(t_mat[1][1])
-    det = t1 * t2 - m * m
-    if t1 == 0:
-        # T positive definite never has t1 = 0, kept for safety.
-        raise PreconditionViolation("degenerate corner in T")
-    return (t1, det / t1)
-
-
-def _hasse_b_at(ram_fin: frozenset[int], ell: int) -> int:
-    """Hasse invariant of the trace-zero ternary space of B at ell.
-
-    For B = (a, b) the trace-zero space is <-a, -b, ab>, whose Hasse
-    invariant collapses to (-1,-1)_ell (a,b)_ell, and (a,b)_ell = -1 exactly
-    on ram(B).  A definite twin of B at p differs from this only at ell = p.
-    """
-    eps = -1 if ell in ram_fin else 1
-    minus_one_pair = -1 if ell == 2 else 1
-    return eps * minus_one_pair
-
-
 def fundamental_prime(t_mat, d: int) -> int | None:
     """The unique prime p whose definite twin space represents T, or None.
 
@@ -285,10 +252,18 @@ def fundamental_prime(t_mat, d: int) -> int | None:
     Hasse invariant of U + <det U> (U a diagonalization of T) equals the
     space's own.  The twin at p has B's invariant except at ell = p, so p
     passes iff Diff(T, B), the set of places where U + <det U> disagrees
-    with B, is exactly {p} (Kudla-Rapoport-Yang).  Outside
-    {2} u primes(D t1 det T) every symbol is trivial and B's invariant is 1,
-    so Diff lies in that set.  (At the infinite place both T and the twin
-    space are positive definite, so no condition arises there.)
+    with B, is exactly {p} (Kudla-Rapoport-Yang).
+
+    With u1 = t1 and u2 = det T / t1, bilinearity and (u, u) = (u, -1) give
+    the Hasse invariant of <u1, u2, u1 u2> as (u1, u2)(u1 u2, -1).  B = (a, b)
+    has trace-zero space <-a, -b, ab> of invariant (-1, -1) inv(B), with
+    inv_ell(B) = (a, b)_ell = -1 exactly on the primes of D.  Multiplying both
+    sides by (-1, -1) turns the comparison into one symbol:
+    (u1, u2)(u1 u2, -1)(-1, -1) = (-u1, -u2) = (-t1, -det T), the last since
+    u2 = det T / t1 and (-t1, t1) = 1.  So ell lies in Diff(T, B) iff
+    (-t1, -det T)_ell != inv_ell(B).  Outside {2} u primes(D t1 det T) both
+    sides are 1, so Diff lies in that set.  (At the infinite place both T and
+    the twin space are positive definite, so no condition arises there.)
     """
     t1 = int(t_mat[0][0])
     m = int(t_mat[0][1])
@@ -296,13 +271,13 @@ def fundamental_prime(t_mat, d: int) -> int | None:
     det = t1 * t2 - m * m
     if t1 <= 0 or det <= 0:
         raise PreconditionViolation("T must be positive definite")
-    if d < 1 or not (d == 1 or is_squarefree(d)):
+    if d < 1 or not is_squarefree(d):
         raise NotSquarefree(f"{d} is not squarefree")
-    ram_fin = frozenset(factorint(d)) if d > 1 else frozenset()
-    u1, u2 = _binary_diag(t_mat)
-    cand = [u1, u2, u1 * u2]
-    mandatory = {2} | ram_fin | set(factorint(t1)) | set(factorint(det))
-    diff = [ell for ell in sorted(mandatory) if _hasse(cand, ell) != _hasse_b_at(ram_fin, ell)]
+    ram = set(factorint(d))
+    places = {2} | ram | set(factorint(t1)) | set(factorint(det))
+    diff = [
+        ell for ell in sorted(places) if hilbert_symbol(-t1, -det, ell) != (-1 if ell in ram else 1)
+    ]
     return diff[0] if len(diff) == 1 else None
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import PreconditionViolation
 
@@ -67,10 +66,6 @@ def valuation(n: int, p: int) -> int:
         v += 1
         n //= p
     return v
-
-
-def rational_valuation(q: Fraction, p: int) -> int:
-    return valuation(q.numerator, p) - valuation(q.denominator, p)
 
 
 def squarefree_part(n: int) -> int:

@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import count
 
 from .errors import AlgebraMismatch, NotSquarefree, PreconditionViolation, ZeroStructureConstant
-from .numtheory import factorint, is_prime, rational_valuation
+from .numtheory import factorint, is_prime, valuation
 
 Rational = Fraction | int
 
@@ -30,8 +30,13 @@ def hilbert_symbol(a: Rational, b: Rational, place) -> int:
     """Hilbert symbol (a, b) at a finite prime or at INFINITE_PLACE.
 
     Returns +1 iff z^2 = a x^2 + b y^2 has a nontrivial solution over the
-    completion.  Computed by the standard tame/wild case analysis on
-    valuations and square classes.
+    completion.  The symbol depends on square classes only, and a = n/d lies
+    in the class of the integer n d (d^2 is a square); write that integer as
+    p^alpha u, and b's as p^beta v, with p-units u, v.  At odd p it is the
+    tame symbol (a, b)_p = ((-1)^(alpha beta) u^beta v^alpha | p), by Euler's
+    criterion; at 2 it is (-1)^(eps(u) eps(v) + alpha omega(v) + beta omega(u))
+    with eps(u) = [u = 3 mod 4] and omega(u) = [u = 3, 5 mod 8] (Serre, A
+    Course in Arithmetic, III.1.2).
     """
     a = Fraction(a)
     b = Fraction(b)
@@ -42,49 +47,17 @@ def hilbert_symbol(a: Rational, b: Rational, place) -> int:
     p = int(place)
     if not is_prime(p):
         raise PreconditionViolation(f"not a prime: {p}")
-    alpha = rational_valuation(a, p)
-    beta = rational_valuation(b, p)
-    u = a / Fraction(p) ** alpha  # p-unit parts
-    v = b / Fraction(p) ** beta
+    a = a.numerator * a.denominator
+    b = b.numerator * b.denominator
+    alpha = valuation(a, p)
+    beta = valuation(b, p)
+    u = a // p**alpha
+    v = b // p**beta
     if p != 2:
-        # (a,b)_p = (-1)^(alpha beta eps(p)) (u|p)^beta (v|p)^alpha
-        sign = 1
-        if alpha % 2 and beta % 2 and (p - 1) // 2 % 2:
-            sign = -sign
-        if beta % 2:
-            sign *= _legendre_unit(u, p)
-        if alpha % 2:
-            sign *= _legendre_unit(v, p)
-        return sign
-    # p = 2: (a,b)_2 = (-1)^(eps(u)eps(v) + alpha w(v) + beta w(u))
-    e = _eps2(u) * _eps2(v) + alpha * _omega2(v) + beta * _omega2(u)
+        r = (-1) ** (alpha * beta) * u ** (beta % 2) * v ** (alpha % 2)
+        return 1 if pow(r, (p - 1) // 2, p) == 1 else -1
+    e = (u % 4 == 3) * (v % 4 == 3) + alpha * (v % 8 in (3, 5)) + beta * (u % 8 in (3, 5))
     return -1 if e % 2 else 1
-
-
-def _legendre_unit(u: Fraction, p: int) -> int:
-    """Legendre symbol of a p-unit rational modulo the odd prime p."""
-    num = u.numerator % p
-    den = u.denominator % p
-    r = num * pow(den, -1, p) % p
-    return 1 if pow(r, (p - 1) // 2, p) == 1 else -1
-
-
-def _eps2(u: Fraction) -> int:
-    """(u - 1)/2 mod 2 for a 2-adic unit rational."""
-    r = _unit_mod_2k(u, 8)
-    return ((r - 1) // 2) % 2
-
-
-def _omega2(u: Fraction) -> int:
-    """(u^2 - 1)/8 mod 2 for a 2-adic unit rational."""
-    r = _unit_mod_2k(u, 16)
-    return ((r * r - 1) // 8) % 2
-
-
-def _unit_mod_2k(u: Fraction, modulus: int) -> int:
-    num = u.numerator % modulus
-    den = u.denominator % modulus
-    return num * pow(den, -1, modulus) % modulus
 
 
 @dataclass(frozen=True)
@@ -263,7 +236,7 @@ def indefinite_algebra_of_discriminant(d: int) -> QuaternionAlgebra:
     """Indefinite (d, q) of squarefree discriminant d (even number of primes); q as in _least_prime_partner."""
     if d < 1:
         raise PreconditionViolation(f"discriminant must be positive, got {d}")
-    primes = factorint(d) if d > 1 else {}
+    primes = factorint(d)
     if any(e > 1 for e in primes.values()):
         raise NotSquarefree(f"{d} is not squarefree")
     if len(primes) % 2:

@@ -328,11 +328,10 @@ def z_hat_indefinite(
 def _square_root(v: np.ndarray, kind: str) -> np.ndarray:
     if v.shape != (2, 2) or abs(v[0, 1] - v[1, 0]) > 1e-12:
         raise PreconditionViolation("v must be symmetric 2x2")
-    eigvals = np.linalg.eigvalsh(v)
-    if eigvals[0] <= 0:
+    w, q = np.linalg.eigh(v)
+    if w[0] <= 0:
         raise PreconditionViolation("v must be positive definite")
     if kind == "symmetric":
-        w, q = np.linalg.eigh(v)
         return (q * np.sqrt(w)) @ q.T
     if kind == "triangular":
         return np.linalg.cholesky(v)

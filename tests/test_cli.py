@@ -75,15 +75,23 @@ def test_lambda_cli(capsys):
 def test_lambda_cli_with_weight(capsys, lat_d1):
     # --v moves the pair to [x1 x2] a for the square root a of v; scipy's
     # sqrtm gives the same root, so the same height to the printed digits.
+    # The pair is a geodesic through the CM point i and that point's vector,
+    # so the height stands far above its error bar, and scipy's polar
+    # quadrature about the CM point confirms it to within that bar.
     scipy_linalg = pytest.importorskip("scipy.linalg")
-    assert main(["--out", "json", "lambda", "--x1", "0,1,1", "--x2", "1,0,0", "--v", "2,0.5,1"]) == 0
+    from test_star_product import polar_reference
+
+    assert main(["--out", "json", "lambda", "--x1", "1,0,0", "--x2", "0,1,-1", "--v", "0.6,0.2,0.8"]) == 0
     rec = json.loads(capsys.readouterr().out)
+    value, err = float(rec["value"]), float(rec["err"])
     coords = model_coordinates_float(lat_d1)
-    x = np.column_stack([coords @ np.array([0, 1, 1]), coords @ np.array([1, 0, 0])])
-    y = x @ scipy_linalg.sqrtm(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    x = np.column_stack([coords @ np.array([1, 0, 0]), coords @ np.array([0, 1, -1])])
+    y = x @ scipy_linalg.sqrtm(np.array([[0.6, 0.2], [0.2, 0.8]]))
     ref = lambda_star(PairConfig.from_vectors(y[:, 0], y[:, 1]))
-    assert math.isclose(float(rec["value"]), ref.value, rel_tol=1e-9)
-    assert float(rec["err"]) == float(f"{ref.err:.3g}")
+    assert math.isclose(value, ref.value, rel_tol=1e-9)
+    assert err == float(f"{ref.err:.3g}")
+    assert value > 1000 * err
+    assert abs(value - polar_reference(tuple(y[:, 0]), tuple(y[:, 1]))) <= err
 
 
 def test_classify_cli(capsys):

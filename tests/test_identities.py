@@ -1,6 +1,7 @@
 """Degree series, exact constants, and classification predicates."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,8 @@ from ariththeta.lattice import (
     trace_zero_lattice,
     weighted_orbit_degree,
 )
-from ariththeta.numtheory import eichler_symbol, is_squarefree, kronecker_symbol
+from ariththeta.numtheory import eichler_symbol, factorint, is_squarefree, kronecker_symbol
+from ariththeta.quatalg import hilbert_symbol
 
 
 # --- degree series -------------------------------------------------------------
@@ -359,6 +361,50 @@ def test_fundamental_prime_large_entries_need_no_limit():
     assert c.fundamental_prime == 1013 and c.regular is True and c.supersingular_support
 
 
+def _hasse(diag, ell) -> int:
+    """Hasse invariant of a diagonal form: the product of (d_i, d_j)_ell over i < j."""
+    out = 1
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            out *= hilbert_symbol(diag[i], diag[j], ell)
+    return out
+
+
+def _hasse_oracle(t_mat, d: int) -> int | None:
+    """Diff(T, B) by the three-symbol route, in Fractions.
+
+    T = <u1, u2> with u1 = t1, u2 = det/t1, and ell is in Diff(T, B) iff the
+    Hasse invariant of <u1, u2, u1 u2> differs from that of the trace-zero
+    space of B, (-1,-1)_ell inv_ell(B), at ell in {2} u primes(D t1 det T).
+    """
+    (t1, m), (_, t2) = t_mat
+    det = t1 * t2 - m * m
+    u1, u2 = Fraction(t1), Fraction(det, t1)
+    ram = set(factorint(d))
+    places = {2} | ram | set(factorint(t1)) | set(factorint(det))
+    diff = [
+        ell
+        for ell in sorted(places)
+        if _hasse((u1, u2, u1 * u2), ell) != (-1 if ell in ram else 1) * (-1 if ell == 2 else 1)
+    ]
+    return diff[0] if len(diff) == 1 else None
+
+
+def test_fundamental_prime_matches_hasse_oracle():
+    rng = random.Random(4099)
+    squarefree = [d for d in range(1, 400) if is_squarefree(d)]
+    found = set()
+    for _ in range(2000):
+        t1, t2 = rng.randint(1, 10**4), rng.randint(1, 10**4)
+        m = rng.randint(-math.isqrt(t1 * t2 - 1), math.isqrt(t1 * t2 - 1))
+        t_mat, d = ((t1, m), (m, t2)), rng.choice(squarefree)
+        p = idn.fundamental_prime(t_mat, d)
+        assert p == _hasse_oracle(t_mat, d), (t_mat, d)
+        found.add(p)
+    # Both outcomes occur, and primes far beyond D and 2 occur.
+    assert None in found and max(p for p in found if p is not None) > 400
+
+
 def _scan_oracle(t_mat, d: int, limit: int) -> int | None:
     """The prime-scan rule: every prime up to `limit` and every prime of
     2 D t1 det T is a candidate p, tested at those primes and p.
@@ -367,9 +413,6 @@ def _scan_oracle(t_mat, d: int, limit: int) -> int | None:
     p-twin's trace-zero space has Hasse invariant (-1,-1)_l (a,b)_l with
     (a,b)_l = -1 exactly on the primes of D xor {p}.
     """
-    from ariththeta.numtheory import factorint
-    from ariththeta.quatalg import hilbert_symbol
-
     (t1, m), (_, t2) = t_mat
     det = t1 * t2 - m * m
     diag = (t1, t1 * det, det)
@@ -380,10 +423,7 @@ def _scan_oracle(t_mat, d: int, limit: int) -> int | None:
     for p in sorted(set(primes) | mandatory):
         ok = True
         for ell in sorted(mandatory | {p}):
-            lhs = 1
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    lhs *= hilbert_symbol(diag[i], diag[j], ell)
+            lhs = _hasse(diag, ell)
             twin = (-1 if (ell in ram) != (ell == p) else 1) * (-1 if ell == 2 else 1)
             ok = ok and lhs == twin
         if ok:

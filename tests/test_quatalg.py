@@ -1,6 +1,7 @@
 """Quaternion arithmetic, Hilbert symbols, ramification, definite twins."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from ariththeta.errors import (
     PreconditionViolation,
     ZeroStructureConstant,
 )
-from ariththeta.numtheory import factorint, is_prime, is_squarefree
+from ariththeta.numtheory import factorint, is_prime, is_squarefree, valuation
 from ariththeta.quatalg import (
     INFINITE_PLACE,
     definite_twin,
@@ -27,6 +28,15 @@ nonzero_small = st.integers(min_value=-30, max_value=30).filter(lambda n: n != 0
 
 
 # --- independent oracle: certified p-adic solubility search -----------------
+
+
+# The search below is cubic in its modulus; keep it to p^k <= 81.
+SEARCH_LIMIT = 81
+
+
+def search_modulus(a: int, b: int, p: int) -> int:
+    """The modulus p^k, k = 2 v_p(2ab) + 2, that hilbert_symbol_bruteforce searches."""
+    return p ** (2 * valuation(2 * a * b, p) + 2)
 
 
 def hilbert_symbol_bruteforce(a: int, b: int, p: int) -> int:
@@ -85,8 +95,85 @@ def hilbert_symbol_bruteforce(a: int, b: int, p: int) -> int:
 )
 def test_hilbert_against_bruteforce(a, b, p, expected):
     assert hilbert_symbol(a, b, p) == expected
-    if p**(2 * 3 + 2) < 3000:  # keep the cubic search tractable
+    if search_modulus(a, b, p) <= SEARCH_LIMIT:
         assert hilbert_symbol_bruteforce(a, b, p) == expected
+
+
+def test_hilbert_bruteforce_grid():
+    vals = [s * x for x in (1, 2, 3, 5, 6, 7, 10) for s in (1, -1)]
+    cases = [
+        (a, b, p)
+        for p in (2, 3, 5, 7)
+        for i, a in enumerate(vals)
+        for b in vals[i:]
+        if search_modulus(a, b, p) <= SEARCH_LIMIT
+    ]
+    symbols = [hilbert_symbol(a, b, p) for a, b, p in cases]
+    for (a, b, p), s in zip(cases, symbols):
+        assert hilbert_symbol_bruteforce(a, b, p) == s, (a, b, p)
+    # The grid reaches the odd primes and both values.
+    assert len(cases) == 312 and symbols.count(-1) == 54
+
+
+# --- the textbook case analysis, kept as an oracle ----------------------------
+
+
+def hilbert_symbol_case_analysis(a: Fraction, b: Fraction, p: int) -> int:
+    """(a, b)_p from the p-unit parts as rationals: the Legendre symbol of
+    the numerator times the inverse of the denominator mod p for odd p, and
+    at 2 eps(u) = (u - 1)/2 mod 2 and omega(u) = (u^2 - 1)/8 mod 2, with u
+    reduced mod 8 and mod 16 through the inverse of its denominator."""
+
+    def vq(q):
+        return valuation(q.numerator, p) - valuation(q.denominator, p)
+
+    def unit_mod(u, modulus):
+        return u.numerator * pow(u.denominator, -1, modulus) % modulus
+
+    alpha, beta = vq(a), vq(b)
+    u = a / Fraction(p) ** alpha
+    v = b / Fraction(p) ** beta
+    if p != 2:
+
+        def legendre(w):
+            return 1 if pow(unit_mod(w, p), (p - 1) // 2, p) == 1 else -1
+
+        sign = -1 if alpha % 2 and beta % 2 and (p - 1) // 2 % 2 else 1
+        if beta % 2:
+            sign *= legendre(u)
+        if alpha % 2:
+            sign *= legendre(v)
+        return sign
+
+    def eps(w):
+        return (unit_mod(w, 8) - 1) // 2 % 2
+
+    def omega(w):
+        r = unit_mod(w, 16)
+        return (r * r - 1) // 8 % 2
+
+    e = eps(u) * eps(v) + alpha * omega(v) + beta * omega(u)
+    return -1 if e % 2 else 1
+
+
+def test_hilbert_against_case_analysis():
+    rng = random.Random(1013)
+    primes = [2, 3, 5, 7, 11, 13]
+
+    def draw() -> Fraction:
+        while True:
+            n = rng.randint(1, 3000) * rng.choice((1, -1)) * rng.choice(primes) ** rng.randint(0, 3)
+            q = Fraction(n, rng.randint(2, 400))
+            if math.isqrt(q.denominator) ** 2 != q.denominator:
+                return q
+
+    seen = set()
+    for _ in range(3000):
+        a, b, p = draw(), draw(), rng.choice(primes)
+        s = hilbert_symbol(a, b, p)
+        assert s == hilbert_symbol_case_analysis(a, b, p), (a, b, p)
+        seen.add((p, s))
+    assert seen == {(p, s) for p in primes for s in (1, -1)}
 
 
 def test_hilbert_square_first_argument():
