@@ -178,11 +178,13 @@ def beta1_vec(r: np.ndarray) -> np.ndarray:
     error below 2e-15 on (0, 700], as for beta1, and 0 above 700.  An entry
     that is not > 0, NaN included, raises NonpositiveArgument.
 
-    This kernel is for quadrature batches, whose median call in the heights
-    benchmark has 1,920 points: on a 2-core x86-64 host such a call takes
-    0.08 to 0.10 ms, while one point alone takes 48 to 60 us.  So big_xi
-    and xi, a few terms per call, use the scalar beta1, which takes 0.86 to
-    1.1 us a call on r in [12.6, 40].  mpmath is the oracle of both kernels.
+    This kernel is for quadrature batches.  The median box call of
+    lambda_star in the heights benchmark has 3,840 points, the box's start
+    grid: on a 2-core x86-64 host such a call takes 0.08 to 0.11 ms, while
+    one point alone takes 38 to 45 us and the disc's 36 radii 26 to 28 us.
+    So big_xi and xi, a few terms per call, use the scalar beta1, which
+    takes 0.8 to 1.1 us a call on r in [12.6, 40].  mpmath is the oracle of
+    both kernels.
     """
     r = np.asarray(r, dtype=float)
     positive = r > 0
@@ -276,19 +278,49 @@ def ddc_xi_vec(x, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     Laplace R = 6 R + 4 t, which reduce it to the closed form.
     """
     r = _r_vec(x, u, v)
-    return np.exp(-TWO_PI * r) * (2.0 * (r + q_value(x)) - 1.0 / TWO_PI)
+    out = np.multiply(r, -TWO_PI)
+    np.exp(out, out=out)
+    r += q_value(x)
+    r *= 2.0
+    r -= 1.0 / TWO_PI
+    out *= r
+    return out
 
 
 def xi_vec(x, u: np.ndarray, v: np.ndarray, floor: float = 1e-300) -> np.ndarray:
     """Vectorized xi for quadrature; R is raised to floor, so xi stays finite on D_x."""
-    return beta1_vec(TWO_PI * np.maximum(_r_vec(x, u, v), floor))
+    r = _r_vec(x, u, v)
+    np.maximum(r, floor, out=r)
+    r *= TWO_PI
+    return beta1_vec(r)
 
 
 def _r_vec(x, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """R(x, z) at the points u + i v, in r_value's float operations, in place.
+
+    u^2 - v^2 and 4 v^2 are formed once, and two arrays besides the result
+    are allocated; the inputs are only read.
+    """
     alpha, beta, gamma = (float(c) for c in x)
-    re = gamma * (u * u - v * v) - 2 * alpha * u - beta
-    im = 2 * v * (gamma * u - alpha)
-    return (re * re + im * im) / (4.0 * v * v)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    den = v * v
+    re = u * u
+    re -= den
+    re *= gamma
+    im = np.multiply(u, 2 * alpha)
+    re -= im
+    re -= beta
+    # (2 gamma u - 2 alpha) v: doubling is exact, so these are the bits of
+    # r_value's 2 v (gamma u - alpha).
+    np.multiply(u, 2 * gamma, out=im)
+    im -= 2 * alpha
+    im *= v
+    re *= re
+    im *= im
+    re += im
+    den *= 4.0
+    re /= den
+    return re
 
 
 # --- the truncated theta sums ----------------------------------------------

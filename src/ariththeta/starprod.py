@@ -124,6 +124,31 @@ _R_FULL, _W_FULL = _radial_rule(_RADIAL_NODES)
 _R_HALF, _W_HALF = _radial_rule(_RADIAL_NODES // 2)
 
 
+_DISC_R = np.concatenate([_R_FULL, _R_HALF])
+
+
+def _disc_nodes() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Read-only (u, v) of the disc's nodes, radius by radius, per angle
+    level: the angles k 2 pi / 8, then the midpoints (k + 1/2) 2 pi / m of
+    the m angles so far, up to _MAX_ANGLES in all."""
+    ch, sh = np.cosh(_DISC_R)[:, None], np.sinh(_DISC_R)[:, None]
+    levels, theta, m = [], np.arange(8) * (TWO_PI / 8), 8
+    while True:
+        v = 1.0 / (ch - sh * np.cos(theta))
+        u, v = (sh * np.sin(theta) * v).ravel(), v.ravel()
+        u.flags.writeable = v.flags.writeable = False
+        levels.append((u, v))
+        if 2 * m > _MAX_ANGLES:
+            return tuple(levels)
+        theta, m = (np.arange(m) + 0.5) * (TWO_PI / m), 2 * m
+
+
+_DISC_NODES = _disc_nodes()
+# xi(y2) is taken at theta = 0, the points i e^r; the radial weights times 2 pi.
+_DISC_RADIAL_U, _DISC_RADIAL_V = np.zeros(_DISC_R.size), np.exp(_DISC_R)
+_DISC_WEIGHTS = TWO_PI * np.concatenate([_W_FULL, _W_HALF])
+
+
 def _disc_integral(y1: Vec3, y2: Vec3, abs_tol: float, rel_tol: float) -> tuple[float, float]:
     """Integral of chi omega(y1) xi(y2) over the disc of radius DISC_RADIUS about i.
 
@@ -134,31 +159,30 @@ def _disc_integral(y1: Vec3, y2: Vec3, abs_tol: float, rel_tol: float) -> tuple[
     two sums agree (spectral, omega being smooth and periodic in theta); the
     radius by Gauss-Legendre with _RADIAL_NODES nodes, checked against half
     as many.  The error is the sum of both differences.
+
+    The disc is the same for every pair, so its nodes are tables built at
+    import: _DISC_NODES, one (u, v) pair of arrays per angle level (the 8
+    angles k 2 pi / 8, then each doubling's midpoints, up to _MAX_ANGLES),
+    the points i e^r and the weights times 2 pi.  A call runs only the two
+    kernels on them; no cos, sin or broadcast.
     """
     n = _R_FULL.size
-    r = np.concatenate([_R_FULL, _R_HALF])[:, None]
-    ch, sh = np.cosh(r), np.sinh(r)
-    xi_r = xi_vec(y2, np.zeros(r.size), np.exp(r[:, 0]))  # theta = 0 is the point i e^r
-    weights = TWO_PI * np.concatenate([_W_FULL, _W_HALF]) * xi_r
+    weights = _DISC_WEIGHTS * xi_vec(y2, _DISC_RADIAL_U, _DISC_RADIAL_V)
 
-    def ring_means(theta):
-        v = 1.0 / (ch - sh * np.cos(theta))
-        u = (sh * np.sin(theta) * v).ravel()
-        v = np.broadcast_to(v, (r.size, theta.size)).ravel()
-        return ddc_xi_vec(y1, u, v).reshape(r.size, theta.size).mean(axis=1)
+    def ring_means(level):
+        u, v = _DISC_NODES[level]
+        return ddc_xi_vec(y1, u, v).reshape(weights.size, -1).mean(axis=1)
 
-    m = 8
-    means = ring_means(np.arange(m) * (TWO_PI / m))
-    while True:
-        finer = 0.5 * (means + ring_means((np.arange(m) + 0.5) * (TWO_PI / m)))
-        m *= 2
+    means = ring_means(0)
+    for level in range(1, len(_DISC_NODES)):
+        finer = 0.5 * (means + ring_means(level))
         value = float(np.dot(weights[:n], finer[:n]))
         e_angle = abs(value - float(np.dot(weights[:n], means[:n])))
         means = finer
         if e_angle <= max(abs_tol, rel_tol * abs(value)):
             break
-        if m >= _MAX_ANGLES:
-            raise QuadratureFailure(f"lambda_star disc: angle error {e_angle:.3g} at {m} angles")
+    else:
+        raise QuadratureFailure(f"lambda_star disc: angle error {e_angle:.3g} at {_MAX_ANGLES} angles")
     e_radius = abs(value - float(np.dot(weights[n:], means[n:])))
     return value, e_angle + e_radius
 
@@ -259,7 +283,8 @@ def lambda_star(pair: PairConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> Lambda
     def integrand(x, s):
         v = np.exp(s)
         u = x * v
-        vals = ddc_xi_vec(y1, u, v) * xi_vec(y2, u, v)
+        vals = ddc_xi_vec(y1, u, v)
+        vals *= xi_vec(y2, u, v)
         if disc:
             # f = chi f + (1 - chi) f: the box gets (1 - chi) f, which
             # vanishes to fourth order at the log point i of xi(y2).  Off the

@@ -22,6 +22,7 @@ from ariththeta.greens import (
     QuadratureSpec,
     UHPoint,
     _beta1,
+    _r_vec,
     _tail_bound,
     beta1,
     beta1_vec,
@@ -184,6 +185,18 @@ def test_r_pinned_values_exact():
     x = (Fraction(0), Fraction(1), Fraction(-1))
     assert r_value(x, UHPoint(Fraction(0), Fraction(1))) == 0
     assert r_value(x, UHPoint(Fraction(0), Fraction(2))) == Fraction(9, 16)
+
+
+def test_r_vec_is_r_value_bit_for_bit():
+    # The vector kernel runs r_value's float operations in place; it only
+    # reads its inputs, which may be read-only tables.
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        x = tuple(rng.uniform(-3, 3, 3))
+        u, v = rng.uniform(-4, 4, 200), np.exp(rng.uniform(-3, 3, 200))
+        u.flags.writeable = v.flags.writeable = False
+        want = [r_value(x, UHPoint(a, b)) for a, b in zip(u.tolist(), v.tolist())]
+        assert _r_vec(x, u, v).tolist() == want
 
 
 def test_r_positive_for_negative_norm():

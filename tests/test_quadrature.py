@@ -10,7 +10,7 @@ digit, so a change to the summation shows here.
 import numpy as np
 import pytest
 
-from ariththeta.errors import QuadratureFailure
+from ariththeta.errors import PreconditionViolation, QuadratureFailure
 from ariththeta.quadrature import adaptive_integrate
 
 
@@ -70,3 +70,44 @@ def test_max_depth_failure(max_depth, points):
     with pytest.raises(QuadratureFailure, match="max subdivision depth reached"):
         adaptive_integrate(f, -1.0, 1.0, 0.0, 1.0, abs_tol=1e-12, rel_tol=0.0, max_depth=max_depth)
     assert seen[0] == points
+
+
+@pytest.mark.parametrize("initial", [(0, 6), (-2, 6), (8,), (8, 6, 1), (8.0, 6), (True, 6)])
+def test_initial_must_be_two_positive_integers(initial):
+    f, seen = _counted(_bump)
+    with pytest.raises(PreconditionViolation, match="initial must be two positive integers"):
+        adaptive_integrate(f, -1.0, 1.0, 0.5, 2.0, abs_tol=1e-10, rel_tol=1e-9, initial=initial)
+    assert seen[0] == 0
+
+
+def test_nan_integrand_fails_on_the_start_grid():
+    f, seen = _counted(lambda u, v: np.full(u.shape, np.nan))
+    with pytest.raises(QuadratureFailure, match=r"not finite on the cell \[-1.0, -0.75\] x \[0.5, 0.75\]"):
+        adaptive_integrate(f, -1.0, 1.0, 0.5, 2.0, abs_tol=1e-10, rel_tol=1e-9)
+    # One batch of 48 start cells, not refinement up to max_cells.
+    assert seen[0] == 48 * 80
+
+
+def test_infinite_cell_is_named():
+    f, seen = _counted(lambda u, v: np.where((u > 0.9) & (v > 1.9), np.inf, 1.0))
+    # Both rules give inf on that cell, and inf - inf warns on the way.
+    with np.errstate(invalid="ignore"), pytest.raises(
+        QuadratureFailure, match=r"not finite on the cell \[0.75, 1.0\] x \[1.75, 2.0\]"
+    ):
+        adaptive_integrate(f, -1.0, 1.0, 0.5, 2.0, abs_tol=1e-10, rel_tol=1e-9)
+    assert seen[0] == 48 * 80
+
+
+def test_nonfinite_child_fails_at_its_batch():
+    calls = []
+
+    def f(u, v):
+        calls.append(u.size)
+        vals = _bump(u, v)
+        if len(calls) == 2:
+            vals[-1] = np.nan  # the last node of the last child of the first split
+        return vals
+
+    with pytest.raises(QuadratureFailure, match="not finite on the cell"):
+        adaptive_integrate(f, -1.0, 1.0, 0.5, 2.0, abs_tol=1e-10, rel_tol=1e-9)
+    assert len(calls) == 2

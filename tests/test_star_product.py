@@ -17,6 +17,7 @@ from ariththeta.errors import (
     SingularConfiguration,
     UnsupportedDiscriminant,
 )
+from ariththeta import starprod
 from ariththeta.greens import QuadratureSpec
 from ariththeta.starprod import PairConfig, lambda_star, z_hat_indefinite
 
@@ -326,3 +327,80 @@ def test_z_hat_sig02_instance(lat_d1, spec):
     tri = z_hat_indefinite(lat_d1, t_mat, v, spec, square_root="triangular")
     assert sym.orbits == 2
     assert abs(sym.value - tri.value) <= sym.err + tri.err
+
+
+# --- work and values pinned --------------------------------------------------
+
+# Integrand points of each adaptive_integrate call, disc angles and value of
+# lambda_star and z_hat at the default spec.  A change to the quadrature or
+# the kernels that keeps their nodes keeps these counts, and the values to
+# rounding.
+PINNED_WORK = {
+    "cm-cm": ([8320], 32, 0.16824952226717427),
+    "cm-geodesic": ([5760], 16, 0.010261227186403467),
+    "geodesic-geodesic": ([3840], 0, -4.4948533014605066e-11),
+    "z_hat": ([3840, 3840], 32, 0.004652082452620486),
+}
+
+
+def _pinned_call(case, lat):
+    if case == "z_hat":
+        return z_hat_indefinite(lat, ((1, 0), (0, -1)), ((1.3, 0.3), (0.3, 0.8)))
+    x1, x2 = {
+        "cm-cm": (
+            (0.1410559772750771, -1.288707333086684, 0.985724975056906),
+            (0.6530449960577979, -1.6014807289906619, 0.6016358271335599),
+        ),
+        "cm-geodesic": (
+            (0.019944437123984474, -1.079869375031274, 0.6480028072067981),
+            (-0.05279462738544296, 1.4507012184263042, 0.3330952673010382),
+        ),
+        "geodesic-geodesic": ((0.0, 1.0, 1.0), (1.0, 0.5, 1.5)),
+    }[case]
+    return lambda_star(PairConfig.from_vectors(x1, x2))
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_WORK))
+def test_lambda_work_and_value_pinned(case, lat_d1, monkeypatch):
+    integrate, ddc = starprod.adaptive_integrate, starprod.ddc_xi_vec
+    points, omega = [], [0]
+
+    def counting_integrate(f, *args, **kwargs):
+        points.append(0)
+
+        def g(x, s):
+            points[-1] += x.size
+            return f(x, s)
+
+        return integrate(g, *args, **kwargs)
+
+    def counting_ddc(x, u, v):
+        omega[0] += u.size
+        return ddc(x, u, v)
+
+    monkeypatch.setattr(starprod, "adaptive_integrate", counting_integrate)
+    monkeypatch.setattr(starprod, "ddc_xi_vec", counting_ddc)
+    res = _pinned_call(case, lat_d1)
+    want_points, want_angles, want_value = PINNED_WORK[case]
+    radii = starprod._R_FULL.size + starprod._R_HALF.size
+    assert points == want_points
+    # omega is evaluated at the integrand's points and at radii x angles of the disc.
+    assert omega[0] - sum(points) == radii * want_angles
+    assert res.value == pytest.approx(want_value, rel=1e-13, abs=0.0)
+
+
+def test_disc_tables_are_the_polar_formula_at_the_doubling_angles():
+    r = np.concatenate([starprod._R_FULL, starprod._R_HALF])[:, None]
+    angles = [np.arange(8) * (2 * math.pi / 8)]
+    while sum(a.size for a in angles) < starprod._MAX_ANGLES:
+        m = sum(a.size for a in angles)
+        angles.append((np.arange(m) + 0.5) * (2 * math.pi / m))
+    assert sum(a.size for a in angles) == starprod._MAX_ANGLES
+    assert len(starprod._DISC_NODES) == len(angles)
+    for (u, v), theta in zip(starprod._DISC_NODES, angles):
+        den = np.cosh(r) - np.sinh(r) * np.cos(theta)
+        want_u, want_v = (np.sinh(r) * np.sin(theta) / den).ravel(), (1.0 / den).ravel()
+        assert u.shape == v.shape == want_u.shape
+        assert np.all(np.abs(u - want_u) <= np.spacing(np.abs(want_u)))
+        assert np.all(np.abs(v - want_v) <= np.spacing(want_v))
+        assert not (u.flags.writeable or v.flags.writeable)
