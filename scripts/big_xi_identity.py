@@ -129,9 +129,10 @@ def _collect(seeds: list[int]) -> dict:
     return out
 
 
-def _run_tree(tree: Path, seeds: list[int]) -> dict:
+def _run_tree(module: str, tree: Path, seeds: list[int]) -> dict:
+    """module._collect(seeds) of the script `module` in scripts/, run on tree's src/ in a fresh interpreter."""
     code = (
-        "import pickle, sys; sys.path.insert(0, sys.argv[1]); import big_xi_identity as b; "
+        f"import pickle, sys; sys.path.insert(0, sys.argv[1]); import {module} as b; "
         "sys.stdout.buffer.write(pickle.dumps(b._collect([int(s) for s in sys.argv[2:]])))"
     )
     done = subprocess.run(
@@ -190,7 +191,8 @@ def main() -> int:
     ap.add_argument("--seeds", default="1-3", type=_seed_range, help="green-sums seeds, as 1-3")
     ap.add_argument("--value-rtol", default=0.0, type=float, help="allowed relative change of values")
     args = ap.parse_args()
-    mine, theirs = _run_tree(HERE, args.seeds), _run_tree(args.against.resolve(), args.seeds)
+    mine = _run_tree("big_xi_identity", HERE, args.seeds)
+    theirs = _run_tree("big_xi_identity", args.against.resolve(), args.seeds)
     differ = 0
     for key in mine:
         a, b = mine[key], theirs.get(key) or []

@@ -1,14 +1,13 @@
 """Check that two source trees give the same lambda_star and z_hat results.
 
-    python scripts/lambda_identity.py --against ../other-checkout [--seeds 1-3]
-                                      [--value-rtol 1e-12]
+    python scripts/lambda_identity.py --against ../other-checkout [--value-rtol 1e-12]
 
 Runs the same inputs in a fresh interpreter on this tree's `src/` and on the
 other tree's `src/`, and compares the results:
 
 - lambda_star on the four variants (base, swapped, O(2)-rotated and
   conjugated) of every pair of the benchmark's `heights` PAIR_SET, each
-  moved by its isometry of round 0 at the given seeds;
+  moved by its isometry of round 0 at seeds 1, 2 and 3;
 - z_hat_indefinite(d1, T, v) at every (T, v) of ZHAT_SET and at the known
   failing input, by the symmetric and by the triangular root of v;
 - lambda_star on 100 draws of checks.random_pair from a fixed seed.
@@ -26,14 +25,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
-import pickle
 import random
-import subprocess
 import sys
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent.parent
+from big_xi_identity import HERE, _relative_change, _run_tree
+
+SEEDS = (1, 2, 3)
 RANDOM_PAIRS = 100
 
 
@@ -99,29 +97,6 @@ def _collect(seeds: list[int]) -> dict:
     return out
 
 
-def _run_tree(tree: Path, seeds: list[int]) -> dict:
-    code = (
-        "import pickle, sys; sys.path.insert(0, sys.argv[1]); import lambda_identity as b; "
-        "sys.stdout.buffer.write(pickle.dumps(b._collect([int(s) for s in sys.argv[2:]])))"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", code, str(HERE / "scripts"), *map(str, seeds)],
-        env={**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"},
-        capture_output=True,
-        check=True,
-    )
-    return pickle.loads(done.stdout)
-
-
-def _seed_range(text: str) -> list[int]:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
-
-
-def _relative_change(a: float, b: float) -> float:
-    return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
-
-
 def _compare(mine, theirs, rtol: float) -> tuple[bool, float]:
     """(agrees, largest relative change of value or err) for one call."""
     (label, out, points, disc), (label_o, out_o, points_o, disc_o) = mine, theirs
@@ -136,10 +111,10 @@ def _compare(mine, theirs, rtol: float) -> tuple[bool, float]:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--against", required=True, type=Path, help="the other source tree")
-    ap.add_argument("--seeds", default="1-3", type=_seed_range, help="heights seeds, as 1-3")
     ap.add_argument("--value-rtol", default=1e-12, type=float, help="allowed relative change of values")
     args = ap.parse_args()
-    mine, theirs = _run_tree(HERE, args.seeds), _run_tree(args.against.resolve(), args.seeds)
+    mine = _run_tree("lambda_identity", HERE, SEEDS)
+    theirs = _run_tree("lambda_identity", args.against.resolve(), SEEDS)
     differ = 0
     for key in mine:
         a, b = mine[key], theirs.get(key) or []

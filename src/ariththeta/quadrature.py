@@ -50,18 +50,21 @@ def _evaluate(f: Callable, cells: np.ndarray) -> tuple[list[float], float]:
     A cell whose value or err is not finite raises QuadratureFailure.  The
     err is not finite where the value is not, and errs are >= 0, so the
     check is on their sum; the cell named is the one of the largest err,
-    NaN counting as infinite.
+    NaN counting as infinite.  The sums run with numpy's invalid and
+    overflow warnings off (inf - inf on an infinite cell), so the typed
+    error is what such a cell raises.
     """
     u0, u1, v0, v1 = cells[:, :4].T[:, :, None]
     su, sv = (u1 - u0) / 2.0, (v1 - v0) / 2.0
     vals = f((u0 + su * _REF_U).ravel(), (v0 + sv * _REF_V).ravel()).reshape(len(cells), -1)
-    terms = vals * ((su * sv) * _REF_W)
-    i4 = terms[:, :_N4_NODES].sum(axis=1)
-    i8 = terms[:, _N4_NODES:].sum(axis=1)
-    cells[:, _VALUE] = i8
     err = cells[:, _ERR]
-    np.subtract(i8, i4, out=err)
-    np.abs(err, out=err)
+    with np.errstate(invalid="ignore", over="ignore"):
+        terms = vals * ((su * sv) * _REF_W)
+        i4 = terms[:, :_N4_NODES].sum(axis=1)
+        i8 = terms[:, _N4_NODES:].sum(axis=1)
+        np.subtract(i8, i4, out=err)
+        np.abs(err, out=err)
+    cells[:, _VALUE] = i8
     errs = err.tolist()
     err_sum = sum(errs)
     if not math.isfinite(err_sum):

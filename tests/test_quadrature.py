@@ -90,10 +90,9 @@ def test_nan_integrand_fails_on_the_start_grid():
 
 def test_infinite_cell_is_named():
     f, seen = _counted(lambda u, v: np.where((u > 0.9) & (v > 1.9), np.inf, 1.0))
-    # Both rules give inf on that cell, and inf - inf warns on the way.
-    with np.errstate(invalid="ignore"), pytest.raises(
-        QuadratureFailure, match=r"not finite on the cell \[0.75, 1.0\] x \[1.75, 2.0\]"
-    ):
+    # Both rules give inf on that cell; inf - inf raises the typed error,
+    # not a RuntimeWarning.
+    with pytest.raises(QuadratureFailure, match=r"not finite on the cell \[0.75, 1.0\] x \[1.75, 2.0\]"):
         adaptive_integrate(f, -1.0, 1.0, 0.5, 2.0, abs_tol=1e-10, rel_tol=1e-9)
     assert seen[0] == 48 * 80
 
