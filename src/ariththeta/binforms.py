@@ -53,7 +53,7 @@ def reduce_form(form: tuple[int, int, int]) -> tuple[int, int, int]:
 
 def _integer(n, name: str) -> int:
     try:
-        return operator.index(n)
+        return operator.index(None if isinstance(n, bool) else n)
     except TypeError:
         raise PreconditionViolation(f"{name} must be an integer, got {n!r}") from None
 

@@ -98,7 +98,7 @@ def _lattice_from(args, cfg: RunConfig):
 
 def cmd_theta_deg(args, cfg: RunConfig) -> int:
     lat = _lattice_from(args, cfg)
-    series = degree_series(lat, v=args.v, n=max(args.max_t, 1))
+    series = degree_series(lat, v=1.0, n=max(args.max_t, 1))
     rows = []
     for t in range(0, args.max_t + 1):
         rows.append(({"t": t}, str(series.coefficient(t)), None))
@@ -207,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("theta-deg", help="degree series coefficients")
-    p.add_argument("--v", type=_positive, default=1.0)
     p.add_argument("--max-t", type=_nonnegative, required=True)
     p.set_defaults(func=cmd_theta_deg)
 

@@ -1,4 +1,7 @@
-"""Degree series, exact constants, and the special-cycle classification predicates."""
+"""Degree series, exact constants, and the special-cycle classification predicates.
+
+degree_series checks its weight v, kept for the completion on d1; v enters no coefficient.
+"""
 
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from .errors import (
     QuadratureFailure,
     UnsupportedDiscriminant,
 )
-from .greens import DEFAULT_SPEC, EULER_GAMMA, QuadratureSpec, UHPoint
+from .greens import DEFAULT_SPEC, EULER_GAMMA, QuadratureSpec, UHPoint, _require_real
 from .lattice import TraceZeroLattice
 from .numtheory import (
     eichler_symbol,
@@ -34,17 +37,9 @@ ZETA_PRIME_MINUS_ONE = -0.165421143700450929213919660243
 
 @dataclass(frozen=True)
 class DegreeSeries:
-    """Exact-rational coefficients of the degree series at q^0..q^N; 0 at any other index."""
+    """Exact-rational coefficients at q^0..q^N, 0 at any other index; v enters none of them."""
 
-    v: float
     coefficients: dict[int, Fraction]
-    hodge_degree: Fraction
-
-    def __post_init__(self):
-        if self.coefficients.get(0) != -self.hodge_degree:
-            raise PreconditionViolation("constant term must be -hodge_degree")
-        if any(t < 0 and c != 0 for t, c in self.coefficients.items()):
-            raise PreconditionViolation("negative-index coefficients must vanish")
 
     def coefficient(self, t: int) -> Fraction:
         return self.coefficients.get(t, Fraction(0))
@@ -58,15 +53,17 @@ def degree_series(lat: TraceZeroLattice, v: float, n: int) -> DegreeSeries:
     2 h(d)/w(d) prod_{p | D} (1 - {d/p}), {d/p} the Eichler symbol.  A reduced
     form of discriminant -4t and content f is f times a primitive form of
     discriminant d, so one pass over the forms of -4t covers every f; at D = 1
-    the sum is H(4t).  Each form adds local times its Hurwitz weight, counted
-    in sixths, to an int, one Fraction per t.  The constant term is
-    zeta_D(-1) = -hodge_degree; negative indices vanish and are not stored.
-    Other levels need other local factors.
+    the sum is H(4t).  The pass sums the Hurwitz weights, in sixths, per
+    content f, and each content takes its local factor once.  The constant
+    term is zeta_D(-1); negative indices vanish and are not stored.  Other
+    levels need other local factors.  N is an integer >= 1.  The weight v, a
+    finite positive real, is checked and stays in the signature for the
+    completion on d1; it enters no coefficient.
     """
-    if n < 1:
-        raise PreconditionViolation("N must be >= 1")
-    if not v > 0:
-        raise PreconditionViolation("v must be positive")
+    n = binforms._integer(n, "N")
+    _require_real("degree_series", "v", v)
+    if n < 1 or not (math.isfinite(v) and v > 0):
+        raise PreconditionViolation(f"need N >= 1 and a finite v > 0, got N = {n}, v = {v!r}")
     d = lat.discriminant
     level = lat.order.reduced_discriminant()
     if level != d:
@@ -76,13 +73,15 @@ def degree_series(lat: TraceZeroLattice, v: float, n: int) -> DegreeSeries:
     primes = list(factorint(d))
     coeffs: dict[int, Fraction] = {0: zeta_db_at_minus1(d)}
     for t in range(1, n + 1):
-        sixths = 0
+        by_content: dict[int, int] = {}
         for form in binforms.reduced_classes(-4 * t):
             f = math.gcd(*form)
-            local = math.prod(1 - eichler_symbol(-4 * t // (f * f), p) for p in primes)
-            sixths += local * binforms.hurwitz_weight(form)
+            by_content[f] = by_content.get(f, 0) + binforms.hurwitz_weight(form)
+        sixths = 0
+        for f, weight in by_content.items():
+            sixths += weight * math.prod(1 - eichler_symbol(-4 * t // (f * f), p) for p in primes)
         coeffs[t] = Fraction(sixths, 6)
-    return DegreeSeries(v=v, coefficients=coeffs, hodge_degree=-coeffs[0])
+    return DegreeSeries(coefficients=coeffs)
 
 
 @dataclass(frozen=True)

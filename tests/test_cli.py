@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from ariththeta import checks
+from ariththeta import binforms, checks
 from ariththeta.cli import main
 from ariththeta.errors import PreconditionViolation
 from ariththeta.lattice import model_coordinates_float
@@ -165,7 +165,7 @@ def test_usage_error_exit_2():
         ["classify", "--T", "1,2,1", "--D", "6"],
         ["lambda", "--x1", "0,1,1", "--x2", "1,0,0", "--v", "1,2,1"],
         ["theta-deg", "--max-t", "-3"],
-        ["theta-deg", "--max-t", "2", "--v", "0"],
+        ["theta-deg", "--max-t", "2", "--v", "1"],
         ["green", "--t", "-1", "--v", "-1", "--z", "0,1"],
         ["green", "--t", "0", "--z", "0,1"],
         ["green", "--t", "-1", "--v", "nan", "--z", "0,1"],
@@ -194,6 +194,23 @@ def test_check_zagier_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS zagier:t=") == 50
     assert "FAIL" not in out
+
+
+def test_check_zagier_fails_on_a_lost_class(monkeypatch, capsys):
+    # Drop the class (2, 2, 4) of discriminant -28: the degree at t = 7 loses
+    # it, the box route of H(28) does not, so the suite fails on its own.
+    whole = binforms.reduced_classes
+
+    def lossy(disc):
+        forms = whole(disc)
+        return forms[:-1] if disc == -28 else forms
+
+    assert whole(-28) == [(1, 0, 7), (2, 2, 4)]
+    monkeypatch.setattr(binforms, "reduced_classes", lossy)
+    assert main(["check", "zagier", "--seed", "1"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("FAIL zagier:t=") == 1
+    assert "FAIL zagier:t=7  degree 1 vs H(28) = 2" in out
 
 
 def test_check_beta1_deterministic_bytes():

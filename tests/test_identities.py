@@ -87,6 +87,32 @@ def test_degree_series_eichler_symbol_at_the_conductor(lat_d6):
     assert idn.degree_series(lat_d6, v=1.0, n=3).coefficient(3) == Fraction(2, 3)
 
 
+@pytest.mark.parametrize(
+    "name, primes",
+    [("d1", (3, 5, 7, 11, 13)), ("d6", (5, 7, 11, 13)), ("d10", (3, 7, 11, 13))],
+    ids=("d1", "d6", "d10"),
+)
+def test_degree_series_hecke_relations(name, primes, lat_d1, lat_d6, lat_d10):
+    """deg Z(p^2 t) = (p + 1 - (-t/p)) deg Z(t) - p deg Z(t/p^2), exactly.
+
+    The weight-3/2 Hecke operator at an odd prime p not dividing D, for every
+    t <= 3000/p^2 (1,212 cases over the three orders); the last term counts
+    only when p^2 | t.  It does not catch everything: a series that drops
+    d6's local factor at p = 3, or that ignores the content and takes every
+    form's factor at -4t, passes every relation.  The local factors at p | D
+    are held by test_degree_series_definite_class_number_one and the d1 orbit
+    count.
+    """
+    lat = {"d1": lat_d1, "d6": lat_d6, "d10": lat_d10}[name]
+    s = idn.degree_series(lat, v=1.0, n=3000)
+    for p in primes:
+        assert lat.discriminant % p
+        for t in range(1, 3000 // (p * p) + 1):
+            below = s.coefficient(t // (p * p)) if t % (p * p) == 0 else 0
+            want = (p + 1 - kronecker_symbol(-t, p)) * s.coefficient(t) - p * below
+            assert s.coefficient(p * p * t) == want, (name, p, t)
+
+
 def test_degree_series_refuses_non_maximal_orders():
     # The Lipschitz order Z<1, i, j, ij> has reduced discriminant 4 in the algebra of D = 2.
     basis = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]

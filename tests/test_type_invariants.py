@@ -76,15 +76,47 @@ def test_quadrature_spec_validation():
     assert spec.rel_tol == Fraction(1, 1000)
 
 
-def test_degree_series_constructor_enforces_invariants():
+@pytest.mark.parametrize(
+    "v, n",
+    [
+        (1.0, 2.5),
+        (1.0, True),
+        (1.0, "3"),
+        (1.0, None),
+        (1.0, 0),
+        ("x", 3),
+        (True, 3),
+        (None, 3),
+        (math.inf, 3),
+        (math.nan, 3),
+        (0.0, 3),
+        (-1.0, 3),
+    ],
+    ids=[
+        "n-float",
+        "n-bool",
+        "n-str",
+        "n-none",
+        "n-zero",
+        "v-str",
+        "v-bool",
+        "v-none",
+        "v-inf",
+        "v-nan",
+        "v-zero",
+        "v-negative",
+    ],
+)
+def test_degree_series_arguments_are_typed(lat_d1, v, n):
+    # Each ends in the typed error, never a bare TypeError from range or a comparison.
     with pytest.raises(PreconditionViolation):
-        idn.DegreeSeries(v=1.0, coefficients={0: Fraction(0)}, hodge_degree=Fraction(1, 12))
-    with pytest.raises(PreconditionViolation):
-        idn.DegreeSeries(
-            v=1.0,
-            coefficients={0: Fraction(-1, 12), -1: Fraction(1)},
-            hodge_degree=Fraction(1, 12),
-        )
+        idn.degree_series(lat_d1, v, n)
+
+
+def test_degree_series_accepts_integral_and_real_types(lat_d1):
+    base = idn.degree_series(lat_d1, 1.0, 4).coefficients
+    assert idn.degree_series(lat_d1, Fraction(1, 3), np.int64(4)).coefficients == base
+    assert idn.degree_series(lat_d1, np.float32(2.0), 4).coefficients == base
 
 
 def test_classification_regular_undefined_without_prime():
@@ -142,8 +174,17 @@ def test_numpy_integer_norms_pass(lat_d1, lat_lipschitz):
         lambda: binforms.hurwitz_class_number_boxdedup(Fraction(3)),
         lambda: binforms.reduced_classes(-3.0),
         lambda: binforms.reduced_classes("-3"),
+        lambda: binforms.hurwitz_class_number(True),
     ],
-    ids=["hurwitz-7.5", "hurwitz-3.0", "boxdedup-3.0", "boxdedup-fraction", "classes-float", "classes-str"],
+    ids=[
+        "hurwitz-7.5",
+        "hurwitz-3.0",
+        "boxdedup-3.0",
+        "boxdedup-fraction",
+        "classes-float",
+        "classes-str",
+        "hurwitz-bool",
+    ],
 )
 def test_non_integer_class_number_argument_is_a_typed_error(call):
     with pytest.raises(PreconditionViolation, match="must be an integer"):
