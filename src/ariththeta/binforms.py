@@ -34,21 +34,12 @@ def reduce_form(form: tuple[int, int, int]) -> tuple[int, int, int]:
     if a <= 0 or discriminant(form) >= 0:
         raise PreconditionViolation("reduce_form needs a positive definite form")
     while True:
-        # Normalize: -a < b <= a.
-        if not (-a < b <= a):
+        if not (-a < b <= a):  # normalise to -a < b <= a, which rules out b = -a
             k = (a - b) // (2 * a)
-            b2 = b + 2 * k * a
-            c = a * k * k + b * k + c
-            b = b2
-        if a > c:
-            a, b, c = c, -b, a
-            continue
-        if a == c and b < 0:
-            b = -b
-        if abs(b) == a and b < 0:
-            b = -b
-        if is_reduced((a, b, c)):
-            return (a, b, c)
+            b, c = b + 2 * k * a, a * k * k + b * k + c
+        if a <= c:
+            return (a, abs(b) if a == c else b, c)
+        a, b, c = c, -b, a
 
 
 def _integer(n, name: str) -> int:
@@ -81,6 +72,16 @@ def reduced_classes(disc: int) -> list[tuple[int, int, int]]:
                 if 0 < b < a < c:
                     out.append((a, -b, c))
     return sorted(out)
+
+
+def reduced_form_runs(n: int):
+    """Every reduced form of discriminant -4t, 1 <= t <= n, once, as runs (a, b, cs); t steps by a along cs.
+
+    b is even in (-a, a], c in cs from a (a + 1 if b < 0) while t = ac - b^2/4 <= n, and 3a^2 <= 4t <= 4n.
+    """
+    for a in range(1, math.isqrt(4 * n // 3) + 1):
+        for b in range(2 - a - a % 2, a + 1, 2):
+            yield a, b, range(a + (b < 0), (n + b * b // 4) // a + 1)
 
 
 def hurwitz_weight(form: tuple[int, int, int]) -> int:

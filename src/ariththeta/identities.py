@@ -1,11 +1,12 @@
 """Degree series, exact constants, and the special-cycle classification predicates.
 
-degree_series checks its weight v, kept for the completion on d1; v enters no coefficient.
+degree_series_of_discriminant(D, N) computes the degrees; degree_series reads D off a maximal order.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,42 +47,48 @@ class DegreeSeries:
 
 
 def degree_series(lat: TraceZeroLattice, v: float, n: int) -> DegreeSeries:
-    """Degrees of the special cycles Z(t) of a maximal order as a q-series, indices 0..N.
-
-    Eichler's count of optimal embeddings (Voight, Quaternion Algebras, ch. 30):
-    deg Z(t) = sum over f^2 | 4t with d = -4t/f^2 a discriminant of
-    2 h(d)/w(d) prod_{p | D} (1 - {d/p}), {d/p} the Eichler symbol.  A reduced
-    form of discriminant -4t and content f is f times a primitive form of
-    discriminant d, so one pass over the forms of -4t covers every f; at D = 1
-    the sum is H(4t).  The pass sums the Hurwitz weights, in sixths, per
-    content f, and each content takes its local factor once.  The constant
-    term is zeta_D(-1); negative indices vanish and are not stored.  Other
-    levels need other local factors.  N is an integer >= 1.  The weight v, a
-    finite positive real, is checked and stays in the signature for the
-    completion on d1; it enters no coefficient.
-    """
-    n = binforms._integer(n, "N")
+    """degree_series_of_discriminant(D, N) on a maximal order; v (finite, > 0) is kept for d1's completion."""
     _require_real("degree_series", "v", v)
-    if n < 1 or not (math.isfinite(v) and v > 0):
-        raise PreconditionViolation(f"need N >= 1 and a finite v > 0, got N = {n}, v = {v!r}")
-    d = lat.discriminant
-    level = lat.order.reduced_discriminant()
+    if not (math.isfinite(v) and v > 0):
+        raise PreconditionViolation(f"need a finite v > 0, got v = {v!r}")
+    d, level = lat.discriminant, lat.order.reduced_discriminant()
     if level != d:
         raise UnsupportedDiscriminant(
             f"degrees need a maximal order; reduced discriminant {level} is not D = {d}"
         )
+    return degree_series_of_discriminant(d, n)
+
+
+def degree_series_of_discriminant(d: int, n: int) -> DegreeSeries:
+    """Degrees of the special cycles Z(t) on the maximal order of discriminant D, indices 0..N.
+
+    Eichler (Voight, Quaternion Algebras, ch. 30): deg Z(t) = sum over f^2 | 4t with
+    d = -4t/f^2 a discriminant of 2 h(d)/w(d) prod_{p | D} (1 - {d/p}); H(4t) at D = 1.
+    A reduced form of discriminant -4t and content f is f times a primitive form of
+    discriminant d, so one pass over binforms.reduced_form_runs(N) sums Hurwitz weights
+    in sixths per (t, f): along a run the content is gcd(gcd(a, b), c), and forms past
+    c = a weigh 6.  Each (t, f) takes its local factor once; the constant term is
+    zeta_D(-1).  D is an integer, squarefree and >= 1 (else NotSquarefree); N an integer >= 1.
+    """
+    n = binforms._integer(n, "N")
+    if n < 1:
+        raise PreconditionViolation(f"need N >= 1, got N = {n}")
+    zeta = zeta_db_at_minus1(binforms._integer(d, "D"))
     primes = list(factorint(d))
-    coeffs: dict[int, Fraction] = {0: zeta_db_at_minus1(d)}
-    for t in range(1, n + 1):
-        by_content: dict[int, int] = {}
-        for form in binforms.reduced_classes(-4 * t):
-            f = math.gcd(*form)
-            by_content[f] = by_content.get(f, 0) + binforms.hurwitz_weight(form)
-        sixths = 0
-        for f, weight in by_content.items():
-            sixths += weight * math.prod(1 - eichler_symbol(-4 * t // (f * f), p) for p in primes)
-        coeffs[t] = Fraction(sixths, 6)
-    return DegreeSeries(coefficients=coeffs)
+    by_content: defaultdict[int, list[int]] = defaultdict(lambda: [0] * (n + 1))  # f -> sixths per t
+    for a, b, cs in binforms.reduced_form_runs(n):
+        shift, g = b * b // 4, math.gcd(a, b) if primes else 1  # D = 1: no local factor, one column
+        for r in range(g):
+            col = by_content[math.gcd(g, r)]
+            for t in range(a * (cs.start + (r - cs.start) % g) - shift, a * cs.stop - shift, a * g):
+                col[t] += 6
+        if cs and cs.start == a:  # (a, b, a) weighs 3 sixths when b = 0, 2 when b = a
+            by_content[g][a * a - shift] += binforms.hurwitz_weight((a, b, a)) - 6
+    sixths = [0] * (n + 1) if primes else by_content[1]
+    for f, col in by_content.items() if primes else ():
+        for t in range(0, n + 1, f * f // math.gcd(f, 2) ** 2):  # the t with f^2 | 4t
+            sixths[t] += col[t] * math.prod(1 - eichler_symbol(-4 * t // (f * f), p) for p in primes)
+    return DegreeSeries({0: zeta, **{t: Fraction(sixths[t], 6) for t in range(1, n + 1)}})
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Small exact number-theory helpers (desk scale, trial division throughout)."""
+"""Small exact number-theory helpers (desk scale: trial division, Miller-Rabin in is_prime)."""
 
 from __future__ import annotations
 
@@ -8,18 +8,28 @@ from .errors import PreconditionViolation
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+    """Trial division up to sqrt(n), but _strong_probable_prime for 10^4 <= n < 3.3e24."""
     if n < 4:
-        return True
+        return n > 1
     if n % 2 == 0:
         return False
+    if 10_000 <= n < 3_317_044_064_679_887_385_961_981:
+        return _strong_probable_prime(n)
     f = 3
     while f * f <= n:
         if n % f == 0:
             return False
         f += 2
     return True
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin on odd n to the 13 prime bases <= 41, exact below 3.3e24 (Sorenson and Webster, 2017)."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
+    return all(
+        (x := pow(base, (n - 1) >> s, n)) == 1 or any(pow(x, 1 << i, n) == n - 1 for i in range(s))
+        for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    )
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -124,8 +134,8 @@ def kronecker_symbol(a: int, n: int) -> int:
 
 
 def eichler_symbol(d: int, p: int) -> int:
-    """Eichler symbol {d/p} of a discriminant d: 1 if p divides its conductor, else (d|p)."""
-    return 1 if (d // field_discriminant(d)) % (p * p) == 0 else kronecker_symbol(d, p)
+    """Eichler symbol {d/p}: 1 if p divides the conductor of d (iff d/p^2 is a discriminant), else (d|p)."""
+    return 1 if d % (p * p) == 0 and d // (p * p) % 4 < 2 else kronecker_symbol(d, p)
 
 
 def field_discriminant(m: int) -> int:

@@ -96,6 +96,17 @@ def test_reduced_classes_match_brute_force_to_3000():
         assert reduced_classes(d) == sorted(forms), d
 
 
+def test_reduced_form_runs_visit_each_reduced_form_once():
+    # Against reduced_classes(-4t) one t at a time, with multiplicity.
+    top = 1000
+    seen: dict[int, list] = {t: [] for t in range(1, top + 1)}
+    for a, b, cs in binforms.reduced_form_runs(top):
+        for c in cs:
+            seen[a * c - b * b // 4].append((a, b, c))
+    for t, forms in seen.items():
+        assert sorted(forms) == reduced_classes(-4 * t), t
+
+
 # --- vector orbits on the split model ----------------------------------------
 
 

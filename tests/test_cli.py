@@ -197,16 +197,21 @@ def test_check_zagier_passes(capsys):
 
 
 def test_check_zagier_fails_on_a_lost_class(monkeypatch, capsys):
-    # Drop the class (2, 2, 4) of discriminant -28: the degree at t = 7 loses
-    # it, the box route of H(28) does not, so the suite fails on its own.
-    whole = binforms.reduced_classes
+    # Drop the class (2, 2, 4) of discriminant -28 from the degrees' pass: the
+    # degree at t = 7 loses it, the box route of H(28) does not, so the suite
+    # fails on its own.
+    whole = binforms.reduced_form_runs
 
-    def lossy(disc):
-        forms = whole(disc)
-        return forms[:-1] if disc == -28 else forms
+    def lossy(n):
+        for a, b, cs in whole(n):
+            if (a, b) == (2, 2):
+                assert 4 in cs
+                yield a, b, range(cs.start, 4)
+                yield a, b, range(5, cs.stop)
+            else:
+                yield a, b, cs
 
-    assert whole(-28) == [(1, 0, 7), (2, 2, 4)]
-    monkeypatch.setattr(binforms, "reduced_classes", lossy)
+    monkeypatch.setattr(binforms, "reduced_form_runs", lossy)
     assert main(["check", "zagier", "--seed", "1"]) == 1
     out = capsys.readouterr().out
     assert out.count("FAIL zagier:t=") == 1

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import ariththeta as at
+from ariththeta import binforms
 from ariththeta import identities as idn
 from ariththeta.errors import (
     NotSquarefree,
@@ -21,7 +22,13 @@ from ariththeta.lattice import (
     trace_zero_lattice,
     weighted_orbit_degree,
 )
-from ariththeta.numtheory import eichler_symbol, factorint, is_squarefree, kronecker_symbol
+from ariththeta.numtheory import (
+    eichler_symbol,
+    factorint,
+    field_discriminant,
+    is_squarefree,
+    kronecker_symbol,
+)
 from ariththeta.quatalg import hilbert_symbol
 
 
@@ -111,6 +118,66 @@ def test_degree_series_hecke_relations(name, primes, lat_d1, lat_d6, lat_d10):
             below = s.coefficient(t // (p * p)) if t % (p * p) == 0 else 0
             want = (p + 1 - kronecker_symbol(-t, p)) * s.coefficient(t) - p * below
             assert s.coefficient(p * p * t) == want, (name, p, t)
+
+
+def _degrees_by_discriminant(d, n):
+    """The per-discriminant route: reduced_classes(-4t) summed per content, conductor by factoring."""
+
+    def eichler(disc, p):
+        return 1 if (disc // field_discriminant(disc)) % (p * p) == 0 else kronecker_symbol(disc, p)
+
+    out = {0: idn.zeta_db_at_minus1(d)}
+    for t in range(1, n + 1):
+        by_content = {}
+        for form in binforms.reduced_classes(-4 * t):
+            f = math.gcd(*form)
+            by_content[f] = by_content.get(f, 0) + binforms.hurwitz_weight(form)
+        out[t] = sum(
+            Fraction(w, 6) * math.prod(1 - eichler(-4 * t // (f * f), p) for p in factorint(d))
+            for f, w in by_content.items()
+        )
+    return out
+
+
+@pytest.mark.parametrize("name", ["d1", "d6", "d10", "D2", "D3", "D7"])
+def test_degree_series_matches_the_per_discriminant_route(name, lat_d1, lat_d6, lat_d10):
+    # The one pass over reduced_form_runs against reduced_classes(-4t) one t at a time.
+    if name.startswith("D"):
+        a, b, basis = CLASS_NUMBER_ONE_ORDERS[int(name[1:])]
+        lat = trace_zero_lattice(load_order({"a": a, "b": b, "discriminant": int(name[1:]), "basis": basis}))
+    else:
+        lat = {"d1": lat_d1, "d6": lat_d6, "d10": lat_d10}[name]
+    want = _degrees_by_discriminant(lat.discriminant, 1000)
+    assert idn.degree_series(lat, v=1.0, n=1000).coefficients == want
+    assert idn.degree_series_of_discriminant(lat.discriminant, 1000).coefficients == want
+
+
+def test_degree_series_of_discriminant_hecke_relations():
+    """The Hecke relations of test_degree_series_hecke_relations on the (D, N) core.
+
+    Every squarefree D <= 50, odd p <= 13 not dividing D, t <= 1200/p^2: 5,379 cases.
+    """
+    cases = 0
+    for d in filter(is_squarefree, range(1, 51)):
+        s = idn.degree_series_of_discriminant(d, 1200)
+        for p in (p for p in (3, 5, 7, 11, 13) if d % p):
+            for t in range(1, 1200 // (p * p) + 1):
+                below = s.coefficient(t // (p * p)) if t % (p * p) == 0 else 0
+                want = (p + 1 - kronecker_symbol(-t, p)) * s.coefficient(t) - p * below
+                assert s.coefficient(p * p * t) == want, (d, p, t)
+                cases += 1
+    assert cases == 5379
+
+
+@pytest.mark.parametrize(
+    "d, n, error",
+    [(4, 5, NotSquarefree), (0, 5, NotSquarefree), (-6, 5, NotSquarefree), (18, 5, NotSquarefree),
+     (6.0, 5, PreconditionViolation), (True, 5, PreconditionViolation),
+     (6, 0, PreconditionViolation), (6, 2.5, PreconditionViolation)],
+)
+def test_degree_series_of_discriminant_refuses_bad_arguments(d, n, error):
+    with pytest.raises(error):
+        idn.degree_series_of_discriminant(d, n)
 
 
 def test_degree_series_refuses_non_maximal_orders():
