@@ -7,10 +7,9 @@ Only positive definite forms (negative discriminant, a > 0) appear here.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
-from .errors import PreconditionViolation
+from .errors import PreconditionViolation, require_integer
 
 
 def discriminant(form: tuple[int, int, int]) -> int:
@@ -42,13 +41,6 @@ def reduce_form(form: tuple[int, int, int]) -> tuple[int, int, int]:
         a, b, c = c, -b, a
 
 
-def _integer(n, name: str) -> int:
-    try:
-        return operator.index(None if isinstance(n, bool) else n)
-    except TypeError:
-        raise PreconditionViolation(f"{name} must be an integer, got {n!r}") from None
-
-
 def reduced_classes(disc: int) -> list[tuple[int, int, int]]:
     """All reduced positive definite forms of the given negative discriminant.
 
@@ -57,7 +49,7 @@ def reduced_classes(disc: int) -> list[tuple[int, int, int]]:
     divisor a of ac in [b, sqrt(ac)]: then b <= a <= c, so (a, b, c) is
     reduced, and (a, -b, c) is reduced off the boundaries, when 0 < b < a < c.
     """
-    disc = _integer(disc, "the discriminant")
+    disc = require_integer(disc, "the discriminant")
     if disc >= 0:
         raise PreconditionViolation("need a negative discriminant")
     if disc % 4 > 1:
@@ -106,7 +98,7 @@ def hurwitz_class_number(n: int) -> Fraction:
     The weights 1, 1/2 and 1/3 are summed as 6, 3 and 2 sixths in an int
     (hurwitz_weight).
     """
-    n = _integer(n, "n")
+    n = require_integer(n, "n")
     if n < 0:
         raise PreconditionViolation("H(n) needs n >= 0")
     if n == 0:
@@ -124,7 +116,7 @@ def hurwitz_class_number_boxdedup(n: int) -> Fraction:
     each hit through reduce_form.  4ac = b^2 + n forces b = n (mod 2), so b
     steps by 2.  A class with aut automorphisms weighs 12 // aut sixths.
     """
-    n = _integer(n, "n")
+    n = require_integer(n, "n")
     if n < 0:
         raise PreconditionViolation("H(n) needs n >= 0")
     if n == 0:

@@ -6,15 +6,17 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .binforms import hurwitz_class_number
 from .config import RunConfig, load_config
 from .errors import ArithThetaError, PreconditionViolation
 from .greens import UHPoint, big_xi
 from .identities import classify, degree_series
-from .lattice import trace_zero_lattice
+from .lattice import model_coordinates_float, trace_zero_lattice
 from .numtheory import is_squarefree
 from .splitorbits import pair_action
-from .starprod import PairConfig, lambda_star
+from .starprod import PairConfig, _square_root, lambda_star
 from . import checks
 
 
@@ -126,17 +128,12 @@ def cmd_green(args, cfg: RunConfig) -> int:
 
 
 def cmd_lambda(args, cfg: RunConfig) -> int:
-    from .lattice import model_coordinates_float
-    import numpy as np
-
     lat = _lattice_from(args, cfg)
     coords = model_coordinates_float(lat)
     x1 = coords @ np.array(args.x1, dtype=float)
     x2 = coords @ np.array(args.x2, dtype=float)
     if args.v:
         v11, v12, v22 = args.v
-        from .starprod import _square_root
-
         a = _square_root(np.array([[v11, v12], [v12, v22]]), "symmetric")
         x1, x2 = pair_action((x1, x2), a.ravel())
     res = lambda_star(PairConfig.from_vectors(x1, x2), cfg.quadrature)

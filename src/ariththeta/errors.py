@@ -1,8 +1,15 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the gates on argument kinds.
 
 Every operation that can fail raises one of these, so callers (in particular
-the CLI) can distinguish usage errors from numeric failures.
+the CLI) can distinguish usage errors from numeric failures.  An argument that
+must be an integer passes require_integer (int or numpy integer, never bool),
+one that must be real passes require_real (numbers.Real, never bool), and a
+discriminant D passes numtheory.squarefree_primes (a squarefree integer >= 1,
+else NotSquarefree); each raises a PreconditionViolation naming the argument.
 """
+
+import numbers
+import operator
 
 
 class ArithThetaError(Exception):
@@ -61,5 +68,21 @@ class ConfigError(ArithThetaError):
     """A config file has an unknown key or a section of the wrong shape."""
 
 
-class NotSquarefree(ArithThetaError):
-    """A squarefree integer was required."""
+class NotSquarefree(PreconditionViolation):
+    """A squarefree integer >= 1 was required."""
+
+
+def require_integer(value, what: str) -> int:
+    """value as an int (operator.index: ints and numpy integers), else PreconditionViolation; bools are refused."""
+    try:
+        return operator.index(None if isinstance(value, bool) else value)
+    except TypeError:
+        raise PreconditionViolation(f"{what} must be an integer, got {value!r}") from None
+
+
+def require_real(value, what: str):
+    """value itself if it is a numbers.Real (Fractions and numpy floats too) and not a bool, else PreconditionViolation."""
+    # A float skips the abstract-class check, which costs a microsecond.
+    if isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
+        return value
+    raise PreconditionViolation(f"{what} must be a real number, got {value!r}")

@@ -21,7 +21,6 @@ with one route: a Horner sum over one row of ariththeta._e1_table.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,8 @@ from .errors import (
     PreconditionViolation,
     QuadratureFailure,
     SingularEvaluation,
+    require_integer,
+    require_real,
 )
 from .lattice import (
     TraceZeroLattice,
@@ -50,15 +51,6 @@ EULER_GAMMA = 0.577215664901532860606512090082
 TWO_PI = 2.0 * math.pi
 
 
-def _require_real(owner: str, name: str, value) -> None:
-    # Fractions and numpy floats are real numbers; bools, strings and None are
-    # not.  A float skips the abstract-class check, which costs a microsecond.
-    if isinstance(value, float):
-        return
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise PreconditionViolation(f"{owner} {name} must be a real number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class UHPoint:
     """Point of the symmetric space: upper half-plane coordinate plus sheet."""
@@ -68,8 +60,8 @@ class UHPoint:
     sheet: int = 1
 
     def __post_init__(self):
-        _require_real("UHPoint", "u", self.u)
-        _require_real("UHPoint", "v", self.v)
+        require_real(self.u, "UHPoint u")
+        require_real(self.v, "UHPoint v")
         if not (math.isfinite(self.u) and math.isfinite(self.v) and self.v > 0):
             raise PreconditionViolation("UHPoint needs finite u and v, and v > 0")
         if self.sheet not in (1, -1):
@@ -97,10 +89,9 @@ class QuadratureSpec:
             "truncation_majorant_bound",
             "singular_r_floor",
         ):
-            _require_real("QuadratureSpec", name, getattr(self, name))
-            if not 0 < getattr(self, name) < math.inf:
+            if not 0 < require_real(getattr(self, name), f"QuadratureSpec {name}") < math.inf:
                 raise PreconditionViolation(f"{name} must be finite and positive")
-        if isinstance(self.max_cells, bool) or not isinstance(self.max_cells, int) or self.max_cells <= 0:
+        if require_integer(self.max_cells, "QuadratureSpec max_cells") <= 0:
             raise PreconditionViolation("max_cells must be a positive integer")
 
 
@@ -141,7 +132,7 @@ def beta1(r: float) -> float:
     the tests check both ends and the midpoint of every piece.  Above 700
     the value is 0, an absolute error below E_1(700) < 1e-306.
     """
-    if not r > 0:
+    if not require_real(r, "beta1 r") > 0:
         raise NonpositiveArgument(f"beta1 needs r > 0, got {r}")
     return _beta1(float(r), r < 0.5)
 
@@ -362,10 +353,10 @@ def big_xi(
     """
     if lat.is_definite:
         raise PreconditionViolation("big_xi needs an indefinite lattice")
-    if t == 0:
+    if require_integer(t, "t") == 0:
         raise PreconditionViolation("t must be nonzero")
-    if not v > 0:
-        raise PreconditionViolation("v must be positive")
+    if not 0 < require_real(v, "v") < math.inf:
+        raise PreconditionViolation(f"v must be finite and positive, got {v!r}")
     (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = model_coordinates_float(lat).tolist()
     m = majorant(lat, z)
     (m00, m01, m02), (_, m11, m12), (_, _, m22) = m.tolist()

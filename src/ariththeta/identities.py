@@ -14,19 +14,20 @@ import numpy as np
 
 from . import binforms
 from .errors import (
-    NotSquarefree,
     PreconditionViolation,
     QuadratureFailure,
     UnsupportedDiscriminant,
+    require_integer,
+    require_real,
 )
-from .greens import DEFAULT_SPEC, EULER_GAMMA, QuadratureSpec, UHPoint, _require_real
+from .greens import DEFAULT_SPEC, EULER_GAMMA, QuadratureSpec, UHPoint
 from .lattice import TraceZeroLattice
 from .numtheory import (
     eichler_symbol,
     factorint,
-    is_squarefree,
     primes_up_to,  # noqa: F401  unused; perfbench/tracing.py wraps this attribute by name
     splits_in_quadratic_field,
+    squarefree_primes,
     valuation,
 )
 from .quatalg import hilbert_symbol
@@ -48,8 +49,7 @@ class DegreeSeries:
 
 def degree_series(lat: TraceZeroLattice, v: float, n: int) -> DegreeSeries:
     """degree_series_of_discriminant(D, N) on a maximal order; v (finite, > 0) is kept for d1's completion."""
-    _require_real("degree_series", "v", v)
-    if not (math.isfinite(v) and v > 0):
+    if not 0 < require_real(v, "v") < math.inf:
         raise PreconditionViolation(f"need a finite v > 0, got v = {v!r}")
     d, level = lat.discriminant, lat.order.reduced_discriminant()
     if level != d:
@@ -70,11 +70,10 @@ def degree_series_of_discriminant(d: int, n: int) -> DegreeSeries:
     c = a weigh 6.  Each (t, f) takes its local factor once; the constant term is
     zeta_D(-1).  D is an integer, squarefree and >= 1 (else NotSquarefree); N an integer >= 1.
     """
-    n = binforms._integer(n, "N")
+    n = require_integer(n, "N")
     if n < 1:
         raise PreconditionViolation(f"need N >= 1, got N = {n}")
-    zeta = zeta_db_at_minus1(binforms._integer(d, "D"))
-    primes = list(factorint(d))
+    primes = squarefree_primes(d)
     by_content: defaultdict[int, list[int]] = defaultdict(lambda: [0] * (n + 1))  # f -> sixths per t
     for a, b, cs in binforms.reduced_form_runs(n):
         shift, g = b * b // 4, math.gcd(a, b) if primes else 1  # D = 1: no local factor, one column
@@ -88,7 +87,7 @@ def degree_series_of_discriminant(d: int, n: int) -> DegreeSeries:
     for f, col in by_content.items() if primes else ():
         for t in range(0, n + 1, f * f // math.gcd(f, 2) ** 2):  # the t with f^2 | 4t
             sixths[t] += col[t] * math.prod(1 - eichler_symbol(-4 * t // (f * f), p) for p in primes)
-    return DegreeSeries({0: zeta, **{t: Fraction(sixths[t], 6) for t in range(1, n + 1)}})
+    return DegreeSeries({0: _zeta_minus1(primes), **{t: Fraction(sixths[t], 6) for t in range(1, n + 1)}})
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,7 @@ def arithmetic_degree_archimedean(
             out.append(g(UHPoint(uk, v)) / (v * v))
         return np.array(out)
 
-    height = cusp_height - math.sqrt(3.0) / 2.0
+    height = require_real(cusp_height, "cusp_height") - math.sqrt(3.0) / 2.0
     if not height > 0.0:
         raise PreconditionViolation(f"cusp_height {cusp_height} is not above sqrt(3)/2")
     tol = max(spec.abs_tol, 1e-9)
@@ -190,12 +189,11 @@ def arithmetic_degree_archimedean(
 
 def zeta_db_at_minus1(d: int) -> Fraction:
     """zeta_{D}(-1) = zeta(-1) prod_{p | D} (1 - p), exact."""
-    if d < 1 or not is_squarefree(d):
-        raise NotSquarefree(f"{d} is not a squarefree positive integer")
-    out = Fraction(-1, 12)
-    for p in factorint(d):
-        out *= 1 - p
-    return out
+    return _zeta_minus1(squarefree_primes(d))
+
+
+def _zeta_minus1(primes) -> Fraction:
+    return Fraction(-1, 12) * math.prod(1 - p for p in primes)
 
 
 def constant_c(hodge_pairing: float, d: int, hodge_degree: Fraction) -> float:
@@ -204,7 +202,8 @@ def constant_c(hodge_pairing: float, d: int, hodge_degree: Fraction) -> float:
     Solves (1/2) hodge_degree * c = hodge_pairing - zeta_D(-1) * bracket with
     bracket = 2 zeta'(-1)/zeta(-1) + 1 - log(4 pi) - gamma - sum_{p|D} p log p / (p-1).
     """
-    if not hodge_degree > 0:
+    require_real(hodge_pairing, "hodge_pairing")
+    if not require_real(hodge_degree, "hodge_degree") > 0:
         raise PreconditionViolation("hodge_degree must be positive")
     bracket = bracket_constant(d)
     zd = zeta_db_at_minus1(d)
@@ -212,10 +211,8 @@ def constant_c(hodge_pairing: float, d: int, hodge_degree: Fraction) -> float:
 
 
 def bracket_constant(d: int) -> float:
-    if d < 1 or not is_squarefree(d):
-        raise NotSquarefree(f"{d} is not a squarefree positive integer")
     total = 2.0 * ZETA_PRIME_MINUS_ONE / (-1.0 / 12.0) + 1.0 - math.log(4.0 * math.pi) - EULER_GAMMA
-    for p in factorint(d):
+    for p in squarefree_primes(d):
         total -= p * math.log(p) / (p - 1)
     return total
 
@@ -227,15 +224,16 @@ def vertical_components(t: int, d: int, p: int) -> bool:
     splits in Q(sqrt(-t)); splitting is decided by the Kronecker symbol of
     the field discriminant.
     """
-    if t < 1:
+    if require_integer(t, "t") < 1:
         raise PreconditionViolation("t must be a positive integer")
-    if not is_squarefree(d) or len(factorint(d)) < 2:
+    primes = squarefree_primes(d)
+    if len(primes) < 2:
         raise PreconditionViolation("need a squarefree discriminant with >= 2 prime factors")
-    if d % p:
-        raise PreconditionViolation(f"{p} does not divide {d}")
+    if require_integer(p, "p") not in primes:
+        raise PreconditionViolation(f"{p!r} is not a prime factor of {d}")
     if valuation(t, p) < 2:
         return False
-    for ell in factorint(d):
+    for ell in primes:
         if ell != p and splits_in_quadratic_field(ell, -t):
             return False
     return True
@@ -249,6 +247,9 @@ class CycleClassification:
     fundamental_prime: int | None
     regular: bool | None
     supersingular_support: bool
+
+
+_T = "an entry of T"  # what require_integer names
 
 
 def fundamental_prime(t_mat, d: int) -> int | None:
@@ -271,15 +272,11 @@ def fundamental_prime(t_mat, d: int) -> int | None:
     sides are 1, so Diff lies in that set.  (At the infinite place both T and
     the twin space are positive definite, so no condition arises there.)
     """
-    t1 = int(t_mat[0][0])
-    m = int(t_mat[0][1])
-    t2 = int(t_mat[1][1])
+    t1, m, t2 = (require_integer(t_mat[0][0], _T), require_integer(t_mat[0][1], _T), require_integer(t_mat[1][1], _T))
     det = t1 * t2 - m * m
     if t1 <= 0 or det <= 0:
         raise PreconditionViolation("T must be positive definite")
-    if d < 1 or not is_squarefree(d):
-        raise NotSquarefree(f"{d} is not squarefree")
-    ram = set(factorint(d))
+    ram = set(squarefree_primes(d))
     places = {2} | ram | set(factorint(t1)) | set(factorint(det))
     diff = [
         ell for ell in sorted(places) if hilbert_symbol(-t1, -det, ell) != (-1 if ell in ram else 1)
@@ -300,11 +297,12 @@ def _regular_at(t_mat, p: int, d: int) -> bool:
     if d % p:
         return True
     entries = (t_mat[0][0], t_mat[0][1], t_mat[1][1])
-    return not all(int(e) % (p * p) == 0 for e in entries)
+    return not all(e % (p * p) == 0 for e in entries)
 
 
 def classify(t_mat, d: int) -> CycleClassification:
-    tm = ((int(t_mat[0][0]), int(t_mat[0][1])), (int(t_mat[1][0]), int(t_mat[1][1])))
+    (t00, t01), (t10, t11) = t_mat
+    tm = ((require_integer(t00, _T), require_integer(t01, _T)), (require_integer(t10, _T), require_integer(t11, _T)))
     p = fundamental_prime(tm, d)
     reg = None if p is None else _regular_at(tm, p, d)
     return CycleClassification(

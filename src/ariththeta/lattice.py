@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -32,7 +31,9 @@ from .errors import (
     QuadratureFailure,
     UnsupportedDiscriminant,
     ZeroStructureConstant,
+    require_integer,
 )
+from . import splitorbits
 from .numtheory import concave_window, integer_kernel
 from .quatalg import QuaternionAlgebra, QuaternionElement, make_algebra
 
@@ -278,26 +279,18 @@ def matrix_model_rows(alg: QuaternionAlgebra):
     Entries are exact Fractions when the relevant structure constant is a
     rational square, floats otherwise.  Requires an indefinite algebra.
     """
-    a, b = alg.a, alg.b
     if alg.is_definite:
         raise PreconditionViolation("definite algebras have no real splitting")
-    if a > 0:
-        s = _fraction_sqrt(a)
-        sv = s if s is not None else math.sqrt(float(a))
-        # alpha = s x1, beta = b x2 + s b x3, gamma = x2 - s x3
-        return (
-            (sv, 0 * sv, 0 * sv),
-            (0 * sv, b if s is not None else float(b), (b * sv) if s is not None else float(b) * sv),
-            (0 * sv, 1 if s is not None else 1.0, -sv),
-        )
-    t = _fraction_sqrt(b)
-    tv = t if t is not None else math.sqrt(float(b))
-    # alpha = t x2, beta = a x1 - a t x3, gamma = x1 + t x3
-    return (
-        (0 * tv, tv, 0 * tv),
-        (a if t is not None else float(a), 0 * tv, (-a * tv) if t is not None else -float(a) * tv),
-        (1 if t is not None else 1.0, 0 * tv, tv),
-    )
+    c = alg.a if alg.a > 0 else alg.b
+    s = _fraction_sqrt(c)
+    num = float if s is None else Fraction
+    s = math.sqrt(float(c)) if s is None else s
+    zero, one, a, b = num(0), num(1), num(alg.a), num(alg.b)
+    if alg.a > 0:
+        # alpha = s x1, beta = b x2 + s b x3, gamma = x2 - s x3, for s^2 = a
+        return ((s, zero, zero), (zero, b, b * s), (zero, one, -s))
+    # alpha = s x2, beta = a x1 - a s x3, gamma = x1 + s x3, for s^2 = b
+    return ((zero, s, zero), (a, zero, -a * s), (one, zero, s))
 
 
 def model_coordinates(lat: TraceZeroLattice):
@@ -368,6 +361,7 @@ def enumerate_by_majorant(
     visit raise BoundTooLarge.  The benchmark's traced `lattice.candidates`
     counts the vectors returned, found in O(bound) rows.
     """
+    norm = require_integer(norm, "the norm")
     m = majorant(lat, z) if form is None else form
     return _enumerate_norm(m, bound, lat.gram, norm, cap, factor)
 
@@ -438,8 +432,7 @@ def _enumerate_norm(m: np.ndarray, bound: float, gram, t: int, cap: int = 2_000_
 
     value(n) = m00 n1^2 + m11 n2^2 + m22 n3^2 + 2 (m01 n1 n2 + m02 n1 n3 +
     m12 n2 n3) in Python floats decides every root.  G is the integral gram
-    matrix `gram`, and t must be an integer (numpy integers included), else
-    PreconditionViolation.
+    matrix `gram`, and t an int.
 
     Complete: with value = |U n|^2 for the upper Cholesky factor U of m
     (`factor`, else _cholesky3; a pivot that is not positive raises
@@ -470,10 +463,6 @@ def _enumerate_norm(m: np.ndarray, bound: float, gram, t: int, cap: int = 2_000_
     at most two k.  So the output holds at most twice the rows plus two
     whole rows.
     """
-    try:
-        t = operator.index(t)
-    except TypeError:
-        raise PreconditionViolation(f"the norm must be an integer, got {t!r}") from None
     if bound <= 0:
         return []
     (m00, m01, m02), (_, m11, m12), (_, _, m22) = m.tolist()
@@ -552,6 +541,7 @@ def representation_count(lat: TraceZeroLattice, t: int) -> int:
 
 def vectors_of_norm(lat: TraceZeroLattice, t: int):
     """All x with Q(x) = t in a definite lattice, solved exactly row by row."""
+    t = require_integer(t, "the norm")
     if not lat.is_definite:
         raise PreconditionViolation("needs a definite lattice")
     g = np.array(lat.gram, dtype=float)
@@ -570,10 +560,8 @@ def weighted_orbit_degree(lat: TraceZeroLattice, t: int) -> Fraction:
         )
     if not lat.is_split_model:
         raise PreconditionViolation("lattice does not match the split matrix model")
-    if t < 1:
+    if require_integer(t, "t") < 1:
         raise PreconditionViolation("t must be >= 1")
-    from . import splitorbits
-
     total = Fraction(0)
     for rep in splitorbits.orbit_reps(t):
         total += Fraction(2, len(splitorbits.commuting_units(rep)))

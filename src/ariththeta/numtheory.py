@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import PreconditionViolation
+from .errors import NotSquarefree, PreconditionViolation, require_integer
 
 
 def is_prime(n: int) -> bool:
@@ -67,9 +67,9 @@ def factorint(n: int) -> dict[int, int]:
 
 
 def valuation(n: int, p: int) -> int:
-    """p-adic valuation of n != 0."""
-    if n == 0:
-        raise PreconditionViolation("valuation of 0")
+    """p-adic valuation of n != 0, for p >= 2."""
+    if n == 0 or p < 2:
+        raise PreconditionViolation(f"no valuation of {n} at {p}")
     v = 0
     n = abs(n)
     while n % p == 0:
@@ -92,6 +92,15 @@ def squarefree_part(n: int) -> int:
 
 def is_squarefree(n: int) -> bool:
     return n != 0 and all(e == 1 for e in factorint(n).values())
+
+
+def squarefree_primes(d: int) -> list[int]:
+    """The increasing primes of a discriminant D: an integer >= 1 with no square factor, else NotSquarefree."""
+    d = require_integer(d, "D")
+    primes = factorint(d) if d >= 1 else {}
+    if d < 1 or any(e > 1 for e in primes.values()):
+        raise NotSquarefree(f"D must be a squarefree integer >= 1, got {d}")
+    return list(primes)  # factorint finds them in increasing order
 
 
 def jacobi_symbol(a: int, n: int) -> int:

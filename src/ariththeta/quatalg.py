@@ -18,8 +18,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count
 
-from .errors import AlgebraMismatch, NotSquarefree, PreconditionViolation, ZeroStructureConstant
-from .numtheory import factorint, is_prime, valuation
+from .errors import AlgebraMismatch, PreconditionViolation, ZeroStructureConstant, require_integer
+from .numtheory import factorint, is_prime, squarefree_primes, valuation
 
 Rational = Fraction | int
 
@@ -44,7 +44,7 @@ def hilbert_symbol(a: Rational, b: Rational, place) -> int:
         raise ZeroStructureConstant("hilbert symbol needs nonzero entries")
     if place == INFINITE_PLACE:
         return -1 if (a < 0 and b < 0) else 1
-    p = int(place)
+    p = require_integer(place, "a finite place")
     if not is_prime(p):
         raise PreconditionViolation(f"not a prime: {p}")
     a = a.numerator * a.denominator
@@ -226,6 +226,7 @@ def definite_twin(alg: QuaternionAlgebra, p: int) -> QuaternionAlgebra:
     """Definite (-D', -q) ramified at S = ram(alg) xor {p}, D' = prod S; q as in _least_prime_partner."""
     if alg.is_definite:
         raise PreconditionViolation("definite_twin expects an indefinite algebra")
+    p = require_integer(p, "p")
     if not is_prime(p):
         raise PreconditionViolation(f"not a prime: {p}")
     target = frozenset(alg.ramified_primes ^ {p})
@@ -234,11 +235,7 @@ def definite_twin(alg: QuaternionAlgebra, p: int) -> QuaternionAlgebra:
 
 def indefinite_algebra_of_discriminant(d: int) -> QuaternionAlgebra:
     """Indefinite (d, q) of squarefree discriminant d (even number of primes); q as in _least_prime_partner."""
-    if d < 1:
-        raise PreconditionViolation(f"discriminant must be positive, got {d}")
-    primes = factorint(d)
-    if any(e > 1 for e in primes.values()):
-        raise NotSquarefree(f"{d} is not squarefree")
+    primes = squarefree_primes(d)
     if len(primes) % 2:
         raise PreconditionViolation(f"{d} has an odd number of prime factors")
     return _least_prime_partner(d, frozenset(primes))

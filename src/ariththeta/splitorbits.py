@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from . import binforms
-from .errors import PreconditionViolation
+from .errors import PreconditionViolation, require_integer
 from .numtheory import concave_window, integer_kernel, solve_integer_linear, squarefree_part
 
 Vec = tuple[int, int, int]
@@ -58,7 +58,7 @@ def canonical_orbit_form(v: Vec) -> tuple[int, int, int]:
 
 def orbit_reps(t: int) -> list[Vec]:
     """One vector per unit-group orbit on {Q = t}, t > 0."""
-    if t < 1:
+    if require_integer(t, "t") < 1:
         raise PreconditionViolation("t must be positive")
     return [vector_of_form(f) for f in binforms.reduced_classes(-4 * t)]
 
@@ -233,6 +233,7 @@ def pair_orbit_reps(t1: int, m: int, t2: int) -> list[tuple[Vec, Vec]]:
     bijection of pairs that commutes with the unit group, so only the
     representatives depend on S.
     """
+    t1, m, t2 = require_integer(t1, "t1"), require_integer(m, "m"), require_integer(t2, "t2")
     det_t = t1 * t2 - m * m
     if det_t == 0:
         raise PreconditionViolation("singular gram")

@@ -32,6 +32,7 @@ from .errors import (
     QuadratureFailure,
     SingularConfiguration,
     UnsupportedDiscriminant,
+    require_integer,
 )
 from .greens import (
     DEFAULT_SPEC,
@@ -331,7 +332,7 @@ def z_hat_indefinite(
     v = a a^T.  The square root defaults to the symmetric positive one; the
     triangular (Cholesky) option exists to exercise a-independence.
     """
-    t1, m, t2 = int(t_mat[0][0]), int(t_mat[0][1]), int(t_mat[1][1])
+    t1, m, t2 = (require_integer(e, "an entry of T") for e in (t_mat[0][0], t_mat[0][1], t_mat[1][1]))
     if t_mat[1][0] != t_mat[0][1]:
         raise PreconditionViolation("T must be symmetric")
     if orbit_reps is None:

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import ariththeta as at
@@ -28,8 +29,9 @@ from ariththeta.numtheory import (
     field_discriminant,
     is_squarefree,
     kronecker_symbol,
+    squarefree_primes,
 )
-from ariththeta.quatalg import hilbert_symbol
+from ariththeta.quatalg import hilbert_symbol, indefinite_algebra_of_discriminant
 
 
 # --- degree series -------------------------------------------------------------
@@ -178,6 +180,32 @@ def test_degree_series_of_discriminant_hecke_relations():
 def test_degree_series_of_discriminant_refuses_bad_arguments(d, n, error):
     with pytest.raises(error):
         idn.degree_series_of_discriminant(d, n)
+
+
+DISCRIMINANT_CALLS = {
+    "squarefree_primes": squarefree_primes,
+    "zeta_db_at_minus1": idn.zeta_db_at_minus1,
+    "bracket_constant": idn.bracket_constant,
+    "fundamental_prime": lambda d: idn.fundamental_prime(((1, 0), (0, 1)), d),
+    "classify": lambda d: idn.classify(((1, 0), (0, 1)), d),
+    "degree_series_of_discriminant": lambda d: idn.degree_series_of_discriminant(d, 5),
+    "vertical_components": lambda d: idn.vertical_components(4, d, 2),
+    "indefinite_algebra_of_discriminant": indefinite_algebra_of_discriminant,
+}
+
+
+@pytest.mark.parametrize("d", [6.5, 6.0, True, "6", 4, 0], ids=["6.5", "6.0", "True", "str", "4", "0"])
+@pytest.mark.parametrize("name", list(DISCRIMINANT_CALLS))
+def test_every_function_taking_d_refuses_a_bad_discriminant(name, d):
+    # One gate, numtheory.squarefree_primes: D is a squarefree integer >= 1, never a float, bool or string.
+    with pytest.raises(NotSquarefree if d in (4, 0) else PreconditionViolation):
+        DISCRIMINANT_CALLS[name](d)
+
+
+def test_squarefree_primes_are_increasing():
+    assert squarefree_primes(1) == []
+    assert squarefree_primes(np.int64(6)) == [2, 3]
+    assert squarefree_primes(2 * 3 * 5 * 7 * 1009) == [2, 3, 5, 7, 1009]
 
 
 def test_degree_series_refuses_non_maximal_orders():

@@ -10,8 +10,11 @@ from ariththeta import binforms
 from ariththeta import identities as idn
 from ariththeta import numtheory as nt
 from ariththeta.errors import PreconditionViolation, QuadratureFailure
-from ariththeta.greens import QuadratureSpec, UHPoint, big_xi
-from ariththeta.lattice import enumerate_by_majorant, majorant, representation_count
+from ariththeta.greens import QuadratureSpec, UHPoint, beta1, big_xi
+from ariththeta.lattice import enumerate_by_majorant, majorant, representation_count, weighted_orbit_degree
+from ariththeta.quatalg import definite_twin, hilbert_symbol, indefinite_algebra_of_discriminant
+from ariththeta.splitorbits import orbit_reps, pair_orbit_reps
+from ariththeta.starprod import z_hat_indefinite
 
 
 def test_lattice_vector_q_agrees_with_element_norm(lat_d1, lat_d6, lat_d10):
@@ -131,12 +134,13 @@ def test_classification_regular_undefined_without_prime():
     [
         lambda: nt.factorint(0),
         lambda: nt.valuation(0, 3),
+        lambda: nt.valuation(4, 1),
         lambda: nt.jacobi_symbol(2, 8),
         lambda: nt.jacobi_symbol(2, -3),
         lambda: nt.field_discriminant(36),
         lambda: nt.integer_kernel([]),
     ],
-    ids=["factorint-0", "valuation-0", "jacobi-even", "jacobi-negative", "field-square", "kernel-empty"],
+    ids=["factorint-0", "valuation-0", "valuation-at-1", "jacobi-even", "jacobi-negative", "field-square", "kernel-empty"],
 )
 def test_numtheory_preconditions_are_typed(call):
     with pytest.raises(PreconditionViolation):
@@ -144,17 +148,63 @@ def test_numtheory_preconditions_are_typed(call):
 
 
 @pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda d1, lip: big_xi(d1, 2.0, 1.0, UHPoint(0.1, 1.2)), "t must be an integer"),
+        (lambda d1, lip: representation_count(lip, 1.5), "the norm must be an integer"),
+        (lambda d1, lip: enumerate_by_majorant(d1, UHPoint(0.1, 1.2), 4.0, norm=1.0), "the norm must be an integer"),
+        (lambda d1, lip: big_xi(d1, True, 1.0, UHPoint(0.1, 1.2)), "t must be an integer"),
+        (lambda d1, lip: big_xi(d1, "1", 1.0, UHPoint(0.1, 1.2)), "t must be an integer"),
+        (lambda d1, lip: big_xi(d1, 1, "1", UHPoint(0.1, 1.2)), "v must be a real number"),
+        (lambda d1, lip: big_xi(d1, 1, math.inf, UHPoint(0.1, 1.2)), "v must be finite and positive"),
+        (lambda d1, lip: enumerate_by_majorant(d1, UHPoint(0.1, 1.2), 4.0, norm=True), "the norm must be an integer"),
+        (lambda d1, lip: orbit_reps(2.0), "^t must be an integer"),
+        (lambda d1, lip: pair_orbit_reps(1.5, 0, -1), "^t1 must be an integer"),
+        (lambda d1, lip: weighted_orbit_degree(d1, 2.5), "^t must be an integer"),
+        (lambda d1, lip: beta1("1"), "beta1 r must be a real number"),
+        (lambda d1, lip: idn.constant_c("0", 6, Fraction(1)), "hodge_pairing must be a real number"),
+        (lambda d1, lip: idn.arithmetic_degree_archimedean(float, cusp_height="4"), "cusp_height must be a real number"),
+    ],
+    ids=[
+        "big_xi",
+        "representation_count",
+        "enumerate_by_majorant",
+        "big_xi-t-bool",
+        "big_xi-t-str",
+        "big_xi-v-str",
+        "big_xi-v-inf",
+        "enumerate_by_majorant-bool",
+        "orbit_reps",
+        "pair_orbit_reps",
+        "weighted_orbit_degree",
+        "beta1-str",
+        "constant_c-str",
+        "orbifold-cusp-str",
+    ],
+)
+def test_non_integer_norm_is_a_typed_error(lat_d1, lat_lipschitz, call, match):
+    # The message names the argument, not a discriminant derived from it.
+    with pytest.raises(PreconditionViolation, match=match):
+        call(lat_d1, lat_lipschitz)
+
+
+@pytest.mark.parametrize(
     "call",
     [
-        lambda d1, lip: big_xi(d1, 2.0, 1.0, UHPoint(0.1, 1.2)),
-        lambda d1, lip: representation_count(lip, 1.5),
-        lambda d1, lip: enumerate_by_majorant(d1, UHPoint(0.1, 1.2), 4.0, norm=1.0),
+        lambda d1, alg: idn.classify(((1.5, 0), (0, 1)), 6),
+        lambda d1, alg: idn.fundamental_prime(((1.5, 0), (0, 1)), 6),
+        lambda d1, alg: z_hat_indefinite(d1, ((1.5, 0), (0, -1)), ((1.0, 0.0), (0.0, 1.0))),
+        lambda d1, alg: hilbert_symbol(2, 3, 7.5),
+        lambda d1, alg: hilbert_symbol(2, 3, "x"),
+        lambda d1, alg: definite_twin(alg, 5.0),
+        lambda d1, alg: indefinite_algebra_of_discriminant(6.0),
     ],
-    ids=["big_xi", "representation_count", "enumerate_by_majorant"],
+    ids=["classify", "fundamental_prime", "z_hat_indefinite", "hilbert-7.5", "hilbert-str", "twin-5.0", "algebra-6.0"],
 )
-def test_non_integer_norm_is_a_typed_error(lat_d1, lat_lipschitz, call):
-    with pytest.raises(PreconditionViolation):
-        call(lat_d1, lat_lipschitz)
+def test_non_integer_arguments_are_not_truncated(lat_d1, call):
+    # Each used to run on int() of its argument (1.5 -> 1, 7.5 -> 7), or raise a bare ValueError.
+    with pytest.raises(PreconditionViolation, match="must be an integer"):
+        call(lat_d1, indefinite_algebra_of_discriminant(6))
 
 
 def test_numpy_integer_norms_pass(lat_d1, lat_lipschitz):
