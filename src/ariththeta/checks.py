@@ -1,8 +1,8 @@
 """Named verification suites behind `check`: seeded, deterministic, pure.
 
-Each suite returns a list of (name, passed, detail) rows; everything derives
-from one integer seed so that a fixed seed reproduces the report byte for
-byte.
+Each suite takes (lat, seed, spec) and returns a list of (name, passed,
+detail) rows; everything derives from one integer seed so that a fixed seed
+reproduces the report byte for byte.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import binforms
 from .errors import PreconditionViolation, UnsupportedDiscriminant
-from .greens import EULER_GAMMA, QuadratureSpec, _beta1, beta1
+from .greens import EULER_GAMMA, QuadratureSpec, _beta1, beta1, cm_point
 from .identities import degree_series
 from .lattice import TraceZeroLattice
 from .splitorbits import apply3, conj_action, pair_action
@@ -24,17 +24,17 @@ from .starprod import PairConfig, lambda_star, z_hat_indefinite
 Row = tuple[str, bool, str]
 
 
-def vector_with_cm(u0: float, v0: float, t: float, sign: int = 1) -> tuple:
+def vector_with_cm(u0: float, v0: float, t: float) -> tuple:
     """The vector with norm t > 0 whose divisor is the point (u0, v0)."""
-    g = sign * math.sqrt(t) / v0
+    g = math.sqrt(t) / v0
     a = g * u0
     b = -(a * a + t) / g
     return (a, b, g)
 
 
-def vector_with_geodesic(r1: float, r2: float, t: float, sign: int = 1) -> tuple:
+def vector_with_geodesic(r1: float, r2: float, t: float) -> tuple:
     """The vector with norm t < 0 whose geodesic has endpoints r1 < r2."""
-    g = sign * 2.0 * math.sqrt(-t) / abs(r1 - r2)
+    g = 2.0 * math.sqrt(-t) / abs(r1 - r2)
     a = g * (r1 + r2) / 2.0
     b = -g * r1 * r2
     return (a, b, g)
@@ -74,8 +74,6 @@ def random_pair(rng: random.Random):
         if abs(pair.det) < 0.15 or max(abs(g_t1), abs(g_t2), abs(g_m)) > 6.0:
             continue
         if g_t1 > 0 and g_t2 > 0:
-            from .greens import cm_point
-
             z1, z2 = cm_point(pair.x1), cm_point(pair.x2)
             d2 = ((z1.u - z2.u) ** 2 + (z1.v - z2.v) ** 2) / (2 * z1.v * z2.v)
             if math.acosh(1 + d2) < 0.3:
@@ -109,7 +107,7 @@ def conjugate_pair(pair: PairConfig, rng: random.Random) -> PairConfig:
     return PairConfig.from_vectors(y1, y2)
 
 
-def suite_beta1(seed: int, spec: QuadratureSpec) -> list[Row]:
+def suite_beta1(lat: TraceZeroLattice, seed: int, spec: QuadratureSpec) -> list[Row]:
     rows: list[Row] = []
     rs = [10.0 ** (-6 + 7.2 * k / 39) for k in range(40)]
     ok = all(beta1(r) > beta1(r * 1.05) > 0 for r in rs)
@@ -135,7 +133,7 @@ def suite_beta1(seed: int, spec: QuadratureSpec) -> list[Row]:
     return rows
 
 
-def suite_zagier(lat: TraceZeroLattice) -> list[Row]:
+def suite_zagier(lat: TraceZeroLattice, seed: int, spec: QuadratureSpec) -> list[Row]:
     """deg Z(t) = H(4t) by the box route, which reads no reduced_classes, and zeta(-1) on d1."""
     if lat.discriminant != 1:
         raise UnsupportedDiscriminant("the Zagier correspondence is checked on the split model only")
@@ -150,10 +148,10 @@ def suite_zagier(lat: TraceZeroLattice) -> list[Row]:
     return rows
 
 
-def suite_o2_invariance(seed: int, spec: QuadratureSpec, count: int = 20) -> list[Row]:
+def suite_o2_invariance(lat: TraceZeroLattice, seed: int, spec: QuadratureSpec) -> list[Row]:
     rng = random.Random(seed * 7 + 1)
     rows: list[Row] = []
-    for k in range(count):
+    for k in range(20):
         pair = random_pair(rng)
         rot = random_rotation(rng)
         base = lambda_star(pair, spec)
@@ -170,10 +168,10 @@ def suite_o2_invariance(seed: int, spec: QuadratureSpec, count: int = 20) -> lis
     return rows
 
 
-def suite_symmetry(seed: int, spec: QuadratureSpec, count: int = 20) -> list[Row]:
+def suite_symmetry(lat: TraceZeroLattice, seed: int, spec: QuadratureSpec) -> list[Row]:
     rng = random.Random(seed * 7 + 2)
     rows: list[Row] = []
-    for k in range(count):
+    for k in range(20):
         pair = random_pair(rng)
         base = lambda_star(pair, spec)
         swapped = lambda_star(PairConfig.from_vectors(pair.x2, pair.x1), spec)
@@ -183,7 +181,7 @@ def suite_symmetry(seed: int, spec: QuadratureSpec, count: int = 20) -> list[Row
             (f"symmetry:swap-{k}", dev <= tol, f"dev {dev:.3e} within {tol:.3e}")
         )
     rng2 = random.Random(seed * 7 + 3)
-    for k in range(count):
+    for k in range(20):
         pair = random_pair(rng2)
         other = conjugate_pair(pair, rng2)
         base = lambda_star(pair, spec)
@@ -196,14 +194,12 @@ def suite_symmetry(seed: int, spec: QuadratureSpec, count: int = 20) -> list[Row
     return rows
 
 
-def suite_a_independence(
-    lat: TraceZeroLattice, seed: int, spec: QuadratureSpec, n_v: int = 5
-) -> list[Row]:
+def suite_a_independence(lat: TraceZeroLattice, seed: int, spec: QuadratureSpec) -> list[Row]:
     rng = random.Random(seed * 7 + 4)
     ts_11 = [(1, 0, -1), (1, 1, -1), (2, 1, -1), (1, 2, 1), (3, 1, -2)]
     ts_02 = [(-1, 0, -1), (-1, 1, -2), (-2, 1, -2), (-1, 0, -2), (-3, 2, -2)]
     rows: list[Row] = []
-    for k in range(n_v):
+    for k in range(5):
         a11 = rng.uniform(0.5, 2.0)
         a22 = rng.uniform(0.5, 2.0)
         a12 = rng.uniform(-0.4, 0.4) * math.sqrt(a11 * a22)
@@ -225,23 +221,19 @@ def suite_a_independence(
     return rows
 
 
-SUITES = ("beta1", "zagier", "o2-invariance", "symmetry", "a-independence")
+SUITES = {
+    "beta1": suite_beta1,
+    "zagier": suite_zagier,
+    "o2-invariance": suite_o2_invariance,
+    "symmetry": suite_symmetry,
+    "a-independence": suite_a_independence,
+}
 
 
 def run_suite(name: str, lat: TraceZeroLattice, seed: int, spec: QuadratureSpec) -> list[Row]:
-    if name == "beta1":
-        return suite_beta1(seed, spec)
-    if name == "zagier":
-        return suite_zagier(lat)
-    if name == "o2-invariance":
-        return suite_o2_invariance(seed, spec)
-    if name == "symmetry":
-        return suite_symmetry(seed, spec)
-    if name == "a-independence":
-        return suite_a_independence(lat, seed, spec)
+    """The rows of one suite, or of every suite in order for "full"."""
     if name == "full":
-        rows: list[Row] = []
-        for s in SUITES:
-            rows.extend(run_suite(s, lat, seed, spec))
-        return rows
-    raise PreconditionViolation(f"unknown suite {name!r}; choose from {SUITES + ('full',)}")
+        return [row for suite in SUITES.values() for row in suite(lat, seed, spec)]
+    if name not in SUITES:
+        raise PreconditionViolation(f"unknown suite {name!r}; choose from {(*SUITES, 'full')}")
+    return SUITES[name](lat, seed, spec)

@@ -55,17 +55,12 @@ def _numbers(kind, count: int, positive_definite: bool = False):
 
 
 def _point(text: str) -> UHPoint:
-    """argparse type for --z: "u,v" or "u,v,sheet" with finite u, v > 0 and sheet +-1."""
-    parts = text.split(",")
+    """argparse type for --z: "u,v" with finite u and v > 0."""
     try:
-        if len(parts) not in (2, 3):
-            raise ValueError
-        sheet = int(parts[2]) if len(parts) == 3 else 1
-        return UHPoint(float(parts[0]), float(parts[1]), sheet)
+        u, v = (float(c) for c in text.split(","))
+        return UHPoint(u, v)
     except (ValueError, PreconditionViolation):
-        raise argparse.ArgumentTypeError(
-            f'expected "u,v" or "u,v,sheet" with finite u, v > 0 and sheet +-1, got {text!r}'
-        ) from None
+        raise argparse.ArgumentTypeError(f'expected "u,v" with finite u and v > 0, got {text!r}') from None
 
 
 def _checked(kind, ok, what: str):
@@ -110,15 +105,13 @@ def cmd_theta_deg(args, cfg: RunConfig) -> int:
 
 def cmd_green(args, cfg: RunConfig) -> int:
     lat = _lattice_from(args, cfg)
-    z = args.z
-    res = big_xi(lat, args.t, args.v, z, cfg.quadrature)
-    shown = (z.u, z.v) if z.sheet == 1 else (z.u, z.v, z.sheet)
+    res = big_xi(lat, args.t, args.v, args.z, cfg.quadrature)
     _emit(
         args,
         "green",
         [
             (
-                {"t": args.t, "v": args.v, "z": _echo(shown)},
+                {"t": args.t, "v": args.v, "z": _echo((args.z.u, args.z.v))},
                 f"{res.value:.12g}",
                 f"{res.tail_bound:.3g}",
             )
@@ -210,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("green", help="truncated Green-function sum")
     p.add_argument("--t", type=_nonzero, required=True)
     p.add_argument("--v", type=_positive, default=1.0)
-    p.add_argument("--z", type=_point, required=True, help='point "u,v" or "u,v,sheet"')
+    p.add_argument("--z", type=_point, required=True, help='point "u,v"')
     p.set_defaults(func=cmd_green)
 
     p = sub.add_parser("lambda", help="star-product height of a lattice pair")
@@ -233,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hurwitz)
 
     p = sub.add_parser("check", help="run a named verification suite")
-    p.add_argument("suite", choices=checks.SUITES + ("full",))
+    p.add_argument("suite", choices=(*checks.SUITES, "full"))
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_check)
     return ap

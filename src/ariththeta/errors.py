@@ -1,15 +1,16 @@
 """Exception types shared across the package, and the gates on argument kinds.
 
 Every operation that can fail raises one of these, so callers (in particular
-the CLI) can distinguish usage errors from numeric failures.  An argument that
-must be an integer passes require_integer (int or numpy integer, never bool),
-one that must be real passes require_real (numbers.Real, never bool), and a
-discriminant D passes numtheory.squarefree_primes (a squarefree integer >= 1,
-else NotSquarefree); each raises a PreconditionViolation naming the argument.
+the CLI) can distinguish usage errors from numeric failures.  Each kind of
+argument has one gate, which raises a PreconditionViolation naming it:
+require_integer, require_index (a symmetric integer T), require_rational
+(never a float), require_real, and numtheory.squarefree_primes for a
+discriminant D (a squarefree integer >= 1, else NotSquarefree).
 """
 
 import numbers
 import operator
+from fractions import Fraction
 
 
 class ArithThetaError(Exception):
@@ -78,6 +79,23 @@ def require_integer(value, what: str) -> int:
         return operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise PreconditionViolation(f"{what} must be an integer, got {value!r}") from None
+
+
+def require_index(t_mat) -> tuple[int, int, int]:
+    """(t1, m, t2) of T = ((t1, m), (m, t2)), its entries through require_integer, else PreconditionViolation."""
+    (t1, m), (m_low, t2) = t_mat
+    t1, m, m_low, t2 = map(require_integer, (t1, m, m_low, t2), ("an entry of T",) * 4)
+    if m_low != m:
+        raise PreconditionViolation("T must be symmetric")
+    return t1, m, t2
+
+
+def require_rational(value, what: str) -> Fraction:
+    """Fraction(value) for a numbers.Rational that is not a bool, else PreconditionViolation: a float is refused."""
+    # An int skips the abstract-class check.
+    if type(value) is int or (isinstance(value, numbers.Rational) and not isinstance(value, bool)):
+        return Fraction(value)
+    raise PreconditionViolation(f"{what} must be a rational number (an integer or a Fraction), got {value!r}")
 
 
 def require_real(value, what: str):

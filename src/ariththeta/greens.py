@@ -53,19 +53,16 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class UHPoint:
-    """Point of the symmetric space: upper half-plane coordinate plus sheet."""
+    """Point u + i v of the upper half-plane; R, and so xi, is the same on both sheets of D."""
 
     u: float
     v: float
-    sheet: int = 1
 
     def __post_init__(self):
         require_real(self.u, "UHPoint u")
         require_real(self.v, "UHPoint v")
         if not (math.isfinite(self.u) and math.isfinite(self.v) and self.v > 0):
             raise PreconditionViolation("UHPoint needs finite u and v, and v > 0")
-        if self.sheet not in (1, -1):
-            raise PreconditionViolation("sheet must be +1 or -1")
 
     @property
     def z(self) -> complex:
@@ -278,10 +275,10 @@ def ddc_xi_vec(x, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def xi_vec(x, u: np.ndarray, v: np.ndarray, floor: float = 1e-300) -> np.ndarray:
-    """Vectorized xi for quadrature; R is raised to floor, so xi stays finite on D_x."""
+def xi_vec(x, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Vectorized xi for quadrature; R is raised to 1e-300, so xi stays finite on D_x."""
     r = _r_vec(x, u, v)
-    np.maximum(r, floor, out=r)
+    np.maximum(r, 1e-300, out=r)
     r *= TWO_PI
     return beta1_vec(r)
 

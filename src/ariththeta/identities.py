@@ -17,6 +17,7 @@ from .errors import (
     PreconditionViolation,
     QuadratureFailure,
     UnsupportedDiscriminant,
+    require_index,
     require_integer,
     require_real,
 )
@@ -249,9 +250,6 @@ class CycleClassification:
     supersingular_support: bool
 
 
-_T = "an entry of T"  # what require_integer names
-
-
 def fundamental_prime(t_mat, d: int) -> int | None:
     """The unique prime p whose definite twin space represents T, or None.
 
@@ -269,15 +267,22 @@ def fundamental_prime(t_mat, d: int) -> int | None:
     (u1, u2)(u1 u2, -1)(-1, -1) = (-u1, -u2) = (-t1, -det T), the last since
     u2 = det T / t1 and (-t1, t1) = 1.  So ell lies in Diff(T, B) iff
     (-t1, -det T)_ell != inv_ell(B).  Outside {2} u primes(D t1 det T) both
-    sides are 1, so Diff lies in that set.  (At the infinite place both T and
-    the twin space are positive definite, so no condition arises there.)
+    sides are 1, and also at an odd ell dividing t1 but not D det T: there
+    det T = t1 t2 - m^2 = -m^2 (mod ell), so -det T is a nonzero square mod
+    ell, hence a square in Q_ell.  So Diff lies in {2} u primes(D det T).
+    (At the infinite place both T and the twin space are positive definite,
+    so no condition arises there.)
     """
-    t1, m, t2 = (require_integer(t_mat[0][0], _T), require_integer(t_mat[0][1], _T), require_integer(t_mat[1][1], _T))
+    return _fundamental_prime(*require_index(t_mat), d)
+
+
+def _fundamental_prime(t1: int, m: int, t2: int, d: int) -> int | None:
+    """fundamental_prime of T = ((t1, m), (m, t2)), whose entries are already integers."""
     det = t1 * t2 - m * m
     if t1 <= 0 or det <= 0:
         raise PreconditionViolation("T must be positive definite")
     ram = set(squarefree_primes(d))
-    places = {2} | ram | set(factorint(t1)) | set(factorint(det))
+    places = {2} | ram | set(factorint(det))
     diff = [
         ell for ell in sorted(places) if hilbert_symbol(-t1, -det, ell) != (-1 if ell in ram else 1)
     ]
@@ -286,28 +291,16 @@ def fundamental_prime(t_mat, d: int) -> int | None:
 
 def is_regular(t_mat, p: int, d: int) -> bool:
     """Whether the T-cycle is a 0-cycle: p not dividing D, or p^2 not dividing T."""
-    fp = fundamental_prime(t_mat, d)
-    if fp != p:
-        raise PreconditionViolation(f"{p} is not the fundamental prime of T (got {fp})")
-    return _regular_at(t_mat, p, d)
-
-
-def _regular_at(t_mat, p: int, d: int) -> bool:
-    """is_regular for a p already known to be the fundamental prime of T."""
-    if d % p:
-        return True
-    entries = (t_mat[0][0], t_mat[0][1], t_mat[1][1])
-    return not all(e % (p * p) == 0 for e in entries)
+    c = classify(t_mat, d)
+    if c.fundamental_prime != p:
+        raise PreconditionViolation(f"{p} is not the fundamental prime of T (got {c.fundamental_prime})")
+    return c.regular
 
 
 def classify(t_mat, d: int) -> CycleClassification:
-    (t00, t01), (t10, t11) = t_mat
-    tm = ((require_integer(t00, _T), require_integer(t01, _T)), (require_integer(t10, _T), require_integer(t11, _T)))
-    p = fundamental_prime(tm, d)
-    reg = None if p is None else _regular_at(tm, p, d)
+    t1, m, t2 = require_index(t_mat)
+    p = _fundamental_prime(t1, m, t2, d)
+    reg = None if p is None else (bool(d % p) or any(e % (p * p) for e in (t1, m, t2)))
     return CycleClassification(
-        t_matrix=tm,
-        fundamental_prime=p,
-        regular=reg,
-        supersingular_support=p is not None,
+        t_matrix=((t1, m), (m, t2)), fundamental_prime=p, regular=reg, supersingular_support=p is not None
     )

@@ -32,6 +32,7 @@ from .errors import (
     UnsupportedDiscriminant,
     ZeroStructureConstant,
     require_integer,
+    require_rational,
 )
 from . import splitorbits
 from .numtheory import concave_window, integer_kernel
@@ -123,8 +124,9 @@ def validate_order(order: Order) -> None:
 def load_order(source: str | Path | dict) -> Order:
     """Load an order from a JSON file (or parsed dict) and validate it.
 
-    Schema: label, a, b (rationals as strings), discriminant (cross-checked),
-    basis (4x4 rational matrix, rows = basis elements in 1, i, j, ij coords).
+    Schema: label, a, b (rationals as strings or JSON integers; a JSON float
+    is refused), discriminant (cross-checked), basis (4x4 rational matrix,
+    rows = basis elements in 1, i, j, ij coords).
     """
     if isinstance(source, (str, Path)):
         with open(source) as fh:
@@ -137,16 +139,16 @@ def load_order(source: str | Path | dict) -> Order:
     if not isinstance(data, dict):
         raise OrderDataError(f"order data must be a JSON object, got {type(data).__name__}")
     try:
-        alg = make_algebra(Fraction(data["a"]), Fraction(data["b"]))
+        alg = make_algebra(_rational(data["a"]), _rational(data["b"]))
         rows = data["basis"]
         if not isinstance(rows, list) or [len(r) if isinstance(r, list) else None for r in rows] != [4] * 4:
             raise OrderDataError("order basis must be a list of 4 rows of 4 entries")
-        basis = tuple(alg.element(*[Fraction(entry) for entry in row]) for row in rows)
+        basis = tuple(alg.element(*[_rational(entry) for entry in row]) for row in rows)
         declared = data["discriminant"]
         if not isinstance(declared, int) or isinstance(declared, bool):
             raise OrderDataError(f"declared discriminant must be an integer, got {declared!r}")
         label = data.get("label", "")
-    except (KeyError, TypeError, ValueError, ArithmeticError, ZeroStructureConstant) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError, PreconditionViolation, ZeroStructureConstant) as exc:
         raise OrderDataError(f"malformed order data: {exc}") from exc
     order = Order(algebra=alg, basis=basis, label=label)
     validate_order(order)
@@ -162,6 +164,11 @@ def load_order(source: str | Path | dict) -> Order:
             f"multiple of the declared discriminant {declared}"
         )
     return order
+
+
+def _rational(entry) -> Fraction:
+    """An order entry: a string such as "1/2", or a JSON integer (require_rational refuses a JSON float)."""
+    return Fraction(entry) if isinstance(entry, str) else require_rational(entry, "an order entry")
 
 
 BUNDLED_ORDERS = {

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count
 
-from .errors import AlgebraMismatch, PreconditionViolation, ZeroStructureConstant, require_integer
+from .errors import AlgebraMismatch, PreconditionViolation, ZeroStructureConstant, require_integer, require_rational
 from .numtheory import factorint, is_prime, squarefree_primes, valuation
 
 Rational = Fraction | int
@@ -36,10 +36,10 @@ def hilbert_symbol(a: Rational, b: Rational, place) -> int:
     tame symbol (a, b)_p = ((-1)^(alpha beta) u^beta v^alpha | p), by Euler's
     criterion; at 2 it is (-1)^(eps(u) eps(v) + alpha omega(v) + beta omega(u))
     with eps(u) = [u = 3 mod 4] and omega(u) = [u = 3, 5 mod 8] (Serre, A
-    Course in Arithmetic, III.1.2).
+    Course in Arithmetic, III.1.2).  a and b are rationals (require_rational).
     """
-    a = Fraction(a)
-    b = Fraction(b)
+    a = require_rational(a, "a")
+    b = require_rational(b, "b")
     if a == 0 or b == 0:
         raise ZeroStructureConstant("hilbert symbol needs nonzero entries")
     if place == INFINITE_PLACE:
@@ -121,9 +121,9 @@ class QuaternionAlgebra:
 
 
 def make_algebra(a: Rational, b: Rational) -> QuaternionAlgebra:
-    """Construct (a, b) with its ramification data; rejects zero constants."""
-    a = Fraction(a)
-    b = Fraction(b)
+    """Construct (a, b) with its ramification data; a and b are nonzero rationals (require_rational)."""
+    a = require_rational(a, "a")
+    b = require_rational(b, "b")
     if a == 0 or b == 0:
         raise ZeroStructureConstant("structure constants must be nonzero")
     return QuaternionAlgebra(a, b)

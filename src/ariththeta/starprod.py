@@ -32,7 +32,8 @@ from .errors import (
     QuadratureFailure,
     SingularConfiguration,
     UnsupportedDiscriminant,
-    require_integer,
+    require_index,
+    require_real,
 )
 from .greens import (
     DEFAULT_SPEC,
@@ -74,7 +75,7 @@ class PairConfig:
 
     @classmethod
     def from_vectors(cls, x1, x2) -> "PairConfig":
-        return cls(x1=tuple(float(c) for c in x1), x2=tuple(float(c) for c in x2))
+        return cls(*(tuple(float(require_real(c, "a vector entry")) for c in x) for x in (x1, x2)))
 
     @cached_property
     def gram(self) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -324,24 +325,21 @@ def z_hat_indefinite(
     v_mat,
     spec: QuadratureSpec = DEFAULT_SPEC,
     square_root: str = "symmetric",
-    orbit_reps=None,
 ) -> ZhatResult:
-    """Archimedean class value for nonsingular T of signature (1,1) or (0,2).
+    """Archimedean class value for nonsingular T of signature (1,1) or (0,2), on the split model.
 
     Sums Lambda(x . a) over unit-group orbits of pairs with Q-gram T, where
     v = a a^T.  The square root defaults to the symmetric positive one; the
     triangular (Cholesky) option exists to exercise a-independence.
     """
-    t1, m, t2 = (require_integer(e, "an entry of T") for e in (t_mat[0][0], t_mat[0][1], t_mat[1][1]))
-    if t_mat[1][0] != t_mat[0][1]:
-        raise PreconditionViolation("T must be symmetric")
-    if orbit_reps is None:
-        if not lat.is_split_model:
-            raise UnsupportedDiscriminant(
-                "orbit enumeration needs the split model; pass orbit_reps explicitly"
-            )
-        orbit_reps = splitorbits.pair_orbit_reps(t1, m, t2)
-    a = _square_root(np.asarray(v_mat, dtype=float), square_root)
+    t1, m, t2 = require_index(t_mat)
+    if not lat.is_split_model:
+        raise UnsupportedDiscriminant("orbit enumeration needs the split model")
+    orbit_reps = splitorbits.pair_orbit_reps(t1, m, t2)
+    v = np.asarray(v_mat, dtype=object)
+    for entry in v.flat:
+        require_real(entry, "an entry of v")
+    a = _square_root(v.astype(float), square_root)
     total = 0.0
     err = 0.0
     for pair in orbit_reps:

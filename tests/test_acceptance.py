@@ -90,9 +90,9 @@ def test_criterion_3_beta1_accuracy():
 # --- 4: rotation invariance of the height --------------------------------------------
 
 
-def test_criterion_4_o2_invariance(spec):
+def test_criterion_4_o2_invariance(lat_d1, spec):
     t0 = time.monotonic()
-    rows = checks.suite_o2_invariance(1729, spec, count=20)
+    rows = checks.suite_o2_invariance(lat_d1, 1729, spec)
     elapsed = time.monotonic() - t0
     bad = [r for r in rows if not r[1]]
     _report(
@@ -105,8 +105,8 @@ def test_criterion_4_o2_invariance(spec):
 # --- 5: symmetry and gram-only dependence --------------------------------------------
 
 
-def test_criterion_5_star_product_well_defined(spec):
-    rows = checks.suite_symmetry(1729, spec, count=20)
+def test_criterion_5_star_product_well_defined(lat_d1, spec):
+    rows = checks.suite_symmetry(lat_d1, 1729, spec)
     bad = [r for r in rows if not r[1]]
     _report(
         5,
@@ -119,7 +119,7 @@ def test_criterion_5_star_product_well_defined(spec):
 
 
 def test_criterion_6_a_independence(lat_d1, spec):
-    rows = checks.suite_a_independence(lat_d1, 1729, spec, n_v=5)
+    rows = checks.suite_a_independence(lat_d1, 1729, spec)
     bad = [r for r in rows if not r[1]]
     _report(
         6,

@@ -123,6 +123,8 @@ SPLIT = '[["1/2", "1/2", "0", "0"], ["1/2", "-1/2", "0", "0"], ["0", "0", "1/2",
         ('{"a": "-1", "b": "-1", "discriminant": 2, "basis": %s}' % HURWITZ.replace(', "0"]', "]", 1), 1, "OrderDataError"),
         ('{"a": "-1", "b": "-1", "discriminant": 2.9, "basis": %s}' % HURWITZ, 1, "OrderDataError"),
         ('{"a": "1", "b": "1", "discriminant": true, "basis": %s}' % SPLIT, 1, "OrderDataError"),
+        ('{"a": -1.0, "b": "-1", "discriminant": 2, "basis": %s}' % HURWITZ, 1, "OrderDataError"),
+        ('{"a": "-1", "b": "-1", "discriminant": 2, "basis": %s}' % HURWITZ.replace('"1/2"', "0.5"), 1, "OrderDataError"),
         ('{"a": "-1", "b": "-1", "discriminant": 2, "basis": %s}' % HURWITZ.replace("1/2", "0"), 1, "linearly dependent"),
     ],
     ids=[
@@ -136,6 +138,8 @@ SPLIT = '[["1/2", "1/2", "0", "0"], ["1/2", "-1/2", "0", "0"], ["0", "0", "1/2",
         "row-of-three",
         "discriminant-float",
         "discriminant-bool",
+        "a-float",
+        "basis-float",
         "dependent-basis",
     ],
 )
@@ -160,6 +164,7 @@ def test_usage_error_exit_2():
         ["classify", "--T", "1,0", "--D", "1"],
         ["green", "--t", "-1", "--z", "0"],
         ["green", "--t", "-1", "--z", "a,b"],
+        ["green", "--t", "-1", "--z", "0,1,-1"],
         ["lambda", "--x1", "0,1", "--x2", "1,0,0"],
         ["hurwitz", "--n", "-3"],
         ["classify", "--T", "1,2,1", "--D", "6"],

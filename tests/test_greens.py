@@ -206,13 +206,6 @@ def test_r_positive_for_negative_norm():
         assert r_value(x, UHPoint(u, v)) > 0
 
 
-def test_r_sheet_independent():
-    x = (0.7, -1.1, 0.9)
-    z1 = UHPoint(0.3, 1.4, 1)
-    z2 = UHPoint(0.3, 1.4, -1)
-    assert r_value(x, z1) == r_value(x, z2)
-
-
 def test_r_equals_t_sinh_squared_distance():
     x = CM_VECTOR
     for u, v in [(0.2, 1.1), (-0.7, 0.5), (1.0, 2.5)]:

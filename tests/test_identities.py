@@ -471,6 +471,10 @@ def test_fundamental_prime_rejects_bad_t():
         idn.fundamental_prime(((1, 0), (0, 0)), 6)
     with pytest.raises(PreconditionViolation):
         idn.fundamental_prime(((1, 2), (2, 1)), 6)
+    # A T that is not symmetric is refused, not read off its upper triangle.
+    for call in (idn.classify, idn.fundamental_prime):
+        with pytest.raises(PreconditionViolation, match="T must be symmetric"):
+            call(((2, 1), (5, 3)), 6)
 
 
 def test_fundamental_prime_large_entries_need_no_limit():

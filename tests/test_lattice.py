@@ -126,6 +126,15 @@ def test_loader_types_a_zero_structure_constant(tmp_path, zero):
         load_order(path)
 
 
+def test_loader_reads_json_integers_like_strings():
+    # A rational may be a string or a JSON integer (a JSON float is refused, tests/test_cli.py).
+    strings = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+    ints = [[int(e) for e in row] for row in strings]
+    a = load_order({"a": "-1", "b": "-1", "discriminant": 2, "basis": strings})
+    b = load_order({"a": -1, "b": -1, "discriminant": 2, "basis": ints})
+    assert (a.algebra, a.basis) == (b.algebra, b.basis)
+
+
 def test_loader_rejects_nonintegral_trace():
     bad = {
         "label": "halftrace",

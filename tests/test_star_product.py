@@ -284,18 +284,6 @@ def test_z_hat_rejects_non_split(lat_d6, spec):
         z_hat_indefinite(lat_d6, ((1, 0), (0, -1)), ((1.0, 0.0), (0.0, 1.0)), spec)
 
 
-def test_z_hat_accepts_explicit_orbit_reps(lat_d6, spec):
-    # Supplying representatives bypasses the split-model machinery.
-    res = z_hat_indefinite(
-        lat_d6,
-        ((1, 0), (0, -1)),
-        ((1.0, 0.0), (0.0, 1.0)),
-        spec,
-        orbit_reps=[((0, 1, -1), (1, 0, 0))],
-    )
-    assert res.orbits == 1 and math.isfinite(res.value)
-
-
 def test_z_hat_sig11_stability_and_a_independence(lat_d1, spec):
     t_mat = ((1, 0), (0, -1))
     v = ((1.3, 0.3), (0.3, 0.8))

@@ -12,9 +12,9 @@ from ariththeta import numtheory as nt
 from ariththeta.errors import PreconditionViolation, QuadratureFailure
 from ariththeta.greens import QuadratureSpec, UHPoint, beta1, big_xi
 from ariththeta.lattice import enumerate_by_majorant, majorant, representation_count, weighted_orbit_degree
-from ariththeta.quatalg import definite_twin, hilbert_symbol, indefinite_algebra_of_discriminant
+from ariththeta.quatalg import definite_twin, hilbert_symbol, indefinite_algebra_of_discriminant, make_algebra
 from ariththeta.splitorbits import orbit_reps, pair_orbit_reps
-from ariththeta.starprod import z_hat_indefinite
+from ariththeta.starprod import PairConfig, z_hat_indefinite
 
 
 def test_lattice_vector_q_agrees_with_element_norm(lat_d1, lat_d6, lat_d10):
@@ -32,12 +32,10 @@ def test_uhpoint_validation():
         UHPoint(0.0, 0.0)
     with pytest.raises(PreconditionViolation):
         UHPoint(0.0, -1.0)
-    with pytest.raises(PreconditionViolation):
-        UHPoint(0.0, 1.0, sheet=2)
     for u, v in ((math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)):
         with pytest.raises(PreconditionViolation):
             UHPoint(u, v)
-    assert UHPoint(0.5, 2.0, -1).z == complex(0.5, 2.0)
+    assert UHPoint(0.5, 2.0).z == complex(0.5, 2.0)
     # Wrong types are typed errors naming the field, not a bare TypeError.
     for u, v, name in (("0", 1.0, "u"), (0.0, None, "v"), (True, 1.0, "u"), (0.0, "1", "v")):
         with pytest.raises(PreconditionViolation, match=f"UHPoint {name} must be a real number"):
@@ -164,6 +162,11 @@ def test_numtheory_preconditions_are_typed(call):
         (lambda d1, lip: beta1("1"), "beta1 r must be a real number"),
         (lambda d1, lip: idn.constant_c("0", 6, Fraction(1)), "hodge_pairing must be a real number"),
         (lambda d1, lip: idn.arithmetic_degree_archimedean(float, cusp_height="4"), "cusp_height must be a real number"),
+        (lambda d1, lip: z_hat_indefinite(d1, ((1, 0), (0, -1)), "x"), "an entry of v must be a real number"),
+        (lambda d1, lip: PairConfig.from_vectors(("1", 0, 0), (0, 1, 0)), "a vector entry must be a real number"),
+        (lambda d1, lip: make_algebra(0.1, -1), "^a must be a rational number"),
+        (lambda d1, lip: make_algebra(-1, True), "^b must be a rational number"),
+        (lambda d1, lip: hilbert_symbol(3, 0.5, 5), "^b must be a rational number"),
     ],
     ids=[
         "big_xi",
@@ -180,6 +183,11 @@ def test_numtheory_preconditions_are_typed(call):
         "beta1-str",
         "constant_c-str",
         "orbifold-cusp-str",
+        "z_hat-v-str",
+        "pair-str",
+        "algebra-float",
+        "algebra-bool",
+        "hilbert-float",
     ],
 )
 def test_non_integer_norm_is_a_typed_error(lat_d1, lat_lipschitz, call, match):
