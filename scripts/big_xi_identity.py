@@ -9,11 +9,13 @@ other tree's `src/`, and compares the results:
 - every big_xi input of round 0 of the benchmark's `green-sums` workload at
   the given seeds and at the probe seed, each at the default spec;
 - 600 further seeded points: d1, d6 and d10, t = +-1..3 where represented,
-  weights 0.1 to 2, at the default spec and at the orbifold spec;
-- five edge points: on a divisor, next to one, one that doubles its bound
-  several times, one whose tail certifies only by the row count of
-  _tail_bound (not by the eigenvalue count used before it) and one whose
-  tail never certifies;
+  weights 0.1 to 2, at the default spec and at the orbifold spec, each
+  labelled by the spec's name, so a call pairs with the other tree's call
+  at the same spec whatever bound either tree chose;
+- five edge points: on a divisor, next to one, one whose tail certifies
+  only far above the spec's floor (near majorant value 680), one whose tail
+  certifies only by the row count of _tail_bound (not by the eigenvalue
+  count used before it) and one whose tail never certifies;
 - 200 seeded enumerate_by_majorant lists of one norm each, bounds up to
   200, the norm t running through the lattice's represented norms;
 - the orbifold integral of z -> big_xi(d1, -2, 1, z) at the orbifold spec,
@@ -96,15 +98,14 @@ def _collect(seeds: list[int]) -> dict:
         t = rng.choice(workloads.REPRESENTED[name])
         w = rng.choice((0.1, 0.15, 0.5, 1.0, 2.0))
         z = UHPoint(rng.uniform(-0.6, 0.6), rng.uniform(0.5, 2.5))
-        for spec in (DEFAULT_SPEC, workloads.ORBIFOLD_SPEC):
-            label = f"{name} t={t} w={w} z=({z.u!r}, {z.v!r}) bound {spec.truncation_majorant_bound:g}"
-            extra.append(call(label, name, t, w, z, spec))
+        for spec_name, spec in (("default", DEFAULT_SPEC), ("orbifold", workloads.ORBIFOLD_SPEC)):
+            extra.append(call(f"{name} t={t} w={w} z=({z.u!r}, {z.v!r}) {spec_name} spec", name, t, w, z, spec))
     out["random points"] = extra
     near = QuadratureSpec(singular_r_floor=1e-6)
     out["edge points"] = [
         call("on a divisor", "d1", 1, 1.0, UHPoint(0.0, 1.0)),  # raises
         call("next to a divisor", "d1", 1, 1.0, UHPoint(0.0, 1.0 + 1e-4), near),  # excludes terms
-        call("doubles its bound", "d1", -1, 0.02, UHPoint(0.1, 1.2)),
+        call("certified far above the floor", "d1", -1, 0.02, UHPoint(0.1, 1.2)),
         call("certified only by the row count", "d1", -1, 0.005, UHPoint(0.1, 1.2)),
         call("tail never certified", "d1", -1, 0.003, UHPoint(0.1, 1.2)),
     ]

@@ -185,6 +185,14 @@ def bundled_order(name: str) -> Order:
     return load_order(json.loads(text))
 
 
+def _coordinates(coords) -> tuple[int, int, int]:
+    try:
+        n1, n2, n3 = coords
+    except (TypeError, ValueError):
+        raise PreconditionViolation(f"lattice coordinates must be three integers, got {coords!r}") from None
+    return tuple(require_integer(n, "a lattice coordinate") for n in (n1, n2, n3))
+
+
 @dataclass(frozen=True)
 class TraceZeroLattice:
     """L = O cap V with its integral bilinear gram matrix ((x_i, x_j))."""
@@ -206,7 +214,8 @@ class TraceZeroLattice:
         return self.algebra.is_definite
 
     def element(self, coords) -> QuaternionElement:
-        n1, n2, n3 = coords
+        """The quaternion n1 b1 + n2 b2 + n3 b3; the coordinates are integers (require_integer)."""
+        n1, n2, n3 = _coordinates(coords)
         return (
             self.basis[0] * Fraction(n1)
             + self.basis[1] * Fraction(n2)
@@ -218,6 +227,8 @@ class TraceZeroLattice:
         return Fraction(self.inner(coords, coords), 2)
 
     def inner(self, left, right) -> int:
+        """(x, y) from the gram matrix; the coordinates are integers (require_integer)."""
+        left, right = _coordinates(left), _coordinates(right)
         return sum(
             left[i] * self.gram[i][j] * right[j] for i in range(3) for j in range(3)
         )

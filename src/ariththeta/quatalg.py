@@ -96,8 +96,9 @@ class QuaternionAlgebra:
         return not self.is_definite
 
     def element(self, x0: Rational, x1: Rational = 0, x2: Rational = 0, x3: Rational = 0) -> "QuaternionElement":
+        """x0 + x1 i + x2 j + x3 ij; the coefficients are rationals (require_rational), never floats."""
         return QuaternionElement(
-            self, (Fraction(x0), Fraction(x1), Fraction(x2), Fraction(x3))
+            self, tuple(require_rational(x, "a quaternion coefficient") for x in (x0, x1, x2, x3))
         )
 
     @property

@@ -13,6 +13,7 @@ from ariththeta.errors import (
     NonpositiveArgument,
     OnSingularLocus,
     PreconditionViolation,
+    QuadratureFailure,
     SingularEvaluation,
 )
 from ariththeta._e1_table import E1_PIECES
@@ -22,6 +23,7 @@ from ariththeta.greens import (
     QuadratureSpec,
     UHPoint,
     _beta1,
+    _least_bound,
     _r_vec,
     _tail_bound,
     beta1,
@@ -33,7 +35,8 @@ from ariththeta.greens import (
     r_value,
     xi,
 )
-from ariththeta.lattice import majorant
+from ariththeta import greens
+from ariththeta.lattice import enumerate_by_majorant, majorant
 from ariththeta.splitorbits import q_value
 
 CM_VECTOR = (0.0, 1.0, -1.0)  # [[0, 1], [-1, 0]]: Q = 1, divisor at i
@@ -345,22 +348,106 @@ def test_big_xi_empty_when_unrepresented(lat_d6, spec):
 
 
 def test_big_xi_self_convergence(lat_d1, spec):
+    # A floor of 96, far above the least certifying bound, sums more terms.
     z = UHPoint(0.0, 1.0)
     base = big_xi(lat_d1, -1, 1.0, z, spec)
     assert base.value > 0
-    bigger = big_xi(
-        lat_d1, -1, 1.0, z, QuadratureSpec(truncation_majorant_bound=2 * spec.truncation_majorant_bound)
-    )
+    bigger = big_xi(lat_d1, -1, 1.0, z, QuadratureSpec(truncation_majorant_bound=96.0))
+    assert bigger.terms > base.terms
     assert abs(bigger.value - base.value) < spec.abs_tol
 
 
 def test_big_xi_tail_bound_is_certified(lat_d1, spec):
     z = UHPoint(0.37, 0.9)
     base = big_xi(lat_d1, 1, 1.0, z, spec)
-    wide = big_xi(
-        lat_d1, 1, 1.0, z, QuadratureSpec(truncation_majorant_bound=4 * spec.truncation_majorant_bound)
-    )
+    wide = big_xi(lat_d1, 1, 1.0, z, QuadratureSpec(truncation_majorant_bound=192.0))
+    assert wide.terms > base.terms
     assert abs(wide.value - base.value) <= base.tail_bound + 1e-15
+
+
+def _search_cases(count, seed):
+    rng = np.random.default_rng(seed)
+    represented = {"lat_d1": (-3, -2, -1, 1, 2, 3), "lat_d6": (-3, -2, 1, 3), "lat_d10": (-3, -2, 2, 3)}
+    for _ in range(count):
+        name = str(rng.choice(list(represented)))
+        t = int(rng.choice(represented[name]))
+        v, u, y = (float(rng.uniform(lo, hi)) for lo, hi in ((0.1, 2.0), (-0.6, 0.6), (0.5, 2.5)))
+        yield name, t, v, UHPoint(u, y)
+
+
+def test_least_bound_is_certified_and_within_ten_percent(request, tail_pivots, spec):
+    # 600 seeded points on d1, d6 and d10, v from 0.1 to 2: the chosen bound
+    # certifies, and unless it is the floor, the bound / 1.1 does not.
+    floors = 0
+    for name, t, v, z in _search_cases(600, 1729):
+        lat = request.getfixturevalue(name)
+        pivots, whole_rows = tail_pivots(majorant(lat, z)), lat.gram[0][0] == 0
+        bound, tail = _least_bound(pivots, t, v, spec, whole_rows)
+        assert tail == _tail_bound(pivots, t, v, bound, whole_rows) <= spec.abs_tol, (name, t, v, z)
+        if bound == max(spec.truncation_majorant_bound, 2 * abs(t)):
+            floors += 1
+        else:
+            assert _tail_bound(pivots, t, v, bound / 1.1, whole_rows) > spec.abs_tol, (name, t, v, z)
+    assert 0 < floors < 300
+
+
+def test_big_xi_takes_the_searched_bound(request, tail_pivots, spec, monkeypatch):
+    bounds = []
+
+    def recording(lat, z, bound, **kwargs):
+        bounds.append(bound)
+        return enumerate_by_majorant(lat, z, bound, **kwargs)
+
+    monkeypatch.setattr(greens, "enumerate_by_majorant", recording)
+    for name, t, v, z in _search_cases(60, 7):
+        lat = request.getfixturevalue(name)
+        res = big_xi(lat, t, v, z, spec)
+        bound, tail = _least_bound(tail_pivots(majorant(lat, z)), t, v, spec, lat.gram[0][0] == 0)
+        assert (bounds.pop(), res.tail_bound) == (bound, tail)
+
+
+def test_floors_below_every_majorant_value_agree(request, spec):
+    # A norm-t vector has majorant value at least 2|t| >= 2, so floors 1 and
+    # 1e-3 enumerate the same vectors and search from the same place.
+    low = QuadratureSpec(truncation_majorant_bound=1e-3)
+    for name, t, v, z in _search_cases(100, 11):
+        lat = request.getfixturevalue(name)
+        assert big_xi(lat, t, v, z, spec) == big_xi(lat, t, v, z, low)
+
+
+# (lattice, t, z): value, tail_bound, terms and the enumerated vectors at floor
+# 16 and abs_tol 5e-5 (the orbifold's spec), as the earlier doubling search gave them.
+FLOOR_16 = [
+    ("lat_d1", -2, (0.1, 1.2), 1.1654617942034266e-06, 2.2118899031792852e-13, 14,
+     [(0, -1, -2), (2, 1, -2), (0, -2, -1), (-1, -1, -1), (1, -1, -1), (-2, 2, -1), (2, 2, -1), (-2, -2, 1),
+      (2, -2, 1), (-1, 1, 1), (1, 1, 1), (0, 2, 1), (-2, -1, 2), (0, 1, 2)]),
+    ("lat_d1", 1, (0.37, 0.9), 0.4513394306092222, 4.438363964185184e-09, 10,
+     [(-1, 1, -2), (1, 1, -2), (0, 1, -1), (-1, 2, -1), (1, 2, -1), (-1, -2, 1), (1, -2, 1), (0, -1, 1),
+      (-1, -1, 2), (1, -1, 2)]),
+    ("lat_d6", -2, (0.21, 0.95), 3.3749662778840336e-08, 4.746493643752969e-14, 12,
+     [(-1, 0, -1), (0, 1, -1), (2, 1, -1), (3, 2, -1), (-1, -1, 0), (1, -1, 0), (-1, 1, 0), (1, 1, 0),
+      (-3, -2, 1), (-2, -1, 1), (0, -1, 1), (1, 0, 1)]),
+]
+
+
+@pytest.mark.parametrize("name, t, z, value, tail, terms, vectors", FLOOR_16, ids=["d1-t-2", "d1-t1", "d6-t-2"])
+def test_floor_that_certifies_is_kept_bit_for_bit(request, monkeypatch, name, t, z, value, tail, terms, vectors):
+    seen = {}
+
+    def recording(lat, z, bound, **kwargs):
+        seen["bound"], seen["vectors"] = bound, enumerate_by_majorant(lat, z, bound, **kwargs)
+        return seen["vectors"]
+
+    monkeypatch.setattr(greens, "enumerate_by_majorant", recording)
+    spec = QuadratureSpec(rel_tol=2e-3, abs_tol=5e-5, truncation_majorant_bound=16.0)
+    res = big_xi(request.getfixturevalue(name), t, 1.0, UHPoint(*z), spec)
+    assert res == BigXiResult(value=value, tail_bound=tail, terms=terms, excluded=())
+    assert seen == {"bound": 16.0, "vectors": vectors}
+
+
+def test_tail_that_never_certifies_raises(lat_d1):
+    with pytest.raises(QuadratureFailure, match="at majorant bound 3072$"):
+        big_xi(lat_d1, -1, 0.003, UHPoint(0.1, 1.2))
 
 
 def _eigenvalue_tail(m, t, w, bound):

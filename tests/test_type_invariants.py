@@ -167,6 +167,14 @@ def test_numtheory_preconditions_are_typed(call):
         (lambda d1, lip: make_algebra(0.1, -1), "^a must be a rational number"),
         (lambda d1, lip: make_algebra(-1, True), "^b must be a rational number"),
         (lambda d1, lip: hilbert_symbol(3, 0.5, 5), "^b must be a rational number"),
+        (lambda d1, lip: make_algebra(-1, -1).element(0.1), "^a quaternion coefficient must be a rational number"),
+        (lambda d1, lip: make_algebra(-1, -1).element(0, True), "^a quaternion coefficient must be a rational number"),
+        (lambda d1, lip: d1.element((0.5, 0, 0)), "^a lattice coordinate must be an integer"),
+        (lambda d1, lip: d1.q_value((1.5, 0, 0)), "^a lattice coordinate must be an integer"),
+        (lambda d1, lip: d1.q_value((True, 0, 0)), "^a lattice coordinate must be an integer"),
+        (lambda d1, lip: d1.inner((1, 0, 0), (0, Fraction(1, 2), 0)), "^a lattice coordinate must be an integer"),
+        (lambda d1, lip: d1.q_value((1, 0)), "^lattice coordinates must be three integers"),
+        (lambda d1, lip: d1.inner(5, (1, 0, 0)), "^lattice coordinates must be three integers"),
     ],
     ids=[
         "big_xi",
@@ -188,6 +196,14 @@ def test_numtheory_preconditions_are_typed(call):
         "algebra-float",
         "algebra-bool",
         "hilbert-float",
+        "quaternion-float",
+        "quaternion-bool",
+        "lattice-element-float",
+        "lattice-q-float",
+        "lattice-q-bool",
+        "lattice-inner-fraction",
+        "lattice-q-two-coordinates",
+        "lattice-inner-int",
     ],
 )
 def test_non_integer_norm_is_a_typed_error(lat_d1, lat_lipschitz, call, match):
@@ -213,6 +229,13 @@ def test_non_integer_arguments_are_not_truncated(lat_d1, call):
     # Each used to run on int() of its argument (1.5 -> 1, 7.5 -> 7), or raise a bare ValueError.
     with pytest.raises(PreconditionViolation, match="must be an integer"):
         call(lat_d1, indefinite_algebra_of_discriminant(6))
+
+
+def test_exact_coordinates_pass(lat_d1):
+    assert lat_d1.q_value((np.int64(2), 1, 0)) == lat_d1.q_value((2, 1, 0))
+    assert lat_d1.element((np.int64(2), 1, 0)) == lat_d1.element((2, 1, 0))
+    alg = make_algebra(-1, -1)
+    assert alg.element(Fraction(1, 2), np.int64(3)).coeffs == (Fraction(1, 2), 3, 0, 0)
 
 
 def test_numpy_integer_norms_pass(lat_d1, lat_lipschitz):
