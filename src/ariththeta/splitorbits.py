@@ -232,6 +232,12 @@ def pair_orbit_reps(t1: int, m: int, t2: int) -> list[tuple[Vec, Vec]]:
     x -> x S^{-1}. Any S in SL2(Z) gives the same orbits: x -> x S is a
     bijection of pairs that commutes with the unit group, so only the
     representatives depend on S.
+
+    The stabilizer of a base vector or anchor is read only to label a pair
+    that passed the gram filter, so it is found only where such a pair
+    lands. Each of its actions is kept once: -g is in it with g, and acts as
+    g does, since each entry of conj_action is a product of two entries of g
+    times det g = det(-g). Neither changes a representative or their order.
     """
     t1, m, t2 = require_integer(t1, "t1"), require_integer(m, "m"), require_integer(t2, "t2")
     det_t = t1 * t2 - m * m
@@ -252,9 +258,12 @@ def _pair_reps_sig11(t1: int, m: int, t2: int) -> list[tuple[Vec, Vec]]:
     inv = (sy, -sx, -sb, sa)
     reps = []
     for x1 in orbit_reps(tp1):
-        actions = [conj_action(g) for g in commuting_units(x1)]
+        fiber = _fiber(x1, 2 * tpm, tp2)
+        if not fiber:
+            continue
+        actions = list(dict.fromkeys(conj_action(g) for g in commuting_units(x1)))
         seen = set()
-        for y in _fiber(x1, 2 * tpm, tp2):
+        for y in fiber:
             key = _orbit_canonical(actions, (x1, y))
             if key in seen:
                 continue
@@ -280,17 +289,19 @@ def _pair_reps_sig02(t1: int, m: int, t2: int) -> list[tuple[Vec, Vec]]:
             row = _pairing_row(v0)
             k1, k2 = (tuple(k) for k in integer_kernel([row]))
             x1_list = _norm_points(t1, k1, k2)
+            if not x1_list:
+                continue
             x2_list = x1_list if t2 == t1 else _norm_points(t2, k1, k2)
+            pairs = [(x1, x2) for x1 in x1_list for x2 in x2_list if inner(x1, x2) == 2 * m]
+            if not pairs:
+                continue
             group = commuting_units(v0) + anticommuting_flips(v0)
-            actions = [conj_action(g) for g in group]
+            actions = list(dict.fromkeys(conj_action(g) for g in group))
             seen = set()
-            for x1 in x1_list:
-                for x2 in x2_list:
-                    if inner(x1, x2) != 2 * m:
-                        continue
-                    key = _orbit_canonical(actions, (x1, x2))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    reps.append((x1, x2))
+            for pair in pairs:
+                key = _orbit_canonical(actions, pair)
+                if key in seen:
+                    continue
+                seen.add(key)
+                reps.append(pair)
     return reps

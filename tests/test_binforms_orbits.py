@@ -20,6 +20,7 @@ from ariththeta.binforms import (
     reduced_classes,
 )
 from ariththeta.errors import PreconditionViolation
+from ariththeta.numtheory import squarefree_part
 
 
 def test_hurwitz_hand_values():
@@ -190,24 +191,35 @@ def test_pair_reps_have_the_right_gram(t1, m, t2):
         assert _gram(rep) == (t1, m, t2)
 
 
+def _small_grams():
+    """Every nonsingular gram with |t1|, |t2| <= 4 and |m| <= 3 that is not positive definite."""
+    return [
+        (t1, m, t2)
+        for t1, m, t2 in itertools.product(range(-4, 5), range(-3, 4), range(-4, 5))
+        if t1 * t2 != m * m and not (t1 * t2 > m * m and t1 > 0)
+    ]
+
+
 def test_pair_counts_invariant_under_unimodular_change():
     # N(T) = N(S^T T S): the pairs biject by x -> x S, a completely different
     # run of the enumeration machinery (different base norms and fibers).
-    # S is drawn with entries within 3 and, as more inputs, within 12.
+    # Five grams take six S each, with entries within 3 and, as more inputs,
+    # within 12; every small gram takes one S with entries within 3.
     rng = random.Random(5)
     mats = [(1, 0, -1), (1, 1, -1), (-1, 1, -2), (2, 1, -1), (-1, 0, -1)]
-    for t1, m, t2 in mats:
+    cases = [(gram, bound) for gram in mats for bound in (3, 3, 3, 12, 12, 12)]
+    cases += [(gram, 3) for gram in _small_grams()]
+    for (t1, m, t2), bound in cases:
         n0 = len(so.pair_orbit_reps(t1, m, t2))
-        for bound in (3, 3, 3, 12, 12, 12):
-            while True:
-                a, b = rng.randint(-bound, bound), rng.randint(-bound, bound)
-                c, d = rng.randint(-bound, bound), rng.randint(-bound, bound)
-                if a * d - b * c == 1:
-                    break
-            tt1 = a * a * t1 + 2 * a * b * m + b * b * t2
-            ttm = a * c * t1 + (a * d + b * c) * m + b * d * t2
-            tt2 = c * c * t1 + 2 * c * d * m + d * d * t2
-            assert len(so.pair_orbit_reps(tt1, ttm, tt2)) == n0, (t1, m, t2, a, b, c, d)
+        while True:
+            a, b = rng.randint(-bound, bound), rng.randint(-bound, bound)
+            c, d = rng.randint(-bound, bound), rng.randint(-bound, bound)
+            if a * d - b * c == 1:
+                break
+        tt1 = a * a * t1 + 2 * a * b * m + b * b * t2
+        ttm = a * c * t1 + (a * d + b * c) * m + b * d * t2
+        tt2 = c * c * t1 + 2 * c * d * m + d * d * t2
+        assert len(so.pair_orbit_reps(tt1, ttm, tt2)) == n0, (t1, m, t2, a, b, c, d)
 
 
 def test_pair_reps_with_large_positive_vectors():
@@ -239,10 +251,57 @@ def test_transform_for_positive_on_every_small_gram():
 
 
 def test_pair_counts_swap_and_sign_symmetries():
-    for t1, m, t2 in [(1, 1, -1), (-1, 1, -2), (2, 1, -1)]:
-        n = len(so.pair_orbit_reps(t1, m, t2))
-        assert len(so.pair_orbit_reps(t2, m, t1)) == n
-        assert len(so.pair_orbit_reps(t1, -m, t2)) == n
+    grams = _small_grams()
+    assert len(grams) == 462
+    counts = {gram: len(so.pair_orbit_reps(*gram)) for gram in grams}
+    for (t1, m, t2), n in counts.items():
+        assert counts[(t2, m, t1)] == n and counts[(t1, -m, t2)] == n, (t1, m, t2)
+
+
+@pytest.mark.parametrize(
+    "gram,calls",
+    [((-2, 1, -2), (0, 0, 0)), ((1, 2, 1), (0, 0, 0)), ((-3, 2, -2), (1, 1, 4))],
+)
+def test_stabilizers_are_found_only_where_a_pair_lands(monkeypatch, gram, calls):
+    # (-2, 1, -2) and (1, 2, 1) have no pairs, so no stabilizer is needed;
+    # (-3, 2, -2) has pairs on one anchor, whose stabilizer of 4 acts as 2 actions.
+    names = ("commuting_units", "anticommuting_flips", "conj_action")
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+
+        def counting(*args, _name=name, _fn=getattr(so, name)):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(so, name, counting)
+    so.pair_orbit_reps(*gram)
+    assert tuple(counts[name] for name in names) == calls
+
+
+def _anchors(t1, m, t2):
+    """The primitive anchors of a signature (0,2) gram, before _pair_reps_sig02 drops opposite orbits."""
+    det_t = t1 * t2 - m * m
+    s = squarefree_part(det_t)
+    vectors = (
+        so.vector_of_form(form)
+        for j in range(1, math.isqrt(4 * det_t // s) + 1)
+        for form in reduced_classes(-4 * s * j * j)
+    )
+    return [v for v in vectors if math.gcd(*v) == 1]
+
+
+def test_units_come_in_pairs_that_act_alike():
+    # -I is a unit, so -g is in each stabilizer with g, and conj_action(-g)
+    # equals conj_action(g): only half of the listed actions are distinct.
+    vectors = [rep for t in range(1, 13) for rep in so.orbit_reps(t)]
+    vectors += _anchors(-1, 0, -1) + _anchors(-3, 2, -2)
+    for v in vectors:
+        group = so.commuting_units(v) + so.anticommuting_flips(v)
+        for g in group:
+            neg = tuple(-e for e in g)
+            assert neg in group, (v, g)
+            assert so.conj_action(neg) == so.conj_action(g), (v, g)
+        assert 2 * len({so.conj_action(g) for g in group}) == len(group), v
 
 
 def test_pair_reps_empty_for_unrepresented_gram():
