@@ -169,6 +169,17 @@ def suite_o2_invariance(lat: TraceZeroLattice, seed: int, spec: QuadratureSpec) 
 
 
 def suite_symmetry(lat: TraceZeroLattice, seed: int, spec: QuadratureSpec) -> list[Row]:
+    """Swap rows, then gram-only rows (a pair against its ambient conjugate).
+
+    lambda_star integrates a pair with a positive vector in a frame written
+    from its gram alone, so for such pairs the gram-only rows compare two
+    frames that agree to rounding and test little; the same holds for the
+    swap rows of CM-geodesic pairs, whose positive vector carries the delta
+    term in either order.  The swap rows of CM-CM pairs (the other divisor
+    goes to i), both kinds of rows for pairs of two negative vectors, the
+    o2-invariance suite (a rotation changes the gram) and the scipy polar
+    oracle of the tests stay independent checks.
+    """
     rng = random.Random(seed * 7 + 2)
     rows: list[Row] = []
     for k in range(20):

@@ -175,6 +175,13 @@ def anticommuting_flips(v: Vec) -> list[Mat2]:
     return _kernel_units(rows, -1, v)
 
 
+def _stabilizer_actions(group: list[Mat2]) -> list[tuple[tuple, ...]]:
+    """conj_action of the g in a group closed under g -> -g whose first
+    nonzero entry is positive (g > (0, 0, 0, 0) as tuples): one of each +-g,
+    and so each action once, since g and h act alike only when h = +-g."""
+    return [conj_action(g) for g in group if g > (0, 0, 0, 0)]
+
+
 def _orbit_canonical(actions, pair):
     best = None
     for act in actions:
@@ -235,9 +242,10 @@ def pair_orbit_reps(t1: int, m: int, t2: int) -> list[tuple[Vec, Vec]]:
 
     The stabilizer of a base vector or anchor is read only to label a pair
     that passed the gram filter, so it is found only where such a pair
-    lands. Each of its actions is kept once: -g is in it with g, and acts as
-    g does, since each entry of conj_action is a product of two entries of g
-    times det g = det(-g). Neither changes a representative or their order.
+    lands. Only one of each +-g in it becomes an action (_stabilizer_actions):
+    -g is in it with g, and acts as g does, since each entry of conj_action
+    is a product of two entries of g times det g = det(-g). Neither changes
+    a representative or their order.
     """
     t1, m, t2 = require_integer(t1, "t1"), require_integer(m, "m"), require_integer(t2, "t2")
     det_t = t1 * t2 - m * m
@@ -261,7 +269,7 @@ def _pair_reps_sig11(t1: int, m: int, t2: int) -> list[tuple[Vec, Vec]]:
         fiber = _fiber(x1, 2 * tpm, tp2)
         if not fiber:
             continue
-        actions = list(dict.fromkeys(conj_action(g) for g in commuting_units(x1)))
+        actions = _stabilizer_actions(commuting_units(x1))
         seen = set()
         for y in fiber:
             key = _orbit_canonical(actions, (x1, y))
@@ -295,8 +303,7 @@ def _pair_reps_sig02(t1: int, m: int, t2: int) -> list[tuple[Vec, Vec]]:
             pairs = [(x1, x2) for x1 in x1_list for x2 in x2_list if inner(x1, x2) == 2 * m]
             if not pairs:
                 continue
-            group = commuting_units(v0) + anticommuting_flips(v0)
-            actions = list(dict.fromkeys(conj_action(g) for g in group))
+            actions = _stabilizer_actions(commuting_units(v0) + anticommuting_flips(v0))
             seen = set()
             for pair in pairs:
                 key = _orbit_canonical(actions, pair)

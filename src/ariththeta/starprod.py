@@ -10,12 +10,19 @@ at the divisor of x2 when Q(x2) > 0 (attached to x1's divisor instead when
 only Q(x1) > 0, and absent when both norms are negative).  Both sheets of D
 contribute; for real vectors they agree, hence the overall factor 2.
 
-The integrand's one singular point is the log point of xi(x2), moved to i.
-A smooth cut-off chi of the distance to i splits it: chi f is integrated on
-a disc in geodesic polar coordinates, (1 - chi) f, which vanishes to fourth
-order at i, by one adaptive integral over a box in z = e^s (x + i) whose
-exterior holds a proved share of the tolerance.  Pairs of two negative
-vectors have no singular point and only the box.
+Lambda depends on the pair only through its gram, so a pair with a positive
+vector is integrated in a frame written from its gram (_disc_frame), where
+the log point of xi of the positive vector is i and both vectors have
+alpha = 0.  A smooth cut-off chi of the distance to i splits the integrand
+f at that singular point: chi f is integrated on a disc in geodesic polar
+coordinates, (1 - chi) f, which vanishes to fourth order at i, by one
+adaptive integral over a box in z = e^s (x + i) whose exterior holds a
+proved share of the tolerance.  With alpha = 0, f is even under
+z -> -conj(z), which is x -> -x in the box and theta -> -theta on the disc,
+so each is integrated on its half.  Pairs of two negative vectors have no
+singular point and only the box, in full: neither of their symmetries (a
+half-turn about the crossing point, a reflection in the common
+perpendicular) maps it onto itself.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import numpy as np
 
 from . import splitorbits
 from .errors import (
+    OnSingularLocus,
     PreconditionViolation,
     QuadratureFailure,
     SingularConfiguration,
@@ -40,11 +48,8 @@ from .greens import (
     TWO_PI,
     QuadratureSpec,
     beta1,
-    cm_point,
     ddc_xi_vec,
     geodesic_endpoints,
-    r_value,
-    xi,
     xi_vec,
 )
 from .lattice import TraceZeroLattice
@@ -129,20 +134,28 @@ _R_HALF, _W_HALF = _radial_rule(_RADIAL_NODES // 2)
 _DISC_R = np.concatenate([_R_FULL, _R_HALF])
 
 
-def _disc_nodes() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Read-only (u, v) of the disc's nodes, radius by radius, per angle
-    level: the angles k 2 pi / 8, then the midpoints (k + 1/2) 2 pi / m of
-    the m angles so far, up to _MAX_ANGLES in all."""
+def _disc_nodes() -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Read-only (u, v) of the disc's nodes, radius by radius, and the angle
+    weights of a ring mean, per angle level.
+
+    theta -> -theta is the reflection z -> -conj(z), which leaves the
+    integrand of a gram frame unchanged, so only the angles in [0, pi] are
+    kept: the angles k pi / 4, k = 0..4, with trapezoid end weights 1/2,
+    then the first half of the midpoints (k + 1/2) 2 pi / m of the m angles
+    of the circle so far, up to _MAX_ANGLES in the circle.  A level's
+    weights sum to 1, so its ring means are those of the whole circle.
+    """
     ch, sh = np.cosh(_DISC_R)[:, None], np.sinh(_DISC_R)[:, None]
-    levels, theta, m = [], np.arange(8) * (TWO_PI / 8), 8
+    levels, m = [], 8
+    theta, w = np.arange(5) * (math.pi / 4), np.array([0.5, 1.0, 1.0, 1.0, 0.5]) / 4
     while True:
         v = 1.0 / (ch - sh * np.cos(theta))
         u, v = (sh * np.sin(theta) * v).ravel(), v.ravel()
-        u.flags.writeable = v.flags.writeable = False
-        levels.append((u, v))
+        u.flags.writeable = v.flags.writeable = w.flags.writeable = False
+        levels.append((u, v, w))
         if 2 * m > _MAX_ANGLES:
             return tuple(levels)
-        theta, m = (np.arange(m) + 0.5) * (TWO_PI / m), 2 * m
+        theta, w, m = (np.arange(m // 2) + 0.5) * (TWO_PI / m), np.full(m // 2, 2.0 / m), 2 * m
 
 
 _DISC_NODES = _disc_nodes()
@@ -152,7 +165,8 @@ _DISC_WEIGHTS = TWO_PI * np.concatenate([_W_FULL, _W_HALF])
 
 
 def _disc_integral(y1: Vec3, y2: Vec3, abs_tol: float, rel_tol: float) -> tuple[float, float]:
-    """Integral of chi omega(y1) xi(y2) over the disc of radius DISC_RADIUS about i.
+    """Integral of chi omega(y1) xi(y2) over the disc of radius DISC_RADIUS
+    about i, for a gram frame (_disc_frame).
 
     Geodesic polar coordinates about i: (r, theta) is the point
     (sinh r sin theta, 1) / (cosh r - sinh r cos theta).  xi(y2) is radial,
@@ -160,20 +174,23 @@ def _disc_integral(y1: Vec3, y2: Vec3, abs_tol: float, rel_tol: float) -> tuple[
     The angle mean of omega(y1) is taken by the trapezoid rule, doubled until
     two sums agree (spectral, omega being smooth and periodic in theta); the
     radius by Gauss-Legendre with _RADIAL_NODES nodes, checked against half
-    as many.  The error is the sum of both differences.
+    as many.  The error is the sum of both differences.  In the frame,
+    omega(y1) is even in theta, so the trapezoid sums run over the angles
+    in [0, pi] alone.
 
     The disc is the same for every pair, so its nodes are tables built at
-    import: _DISC_NODES, one (u, v) pair of arrays per angle level (the 8
-    angles k 2 pi / 8, then each doubling's midpoints, up to _MAX_ANGLES),
-    the points i e^r and the weights times 2 pi.  A call runs only the two
-    kernels on them; no cos, sin or broadcast.
+    import: _DISC_NODES, one (u, v, angle weights) triple of arrays per
+    angle level (the 5 angles k pi / 4, then half of each doubling's
+    midpoints, up to _MAX_ANGLES in the circle), the points i e^r and the
+    weights times 2 pi.  A call runs only the two kernels on them; no cos,
+    sin or broadcast.
     """
     n = _R_FULL.size
     weights = _DISC_WEIGHTS * xi_vec(y2, _DISC_RADIAL_U, _DISC_RADIAL_V)
 
     def ring_means(level):
-        u, v = _DISC_NODES[level]
-        return ddc_xi_vec(y1, u, v).reshape(weights.size, -1).mean(axis=1)
+        u, v, w = _DISC_NODES[level]
+        return ddc_xi_vec(y1, u, v).reshape(weights.size, -1) @ w
 
     means = ring_means(0)
     for level in range(1, len(_DISC_NODES)):
@@ -190,8 +207,9 @@ def _disc_integral(y1: Vec3, y2: Vec3, abs_tol: float, rel_tol: float) -> tuple[
 
 
 def _log_point_box(y1: Vec3, y2: Vec3, eps: float) -> tuple[float, float, float, float]:
-    """Box in (x, s) holding the ball B(i, D) outside which the integral of
-    |omega(y1) xi(y2)| is at most eps, when xi(y2) has its log point at i.
+    """Half x >= 0 of the box in (x, s) holding the ball B(i, D) outside
+    which the integral of |omega(y1) xi(y2)| is at most eps, when xi(y2) has
+    its log point at i.
 
     |omega(y1)| <= M = 2 |Q(y1)| + 0.3 (the density is e^{-2 pi R} times
     2 (R + Q) - 1/(2 pi), and 2 R e^{-2 pi R} <= 1/(pi e)), and
@@ -205,7 +223,7 @@ def _log_point_box(y1: Vec3, y2: Vec3, eps: float) -> tuple[float, float, float,
     a = TWO_PI * q_value(y2)
     y = math.sqrt(max(1.0, math.log(m * math.pi / (a * a * eps)) / a))
     d = math.asinh(y)
-    return -y, y, -d, d
+    return 0.0, y, -d, d
 
 
 def _geodesic_box(y1: Vec3, y2: Vec3, eps: float) -> tuple[float, float, float, float]:
@@ -240,47 +258,28 @@ def _geodesic_box(y1: Vec3, y2: Vec3, eps: float) -> tuple[float, float, float, 
     return -x, x, -math.log(math.sqrt(1.0 + x * x) * n / be), math.log(n / ga)
 
 
-def lambda_star(pair: PairConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> LambdaResult:
-    """Archimedean height Lambda of a nonsingular pair, with an error estimate.
+def _disc_frame(pair: PairConfig) -> tuple[Vec3, Vec3, float]:
+    """(y1, y2, rho^2): a pair with a positive vector, written anew from its gram alone.
 
-    Invariant under O(2) rotations of the pair and symmetric in its two
-    entries, and depends on the pair only through its gram matrix; those
-    properties are the calibration suite for this routine.
+    y2 is the positive vector that carries the delta term (x2 when
+    Q(x2) > 0, else x1) and y1 the other, with gram ((t1, m), (m, t2)) in
+    that order: y2 = (0, -s, s) with s = sqrt(t2), whose log point is i, and
+    y1 = (0, rho + c, rho - c) with c = -m / s and
+    rho^2 = (m^2 - t1 t2) / t2 = -det T / t2 > 0, since a plane holding a
+    positive vector has det T < 0 in signature (1, 2).  rho^2 = R(y1, i).
+    Both have alpha = 0, so both R's are even in x at z = e^s (x + i):
+    R((alpha, beta, gamma), -conj(z)) = R((-alpha, beta, gamma), z).
     """
-    (q1, _), (_, q2) = pair.gram
-    if abs(pair.det) < 1e-12 * (1 + abs(q1) + abs(q2)) ** 2:
-        raise PreconditionViolation("gram matrix is singular")
-    if min(abs(q1), abs(q2)) < 1e-12 * (1 + abs(q1) + abs(q2)):
-        # xi is a Green function only for anisotropic vectors; an isotropic
-        # component can be avoided by scaling the pair (e.g. by a square root
-        # of a generic v), never by this routine.
-        raise PreconditionViolation("pair has an isotropic component")
-    # R(x1, z2) = Q(x1) sinh^2 d(z1, z2): the divisors are within 1e-10.
-    if q1 > 0 and q2 > 0 and r_value(pair.x1, cm_point(pair.x2)) < 1e-20 * q1:
-        raise SingularConfiguration("the two divisors coincide")
-    # Delta term attaches to x2's divisor when Q(x2) > 0, else to x1's.
-    if q2 > 0:
-        y1, y2 = pair.x1, pair.x2
-    elif q1 > 0:
-        y1, y2 = pair.x2, pair.x1
-    else:
-        y1, y2 = pair.x1, pair.x2
-    # Move by a hyperbolic isometry (the integral is invariant exactly): the
-    # log point of xi(y2) to i when Q(y2) > 0, else y1's geodesic to the
-    # imaginary axis.  Then integrate in z = e^s (x + i), where the measure
-    # is dx ds and x = sinh of the distance to the imaginary axis, so 1 x 1
-    # start cells are of unit hyperbolic size where the integrand lives.
-    disc = q_value(y2) > 0
-    if disc:
-        z2 = cm_point(y2)
-        g = (1.0, -z2.u, 0.0, z2.v)
-    else:
-        lo, hi = sorted(geodesic_endpoints(y1))
-        g = (1.0, -lo, 0.0, 1.0) if math.isinf(hi) else (1.0, -lo, -1.0, hi)
-    move = conj_action(g)
-    y1, y2 = apply3(move, y1), apply3(move, y2)
-    tol_here = max(spec.abs_tol, 1e-4 * spec.rel_tol)
-    box = (_log_point_box if disc else _geodesic_box)(y1, y2, 0.01 * tol_here)
+    (q1, m), (_, q2) = pair.gram
+    t1, t2 = (q1, q2) if q2 > 0 else (q2, q1)
+    s, rho2 = math.sqrt(t2), (m * m - t1 * t2) / t2
+    rho, c = math.sqrt(rho2), -m / s
+    return (0.0, rho + c, rho - c), (0.0, -s, s), rho2
+
+
+def _box_integrand(y1: Vec3, y2: Vec3, disc: bool):
+    """omega(y1) xi(y2) at z = e^s (x + i), as a function of arrays (x, s);
+    times 1 - chi when disc, chi the cut-off about the log point i."""
 
     def integrand(x, s):
         v = np.exp(s)
@@ -299,21 +298,69 @@ def lambda_star(pair: PairConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> Lambda
                 vals[near] *= _smoothstep(np.minimum(d / DISC_RADIUS, 1.0))
         return vals
 
+    return integrand
+
+
+def lambda_star(pair: PairConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> LambdaResult:
+    """Archimedean height Lambda of a nonsingular pair, with an error estimate.
+
+    Invariant under O(2) rotations of the pair and symmetric in its two
+    entries, and depends on the pair only through its gram matrix; those
+    properties are the calibration suite for this routine.  A pair with a
+    positive vector is integrated in the frame _disc_frame writes from its
+    gram, on the half x >= 0 of the box and the half 0 <= theta <= pi of
+    the disc: the box to half the absolute tolerance and half the cells,
+    with the same relative tolerance, so that twice its value and error
+    stop by the full box's rule.  A pair of two negative vectors is
+    integrated over the full box.
+    """
+    (q1, _), (_, q2) = pair.gram
+    if abs(pair.det) < 1e-12 * (1 + abs(q1) + abs(q2)) ** 2:
+        raise PreconditionViolation("gram matrix is singular")
+    if min(abs(q1), abs(q2)) < 1e-12 * (1 + abs(q1) + abs(q2)):
+        # xi is a Green function only for anisotropic vectors; an isotropic
+        # component can be avoided by scaling the pair (e.g. by a square root
+        # of a generic v), never by this routine.
+        raise PreconditionViolation("pair has an isotropic component")
+    disc = q1 > 0 or q2 > 0
+    if disc:
+        # The delta term attaches to x2's divisor when Q(x2) > 0, else to
+        # x1's; the frame puts that divisor at i.
+        y1, y2, rho2 = _disc_frame(pair)
+        # R(x1, z2) = Q(x1) sinh^2 d(z1, z2): the divisors are within 1e-10.
+        if q1 > 0 and q2 > 0 and rho2 < 1e-20 * q1:
+            raise SingularConfiguration("the two divisors coincide")
+        if rho2 < spec.singular_r_floor:
+            raise OnSingularLocus(f"R(x, z) = {rho2} below the underflow floor")
+        fold = 2  # the integrand is even in x: integrate x >= 0, then double
+    else:
+        # Move y1's geodesic to the imaginary axis by a hyperbolic isometry
+        # (the integral is invariant exactly).
+        lo, hi = sorted(geodesic_endpoints(pair.x1))
+        move = conj_action((1.0, -lo, 0.0, 1.0) if math.isinf(hi) else (1.0, -lo, -1.0, hi))
+        y1, y2 = apply3(move, pair.x1), apply3(move, pair.x2)
+        fold = 1
+    # In z = e^s (x + i) the measure is dx ds and x = sinh of the distance
+    # to the imaginary axis, so 1 x 1 start cells are of unit hyperbolic
+    # size where the integrand lives.
+    tol_here = max(spec.abs_tol, 1e-4 * spec.rel_tol)
+    box = (_log_point_box if disc else _geodesic_box)(y1, y2, 0.01 * tol_here)
     abs_tol = max(spec.abs_tol, 1e-9)
     try:
         outer, e_outer = adaptive_integrate(
-            integrand,
+            _box_integrand(y1, y2, disc),
             *box,
-            abs_tol=abs_tol,
+            abs_tol=abs_tol / fold,
             rel_tol=spec.rel_tol,
-            max_cells=spec.max_cells,
-            initial=(max(8, math.ceil(box[1] - box[0])), max(6, math.ceil(box[3] - box[2]))),
+            max_cells=spec.max_cells // fold,
+            initial=(max(8 // fold, math.ceil(box[1] - box[0])), max(6, math.ceil(box[3] - box[2]))),
         )
     except QuadratureFailure as exc:
         raise QuadratureFailure(f"lambda_star smooth integral: {exc}") from exc
+    outer, e_outer = fold * outer, fold * e_outer
     delta, inner, e_inner = 0.0, 0.0, 0.0
     if disc:
-        delta = xi(y1, cm_point(y2), spec)
+        delta = beta1(TWO_PI * rho2)
         inner, e_inner = _disc_integral(y1, y2, 0.1 * abs_tol, 0.1 * spec.rel_tol)
     err = 2.0 * (e_outer + e_inner + 0.05 * tol_here)
     return LambdaResult(value=2.0 * (delta + outer + inner), err=err)

@@ -260,11 +260,12 @@ def test_pair_counts_swap_and_sign_symmetries():
 
 @pytest.mark.parametrize(
     "gram,calls",
-    [((-2, 1, -2), (0, 0, 0)), ((1, 2, 1), (0, 0, 0)), ((-3, 2, -2), (1, 1, 4))],
+    [((-2, 1, -2), (0, 0, 0)), ((1, 2, 1), (0, 0, 0)), ((-3, 2, -2), (1, 1, 2))],
 )
 def test_stabilizers_are_found_only_where_a_pair_lands(monkeypatch, gram, calls):
     # (-2, 1, -2) and (1, 2, 1) have no pairs, so no stabilizer is needed;
-    # (-3, 2, -2) has pairs on one anchor, whose stabilizer of 4 acts as 2 actions.
+    # (-3, 2, -2) has pairs on one anchor, whose stabilizer of 4 acts as 2
+    # actions, one conj_action call for each +-g.
     names = ("commuting_units", "anticommuting_flips", "conj_action")
     counts = dict.fromkeys(names, 0)
     for name in names:
@@ -302,6 +303,16 @@ def test_units_come_in_pairs_that_act_alike():
             assert neg in group, (v, g)
             assert so.conj_action(neg) == so.conj_action(g), (v, g)
         assert 2 * len({so.conj_action(g) for g in group}) == len(group), v
+
+
+def test_stabilizer_actions_are_each_action_once():
+    vectors = [rep for t in range(1, 13) for rep in so.orbit_reps(t)]
+    vectors += _anchors(-1, 0, -1) + _anchors(-3, 2, -2)
+    for v in vectors:
+        group = so.commuting_units(v) + so.anticommuting_flips(v)
+        actions = so._stabilizer_actions(group)
+        assert len(actions) == len(set(actions)) == len(group) // 2, v
+        assert set(actions) == {so.conj_action(g) for g in group}, v
 
 
 def test_pair_reps_empty_for_unrepresented_gram():

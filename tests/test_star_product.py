@@ -232,10 +232,58 @@ def test_lambda_within_its_error_of_the_polar_oracle(vectors, documented, spec):
 
 
 def test_drawn_pairs_within_their_error_of_the_polar_oracle(spec):
-    for pair in _drawn_pairs(31):
+    for pair in _drawn_pairs(31) + _drawn_pairs(47, per_kind=1):
         ref = polar_reference(pair.x1, pair.x2)
         res = lambda_star(pair, spec)
         assert abs(res.value - ref) <= res.err, (pair, res, ref)
+
+
+# Seeded disc pairs, CM-CM then CM-geodesic, each in both orders, so that
+# either entry carries the delta term.
+FRAME_PAIRS = [p for pair in _drawn_pairs(53) for p in (pair, PairConfig(pair.x2, pair.x1))]
+
+
+@pytest.mark.parametrize("pair", FRAME_PAIRS)
+def test_disc_frame_is_even_and_its_half_box_doubles(pair, spec, monkeypatch):
+    y1, y2, rho2 = starprod._disc_frame(pair)
+    assert y1[0] == 0.0 and y2[0] == 0.0
+    (q1, m), (_, q2) = pair.gram
+    want = ((q1, m), (m, q2)) if q2 > 0 else ((q2, m), (m, q1))
+    got = PairConfig.from_vectors(y1, y2).gram
+    scale = 1 + abs(q1) + abs(q2) + abs(m)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-14 * scale), (got, want)
+    assert rho2 == pytest.approx(_r(y1, 0.0, 1.0), rel=1e-13)
+    # The box integrand is even in x, on the box and near the log point i.
+    integrand = starprod._box_integrand(y1, y2, True)
+    x_min, x_max, s_min, s_max = starprod._log_point_box(y1, y2, 0.01 * spec.abs_tol)
+    assert x_min == 0.0
+    rng = np.random.default_rng(7)
+    x = np.concatenate([rng.uniform(0.0, x_max, 500), rng.uniform(0.0, 0.6, 500)])
+    s = np.concatenate([rng.uniform(s_min, s_max, 500), rng.uniform(-0.6, 0.6, 500)])
+    assert np.array_equal(integrand(x, s), integrand(-x, s))
+    # lambda_star's half box, doubled, against the full box of the same frame.
+    halves = []
+    integrate = starprod.adaptive_integrate
+
+    def recording(f, *args, **kwargs):
+        halves.append(integrate(f, *args, **kwargs))
+        return halves[-1]
+
+    monkeypatch.setattr(starprod, "adaptive_integrate", recording)
+    lambda_star(pair, spec)
+    [(half, e_half)] = halves
+    full, e_full = integrate(
+        integrand,
+        -x_max,
+        x_max,
+        s_min,
+        s_max,
+        abs_tol=spec.abs_tol,
+        rel_tol=spec.rel_tol,
+        max_cells=spec.max_cells,
+        initial=(max(8, math.ceil(2 * x_max)), max(6, math.ceil(s_max - s_min))),
+    )
+    assert abs(2 * half - full) <= 2 * e_half + e_full, (2 * half, full, 2 * e_half, e_full)
 
 
 # Two pairs of negative vectors on which a rectangle sized by the geodesics'
@@ -319,15 +367,15 @@ def test_z_hat_sig02_instance(lat_d1, spec):
 
 # --- work and values pinned --------------------------------------------------
 
-# Integrand points of each adaptive_integrate call, disc angles and value of
-# lambda_star and z_hat at the default spec.  A change to the quadrature or
-# the kernels that keeps their nodes keeps these counts, and the values to
-# rounding.
+# Integrand points of each adaptive_integrate call, disc angles (those in
+# [0, pi] that were evaluated) and value of lambda_star and z_hat at the
+# default spec.  A change to the quadrature or the kernels that keeps their
+# nodes keeps these counts, and the values to rounding.
 PINNED_WORK = {
-    "cm-cm": ([8320], 32, 0.16824952226717427),
-    "cm-geodesic": ([5760], 16, 0.010261227186403467),
+    "cm-cm": ([4480], 17, 0.16824952405858506),
+    "cm-geodesic": ([3200], 9, 0.010261227187471205),
     "geodesic-geodesic": ([3840], 0, -4.4948533014605066e-11),
-    "z_hat": ([3840, 3840], 32, 0.004652082452620486),
+    "z_hat": ([1920, 1920], 18, 0.004652082188042977),
 }
 
 
@@ -378,17 +426,27 @@ def test_lambda_work_and_value_pinned(case, lat_d1, monkeypatch):
 
 
 def test_disc_tables_are_the_polar_formula_at_the_doubling_angles():
+    # The angles in [0, pi] of the circle's 8 angles k 2 pi / 8 and of each
+    # doubling's midpoints; a level's weights make its ring mean the mean
+    # over the whole circle of a function even in theta.
     r = np.concatenate([starprod._R_FULL, starprod._R_HALF])[:, None]
-    angles = [np.arange(8) * (2 * math.pi / 8)]
-    while sum(a.size for a in angles) < starprod._MAX_ANGLES:
-        m = sum(a.size for a in angles)
-        angles.append((np.arange(m) + 0.5) * (2 * math.pi / m))
-    assert sum(a.size for a in angles) == starprod._MAX_ANGLES
+    angles, weights, m = [np.arange(5) * (math.pi / 4)], [np.array([1, 2, 2, 2, 1]) / 8], 8
+    while 2 * m <= starprod._MAX_ANGLES:
+        angles.append((np.arange(m // 2) + 0.5) * (2 * math.pi / m))
+        weights.append(np.full(m // 2, 2 / m))
+        m *= 2
+    assert m == starprod._MAX_ANGLES
     assert len(starprod._DISC_NODES) == len(angles)
-    for (u, v), theta in zip(starprod._DISC_NODES, angles):
+    for (u, v, w), theta, want_w in zip(starprod._DISC_NODES, angles, weights):
+        assert np.all((0 <= theta) & (theta <= math.pi))
         den = np.cosh(r) - np.sinh(r) * np.cos(theta)
         want_u, want_v = (np.sinh(r) * np.sin(theta) / den).ravel(), (1.0 / den).ravel()
         assert u.shape == v.shape == want_u.shape
         assert np.all(np.abs(u - want_u) <= np.spacing(np.abs(want_u)))
         assert np.all(np.abs(v - want_v) <= np.spacing(want_v))
-        assert not (u.flags.writeable or v.flags.writeable)
+        assert np.array_equal(w, want_w)
+        assert not (u.flags.writeable or v.flags.writeable or w.flags.writeable)
+    # Each level's mean of an even trigonometric polynomial of low degree is
+    # its mean over the circle, 1/2 for cos^2.
+    for theta, w in zip(angles, weights):
+        assert np.cos(theta) ** 2 @ w == pytest.approx(0.5, abs=1e-15)
