@@ -205,17 +205,23 @@ def suite_symmetry(lat: TraceZeroLattice, seed: int, spec: QuadratureSpec) -> li
     return rows
 
 
+# The indices T = (t1, m, t2) of the a-independence suite: five of
+# signature (1,1), then five of signature (0,2).
+A_INDEPENDENCE_TS = (
+    (1, 0, -1), (1, 1, -1), (2, 1, -1), (1, 2, 1), (3, 1, -2),
+    (-1, 0, -1), (-1, 1, -2), (-2, 1, -2), (-1, 0, -2), (-3, 2, -2),
+)
+
+
 def suite_a_independence(lat: TraceZeroLattice, seed: int, spec: QuadratureSpec) -> list[Row]:
     rng = random.Random(seed * 7 + 4)
-    ts_11 = [(1, 0, -1), (1, 1, -1), (2, 1, -1), (1, 2, 1), (3, 1, -2)]
-    ts_02 = [(-1, 0, -1), (-1, 1, -2), (-2, 1, -2), (-1, 0, -2), (-3, 2, -2)]
     rows: list[Row] = []
     for k in range(5):
         a11 = rng.uniform(0.5, 2.0)
         a22 = rng.uniform(0.5, 2.0)
         a12 = rng.uniform(-0.4, 0.4) * math.sqrt(a11 * a22)
         v = ((a11, a12), (a12, a22))
-        for t1, m, t2 in ts_11 + ts_02:
+        for t1, m, t2 in A_INDEPENDENCE_TS:
             t_mat = ((t1, m), (m, t2))
             sym = z_hat_indefinite(lat, t_mat, v, spec, square_root="symmetric")
             tri = z_hat_indefinite(lat, t_mat, v, spec, square_root="triangular")

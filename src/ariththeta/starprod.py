@@ -23,6 +23,10 @@ so each is integrated on its half.  Pairs of two negative vectors have no
 singular point and only the box, in full: neither of their symmetries (a
 half-turn about the crossing point, a reflection in the common
 perpendicular) maps it onto itself.
+
+The archimedean class z_hat(T, v) sums Lambda(x . a) over the unit-group
+orbits of pairs x with gram T, where v = a a^T.  Every x . a has the gram
+a^T T a, so the sum is the orbit count times one Lambda (z_hat_indefinite).
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .errors import (
     OnSingularLocus,
     PreconditionViolation,
     QuadratureFailure,
-    SingularConfiguration,
     UnsupportedDiscriminant,
     require_index,
     require_real,
@@ -327,9 +330,9 @@ def lambda_star(pair: PairConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> Lambda
         # The delta term attaches to x2's divisor when Q(x2) > 0, else to
         # x1's; the frame puts that divisor at i.
         y1, y2, rho2 = _disc_frame(pair)
-        # R(x1, z2) = Q(x1) sinh^2 d(z1, z2): the divisors are within 1e-10.
-        if q1 > 0 and q2 > 0 and rho2 < 1e-20 * q1:
-            raise SingularConfiguration("the two divisors coincide")
+        # Coinciding divisors need no test of their own: rho^2 = |det T| / t2,
+        # so past the singular-gram check, when both norms are positive,
+        # rho^2 >= 1e-12 (1 + q1 + q2)^2 / q2 > 4e-12 q1.
         if rho2 < spec.singular_r_floor:
             raise OnSingularLocus(f"R(x, z) = {rho2} below the underflow floor")
         fold = 2  # the integrand is even in x: integrate x >= 0, then double
@@ -375,25 +378,30 @@ def z_hat_indefinite(
 ) -> ZhatResult:
     """Archimedean class value for nonsingular T of signature (1,1) or (0,2), on the split model.
 
-    Sums Lambda(x . a) over unit-group orbits of pairs with Q-gram T, where
-    v = a a^T.  The square root defaults to the symmetric positive one; the
-    triangular (Cholesky) option exists to exercise a-independence.
+    The class is the sum of Lambda(x . a) over the k unit-group orbits of
+    pairs x with Q-gram T, where v = a a^T; it equals k Lambda(x0 . a) for
+    any one of them.  Proof: x . a = (sum_i a_i1 x_i, sum_i a_i2 x_i) has
+    gram a^T T a for every such x.  Two pairs with the same nonsingular gram
+    span nondegenerate planes, and the linear map taking one basis to the
+    other is an isometry between them; by Witt's theorem it extends to an
+    isometry of V_R, under which Lambda is invariant (Kudla, Ann. of Math.
+    146 (1997)).  So the value is k times one lambda_star, and its error k
+    times that call's.  The square root defaults to the symmetric positive
+    one; the triangular (Cholesky) option exists to exercise a-independence.
     """
     t1, m, t2 = require_index(t_mat)
     if not lat.is_split_model:
         raise UnsupportedDiscriminant("orbit enumeration needs the split model")
-    orbit_reps = splitorbits.pair_orbit_reps(t1, m, t2)
     v = np.asarray(v_mat, dtype=object)
     for entry in v.flat:
         require_real(entry, "an entry of v")
     a = _square_root(v.astype(float), square_root)
-    total = 0.0
-    err = 0.0
-    for pair in orbit_reps:
-        res = lambda_star(PairConfig.from_vectors(*pair_action(pair, a.ravel())), spec)
-        total += res.value
-        err += res.err
-    return ZhatResult(value=total, err=err, orbits=len(orbit_reps))
+    orbit_reps = splitorbits.pair_orbit_reps(t1, m, t2)
+    k = len(orbit_reps)
+    if not k:
+        return ZhatResult(value=0.0, err=0.0, orbits=0)
+    res = lambda_star(PairConfig.from_vectors(*pair_action(orbit_reps[0], a.ravel())), spec)
+    return ZhatResult(value=k * res.value, err=k * res.err, orbits=k)
 
 
 def _square_root(v: np.ndarray, kind: str) -> np.ndarray:
