@@ -18,7 +18,8 @@ signs of the pair's norms; z_hat by the signature of T, (1,1) having pairs
 with a positive vector and (0,2) pairs of two negative vectors).  Each call
 is kept with its work: the integrand points of every adaptive_integrate
 call it made, and the points at which the disc integral evaluated omega
-(the `ddc_xi_vec` points outside the integrand; 36 per disc angle).  The
+(the `ddc_xi_vec` points outside the integrand; 36 per disc angle, none for
+z_hat, whose formula has no disc and evaluates no omega kernel).  The
 work must be equal, a call that raises must raise the same error with the
 same message, and `value` and `err` must agree within a relative
 --value-rtol (1e-12 by default).  With --within-err, a call whose work or
@@ -59,7 +60,11 @@ def _collect(seeds: list[int]) -> dict:
 
         def g(x, s):
             points[0] += x.size
-            return f(x, s)
+            before = work["ddc"]
+            try:
+                return f(x, s)
+            finally:
+                work["ddc"] = before
 
         try:
             return integrate(g, *args, **kwargs)
@@ -80,7 +85,7 @@ def _collect(seeds: list[int]) -> dict:
             outcome = ("value", dataclasses.astuple(res))
         except Exception as exc:  # a typed error is a result too; it must match
             outcome = ("raised", type(exc).__name__, str(exc))
-        return (label, outcome, tuple(work["integrand"]), work["ddc"] - sum(work["integrand"]))
+        return (label, outcome, tuple(work["integrand"]), work["ddc"])
 
     def geometry(pair) -> str:
         (t1, _), (_, t2) = pair.gram

@@ -18,8 +18,8 @@ from .errors import PreconditionViolation, UnsupportedDiscriminant
 from .greens import EULER_GAMMA, QuadratureSpec, _beta1, beta1, cm_point
 from .identities import degree_series
 from .lattice import TraceZeroLattice
-from .splitorbits import apply3, conj_action, pair_action
-from .starprod import PairConfig, lambda_star, z_hat_indefinite
+from .splitorbits import apply3, conj_action, pair_action, pair_orbit_reps
+from .starprod import PairConfig, _square_root, lambda_of_gram, lambda_star, z_hat_indefinite
 
 Row = tuple[str, bool, str]
 
@@ -169,16 +169,15 @@ def suite_o2_invariance(lat: TraceZeroLattice, seed: int, spec: QuadratureSpec) 
 
 
 def suite_symmetry(lat: TraceZeroLattice, seed: int, spec: QuadratureSpec) -> list[Row]:
-    """Swap rows, then gram-only rows (a pair against its ambient conjugate).
+    """Swap rows, then gram-only rows (a pair's ambient conjugate against its gram).
 
-    lambda_star integrates a pair with a positive vector in a frame written
-    from its gram alone, so for such pairs the gram-only rows compare two
-    frames that agree to rounding and test little; the same holds for the
-    swap rows of CM-geodesic pairs, whose positive vector carries the delta
-    term in either order.  The swap rows of CM-CM pairs (the other divisor
-    goes to i), both kinds of rows for pairs of two negative vectors, the
-    o2-invariance suite (a rotation changes the gram) and the scipy polar
-    oracle of the tests stay independent checks.
+    A gram-only row compares lambda_star of the conjugated pair, by the 2-D
+    route, with lambda_of_gram of the pair's gram, by the formula in its
+    eigenvalues: two routes that share no code.  (lambda_star writes a pair
+    with a positive vector in a frame built from its gram alone, so
+    lambda_star on both pairs would compare frames that agree to rounding.)
+    The swap rows of CM-geodesic pairs test little for the same reason:
+    their positive vector carries the delta term in either order.
     """
     rng = random.Random(seed * 7 + 2)
     rows: list[Row] = []
@@ -195,7 +194,7 @@ def suite_symmetry(lat: TraceZeroLattice, seed: int, spec: QuadratureSpec) -> li
     for k in range(20):
         pair = random_pair(rng2)
         other = conjugate_pair(pair, rng2)
-        base = lambda_star(pair, spec)
+        base = lambda_of_gram(pair.gram, spec)
         again = lambda_star(other, spec)
         tol = base.err + again.err + 1e-9
         dev = abs(base.value - again.value)
@@ -214,6 +213,13 @@ A_INDEPENDENCE_TS = (
 
 
 def suite_a_independence(lat: TraceZeroLattice, seed: int, spec: QuadratureSpec) -> list[Row]:
+    """z_hat at the symmetric root of v against the 2-D route at the triangular root.
+
+    z_hat_indefinite takes Lambda from the eigenvalues of a^T T a, which are
+    the same for every root a of v, so its two roots agree to rounding.  Each
+    row compares it instead with k lambda_star(x0 . a), x0 the first orbit
+    representative and a the triangular root: another root and another route.
+    """
     rng = random.Random(seed * 7 + 4)
     rows: list[Row] = []
     for k in range(5):
@@ -221,17 +227,21 @@ def suite_a_independence(lat: TraceZeroLattice, seed: int, spec: QuadratureSpec)
         a22 = rng.uniform(0.5, 2.0)
         a12 = rng.uniform(-0.4, 0.4) * math.sqrt(a11 * a22)
         v = ((a11, a12), (a12, a22))
+        tri_root = _square_root(np.array(v), "triangular").ravel()
         for t1, m, t2 in A_INDEPENDENCE_TS:
-            t_mat = ((t1, m), (m, t2))
-            sym = z_hat_indefinite(lat, t_mat, v, spec, square_root="symmetric")
-            tri = z_hat_indefinite(lat, t_mat, v, spec, square_root="triangular")
-            tol = sym.err + tri.err + 1e-9
-            dev = abs(sym.value - tri.value)
+            sym = z_hat_indefinite(lat, ((t1, m), (m, t2)), v, spec, square_root="symmetric")
+            reps = pair_orbit_reps(t1, m, t2)
+            tri_value = tri_err = 0.0
+            if reps:
+                tri = lambda_star(PairConfig.from_vectors(*pair_action(reps[0], tri_root)), spec)
+                tri_value, tri_err = len(reps) * tri.value, len(reps) * tri.err
+            tol = sym.err + tri_err + 1e-9
+            dev = abs(sym.value - tri_value)
             rows.append(
                 (
                     f"a-independence:v{k}:T=({t1},{m},{t2})",
                     dev <= tol,
-                    f"sym {sym.value:.6e} tri {tri.value:.6e} dev {dev:.2e} "
+                    f"sym {sym.value:.6e} tri {tri_value:.6e} dev {dev:.2e} "
                     f"tol {tol:.2e} orbits {sym.orbits}",
                 )
             )

@@ -2,8 +2,10 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -20,7 +22,7 @@ from ariththeta.errors import (
 from ariththeta import starprod
 from ariththeta.greens import QuadratureSpec
 from ariththeta.splitorbits import pair_action, pair_orbit_reps
-from ariththeta.starprod import PairConfig, lambda_star, z_hat_indefinite
+from ariththeta.starprod import PairConfig, lambda_of_gram, lambda_star, z_hat_indefinite
 
 
 def test_pair_config_computes_gram():
@@ -377,7 +379,8 @@ def _seeded_v(seed):
 @pytest.mark.parametrize("t", checks.A_INDEPENDENCE_TS, ids=lambda t: "T=%d,%d,%d" % t)
 def test_z_hat_is_orbit_count_times_one_lambda(t, lat_d1, spec):
     # Every orbit's pair x a has the gram a^T T a, so the sum of lambda_star
-    # over the orbits (the oracle) is the orbit count times one of them.
+    # over the orbits (the oracle, by the 2-D route) is the orbit count times
+    # lambda_of_gram at that gram (z_hat's route).
     t1, m, t2 = t
     t_mat = np.array([[t1, m], [m, t2]], dtype=float)
     reps = pair_orbit_reps(t1, m, t2)  # none for (1, 2, 1) and (-2, 1, -2)
@@ -398,17 +401,163 @@ def test_z_hat_is_orbit_count_times_one_lambda(t, lat_d1, spec):
             assert abs(got.value - value) <= got.err + err
 
 
+# --- the star product from the gram's eigenvalues ------------------------------
+
+
+def formula_reference(a: float, b: float, signature: str) -> float:
+    """Lambda of diag(-a, b) (signature "11") or diag(-a, -b) ("02") by scipy
+    alone, from the formula of lambda_of_gram's docstring, in u = w^2 and t.
+
+    The factor e^{-2 pi a} of A and, in (0,2), e^{-2 pi b} of h are taken
+    out of the integrals and multiplied back at the end, so that scipy
+    integrates values of order one; unscaled, its absolute error floor
+    swamps values below about 1e-30.
+    """
+    alpha, beta = 2 * math.pi * a, 2 * math.pi * b
+
+    def scaled_a(c):  # e^{2 pi a} A(c)
+        return a * math.sqrt(math.pi) * c**-1.5 - c**-0.5 / (2 * math.sqrt(math.pi))
+
+    def t_integral(w):
+        u = w * w
+        if signature == "11":
+            def g(t):
+                return scaled_a(alpha + beta * t + u) * math.sqrt(math.pi / (beta * t + u)) / t
+        else:
+            def g(t):
+                return scaled_a(alpha + u) * math.exp(-beta * (t - 1)) * math.sqrt(math.pi / (beta * t + u)) / t
+        return quad(g, 1, math.inf, epsabs=0, epsrel=1e-12, limit=400)[0]
+
+    # pi^{-1/2} int_0^oo u^{-1/2} e^{-u} F(u) du = 2 pi^{-1/2} int_0^oo e^{-w^2} F(w^2) dw
+    i = quad(lambda w: math.exp(-w * w) * t_integral(w), 0, math.inf, epsabs=0, epsrel=1e-12, limit=400)[0]
+    i *= 2 / math.sqrt(math.pi)
+    if signature == "11":
+        return 2 * (exp1(alpha) + math.exp(-alpha) * i)
+    return 2 * math.exp(-alpha - beta) * i
+
+
+# Eigenvalues from near isotropy to far apart; (0,2) is symmetric in a and b.
+EIGENVALUES = (1e-3, 1e-2, 0.1, 1.0, 5.0, 20.0, 50.0)
+EIGEN_CASES = [("11", a, b) for a in EIGENVALUES for b in EIGENVALUES] + [
+    ("02", a, b) for i, a in enumerate(EIGENVALUES) for b in EIGENVALUES[i:]
+]
+# A relative tolerance alone, so that the values below 1e-30 are checked too.
+RELATIVE_SPEC = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-300, max_cells=100000)
+
+
+@pytest.mark.parametrize("signature,a,b", EIGEN_CASES)
+def test_lambda_of_gram_within_its_error_of_the_formula_reference(signature, a, b, spec):
+    ref = formula_reference(a, b, signature)
+    gram = ((-a, 0.0), (0.0, b if signature == "11" else -b))
+    for s in (spec, RELATIVE_SPEC):
+        res = lambda_of_gram(gram, s)
+        assert abs(res.value - ref) <= res.err, (s, res, ref)
+
+
+def test_formula_reference_below_1e_30_matches_mpmath():
+    # (0,2) at a = 20, b = 50, where Lambda is -6.04e-199: unscaled, scipy's
+    # value is off here.  mpmath's Gauss-Legendre, on pieces cut at the
+    # scales of w and of beta t.
+    a, b = 20.0, 50.0
+    with mpmath.workdps(15):
+        alpha, beta = 2 * mpmath.pi * a, 2 * mpmath.pi * b
+
+        def t_integral(w):
+            u = w * w
+            c = alpha + u
+            scaled_a = -u / (2 * mpmath.sqrt(mpmath.pi) * c**1.5)
+            pieces = [1 + k / beta for k in (0, 1, 4, 16, 64)]
+            return mpmath.quad(
+                lambda t: scaled_a * mpmath.exp(-beta * (t - 1)) * mpmath.sqrt(mpmath.pi / (beta * t + u)) / t,
+                pieces,
+                method="gauss-legendre",
+            )
+
+        w_pieces = [0, 0.5, 1, 2, 3, 6]
+        i = mpmath.quad(lambda w: mpmath.exp(-w * w) * t_integral(w), w_pieces, method="gauss-legendre")
+        want = float(4 * mpmath.exp(-alpha - beta) * i / mpmath.sqrt(mpmath.pi))
+    assert formula_reference(a, b, "02") == pytest.approx(want, rel=1e-9)
+
+
+def test_lambda_of_gram_within_errors_of_lambda_star_on_drawn_pairs(spec):
+    rng = random.Random(2036)
+    positives = Counter()
+    for _ in range(200):
+        pair = checks.random_pair(rng)
+        positives[(pair.gram[0][0] > 0) + (pair.gram[1][1] > 0)] += 1
+        star, formula = lambda_star(pair, spec), lambda_of_gram(pair.gram, spec)
+        assert abs(star.value - formula.value) <= star.err + formula.err, (pair, star, formula)
+    assert set(positives) == {0, 1, 2}
+
+
+def _heights_zhat_inputs():
+    """The z_hat inputs of the heights benchmark: the T of the a-independence
+    suite with v drawn from the stream "heights:z_hat", then V_FAULT."""
+    rng = random.Random("heights:z_hat")
+    for t in checks.A_INDEPENDENCE_TS:
+        a11, a22 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        a12 = rng.uniform(-0.4, 0.4) * math.sqrt(a11 * a22)
+        yield t, ((a11, a12), (a12, a22))
+    yield (1, 0, -1), V_FAULT
+
+
+@pytest.mark.parametrize("t,v", list(_heights_zhat_inputs()))
+def test_z_hat_within_errors_of_lambda_star_on_the_heights_inputs(t, v, lat_d1, spec):
+    t1, m, t2 = t
+    reps = pair_orbit_reps(t1, m, t2)
+    for root in ("symmetric", "triangular"):
+        got = z_hat_indefinite(lat_d1, ((t1, m), (m, t2)), v, spec, square_root=root)
+        assert got.orbits == len(reps)
+        if reps:
+            a = starprod._square_root(np.array(v), root)
+            star = lambda_star(PairConfig.from_vectors(*pair_action(reps[0], a.ravel())), spec)
+            assert abs(got.value - len(reps) * star.value) <= got.err + len(reps) * star.err
+
+
+def test_z_hat_roots_agree_where_a_gram_entry_is_zero(lat_d1, spec):
+    # The symmetric root of v makes a^T T a a gram with a zero diagonal entry:
+    # no pair with that gram is anisotropic, so lambda_star refuses it, while
+    # the gram's eigenvalues are those of any other root's gram.
+    t_mat, v = ((1, 0), (0, -1)), ((2, 3), (3, 5))
+    a = starprod._square_root(np.array(v, dtype=float), "symmetric")
+    gram = a.T @ np.array(t_mat) @ a
+    assert min(abs(gram[0, 0]), abs(gram[1, 1])) < 1e-12
+    tight = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-16)
+    for s in (spec, tight):
+        sym = z_hat_indefinite(lat_d1, t_mat, v, s, square_root="symmetric")
+        tri = z_hat_indefinite(lat_d1, t_mat, v, s, square_root="triangular")
+        assert sym.orbits == tri.orbits == 2
+        assert abs(sym.value - tri.value) <= sym.err + tri.err
+        assert abs(sym.value - 4.5092797e-11) <= sym.err + 1e-18
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        ((1.0, 2.0), (2.0, 4.0)),  # singular
+        ((1.0, 0.0), (0.0, 2.0)),  # positive definite
+        ((1.0, 0.5), (0.4, -1.0)),  # not symmetric
+        ((math.nan, 0.0), (0.0, -1.0)),
+        ((1.0, 0.0), (0.0, math.inf)),
+    ],
+)
+def test_lambda_of_gram_preconditions(gram, spec):
+    with pytest.raises(PreconditionViolation):
+        lambda_of_gram(gram, spec)
+
+
 # --- work and values pinned --------------------------------------------------
 
 # Integrand points of each adaptive_integrate call, disc angles (those in
 # [0, pi] that were evaluated) and value of lambda_star and z_hat at the
 # default spec.  A change to the quadrature or the kernels that keeps their
-# nodes keeps these counts, and the values to rounding.
+# nodes keeps these counts, and the values to rounding.  z_hat integrates
+# the formula of lambda_of_gram, which evaluates no omega kernel (None).
 PINNED_WORK = {
     "cm-cm": ([4480], 17, 0.16824952405858506),
     "cm-geodesic": ([3200], 9, 0.010261227187471205),
     "geodesic-geodesic": ([3840], 0, -4.4948533014605066e-11),
-    "z_hat": ([1920], 9, 0.004652082188042977),
+    "z_hat": ([1280], None, 0.004652082601014367),
 }
 
 
@@ -453,8 +602,11 @@ def test_lambda_work_and_value_pinned(case, lat_d1, monkeypatch):
     want_points, want_angles, want_value = PINNED_WORK[case]
     radii = starprod._R_FULL.size + starprod._R_HALF.size
     assert points == want_points
-    # omega is evaluated at the integrand's points and at radii x angles of the disc.
-    assert omega[0] - sum(points) == radii * want_angles
+    if want_angles is None:
+        assert omega[0] == 0
+    else:
+        # omega is evaluated at the integrand's points and at radii x angles of the disc.
+        assert omega[0] - sum(points) == radii * want_angles
     assert res.value == pytest.approx(want_value, rel=1e-13, abs=0.0)
 
 
