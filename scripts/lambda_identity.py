@@ -17,15 +17,13 @@ The calls are grouped by divisor geometry (cm-cm, cm-geo, geo-geo by the
 signs of the pair's norms; z_hat by the signature of T, (1,1) having pairs
 with a positive vector and (0,2) pairs of two negative vectors).  Each call
 is kept with its work: the integrand points of every adaptive_integrate
-call it made, and the points at which the disc integral evaluated omega
-(the `ddc_xi_vec` points outside the integrand; 36 per disc angle, none for
-z_hat, whose formula has no disc and evaluates no omega kernel).  The
-work must be equal, a call that raises must raise the same error with the
-same message, and `value` and `err` must agree within a relative
---value-rtol (1e-12 by default).  With --within-err, a call whose work or
-value differs passes when both trees return a value and the two lie within
-the sum of their err bars; a group whose calls all pass so, and not all
-equal, reads `within err`.  That compares a change that moves quadrature
+call it made (lambda_star evaluates omega at those points alone, z_hat's
+formula at none).  The work must be equal, a call that raises must raise
+the same error with the same message, and `value` and `err` must agree
+within a relative --value-rtol (1e-12 by default).  With --within-err, a
+call whose work or value differs passes when both trees return a value and
+the two lie within the sum of their err bars; a group whose calls all pass
+so, and not all equal, reads `within err`.  That compares a change that moves quadrature
 nodes on purpose.  Inputs come from this tree's `perfbench/`.  Exits 1 if
 anything differs beyond that.
 """
@@ -52,40 +50,32 @@ def _collect(seeds: list[int]) -> dict:
     import workloads
     from ariththeta import checks, starprod
 
-    integrate, ddc = starprod.adaptive_integrate, starprod.ddc_xi_vec
-    work = {"integrand": [], "ddc": 0}
+    integrate = starprod.adaptive_integrate
+    work = []
 
     def counting_integrate(f, *args, **kwargs):
         points = [0]
 
         def g(x, s):
             points[0] += x.size
-            before = work["ddc"]
-            try:
-                return f(x, s)
-            finally:
-                work["ddc"] = before
+            return f(x, s)
 
         try:
             return integrate(g, *args, **kwargs)
         finally:
-            work["integrand"].append(points[0])
+            work.append(points[0])
 
-    def counting_ddc(x, u, v):
-        work["ddc"] += u.size
-        return ddc(x, u, v)
-
-    starprod.adaptive_integrate, starprod.ddc_xi_vec = counting_integrate, counting_ddc
+    starprod.adaptive_integrate = counting_integrate
 
     def call(label, fn, *args, **kwargs):
-        """(label, outcome, integrand points per adaptive call, disc points) of one call."""
-        work["integrand"], work["ddc"] = [], 0
+        """(label, outcome, integrand points per adaptive call) of one call."""
+        work.clear()
         try:
             res = fn(*args, **kwargs)
             outcome = ("value", dataclasses.astuple(res))
         except Exception as exc:  # a typed error is a result too; it must match
             outcome = ("raised", type(exc).__name__, str(exc))
-        return (label, outcome, tuple(work["integrand"]), work["ddc"])
+        return (label, outcome, tuple(work))
 
     def geometry(pair) -> str:
         (t1, _), (_, t2) = pair.gram
@@ -122,15 +112,15 @@ def _collect(seeds: list[int]) -> dict:
 def _compare(mine, theirs, rtol: float, within_err: bool) -> tuple[str, float, float]:
     """("equal" | "within err" | "differ", largest relative change of value or err,
     the value's change over the sum of the err bars) for one call."""
-    (label, out, points, disc), (label_o, out_o, points_o, disc_o) = mine, theirs
+    (label, out, points), (label_o, out_o, points_o) = mine, theirs
     if label != label_o or out[0] != out_o[0]:
         return "differ", 0.0, 0.0
     if out[0] == "raised":
-        return ("equal" if (out, points, disc) == (out_o, points_o, disc_o) else "differ"), 0.0, 0.0
+        return ("equal" if (out, points) == (out_o, points_o) else "differ"), 0.0, 0.0
     change = max(_relative_change(a, b) for a, b in zip(out[1][:2], out_o[1][:2]))
     (value, err), (value_o, err_o) = out[1][:2], out_o[1][:2]
     share = 0.0 if value == value_o else abs(value - value_o) / (err + err_o or math.inf)
-    if (points, disc) == (points_o, disc_o) and out[1][2:] == out_o[1][2:] and change <= rtol:
+    if points == points_o and out[1][2:] == out_o[1][2:] and change <= rtol:
         return "equal", change, share
     return ("within err" if within_err and share <= 1.0 else "differ"), change, share
 

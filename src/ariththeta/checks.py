@@ -171,19 +171,21 @@ def suite_o2_invariance(lat: TraceZeroLattice, seed: int, spec: QuadratureSpec) 
 def suite_symmetry(lat: TraceZeroLattice, seed: int, spec: QuadratureSpec) -> list[Row]:
     """Swap rows, then gram-only rows (a pair's ambient conjugate against its gram).
 
-    A gram-only row compares lambda_star of the conjugated pair, by the 2-D
-    route, with lambda_of_gram of the pair's gram, by the formula in its
-    eigenvalues: two routes that share no code.  (lambda_star writes a pair
-    with a positive vector in a frame built from its gram alone, so
-    lambda_star on both pairs would compare frames that agree to rounding.)
-    The swap rows of CM-geodesic pairs test little for the same reason:
-    their positive vector carries the delta term in either order.
+    lambda_star writes a pair with a positive vector in a frame built from
+    its gram alone, so lambda_star on two pairs whose frames agree would
+    agree to rounding.  A gram-only row therefore compares lambda_star of
+    the conjugated pair, by the 2-D route, with lambda_of_gram of the
+    pair's gram, by the formula in its eigenvalues: two routes that share
+    no code.  So does the swap row of a CM-geodesic pair, whose positive
+    vector carries the delta term in either order; the swap rows of other
+    pairs compare lambda_star in the two orders, which are two frames.
     """
     rng = random.Random(seed * 7 + 2)
     rows: list[Row] = []
     for k in range(20):
         pair = random_pair(rng)
-        base = lambda_star(pair, spec)
+        (q1, _), (_, q2) = pair.gram
+        base = lambda_of_gram(pair.gram, spec) if (q1 > 0) != (q2 > 0) else lambda_star(pair, spec)
         swapped = lambda_star(PairConfig.from_vectors(pair.x2, pair.x1), spec)
         tol = base.err + swapped.err + 1e-9
         dev = abs(base.value - swapped.value)

@@ -175,12 +175,11 @@ def beta1_vec(r: np.ndarray) -> np.ndarray:
     error below 2e-15 on (0, 700], as for beta1, and 0 above 700.  An entry
     that is not > 0, NaN included, raises NonpositiveArgument.
 
-    This kernel is for quadrature batches.  The median box call of
-    lambda_star in the heights benchmark has 3,200 points, and its first
-    batch, the start grid of the half box, 1,920: on a 2-core x86-64 host
-    such a batch takes 0.066 to 0.097 ms (a full box's 3,840, 0.10 to
-    0.15 ms), while one point alone takes 38 to 45 us and the disc's 36
-    radii 26 to 31 us.
+    This kernel is for quadrature batches.  The median lambda_star call
+    in the heights benchmark has 1,280 points, its polar start grid of
+    4 x 4 cells, evaluated as one batch: on a 2-core x86-64 host such a
+    batch takes 0.055 to 0.056 ms (a geodesic pair's full box of 3,840,
+    0.11 to 0.12 ms), while one point alone takes 43 to 64 us.
     So big_xi and xi, a few terms per call, use the scalar beta1, which
     takes 0.8 to 1.1 us a call on r in [12.6, 40].  mpmath is the oracle of
     both kernels.

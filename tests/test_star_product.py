@@ -256,35 +256,29 @@ def test_disc_frame_is_even_and_its_half_box_doubles(pair, spec, monkeypatch):
     scale = 1 + abs(q1) + abs(q2) + abs(m)
     assert np.allclose(got, want, rtol=0.0, atol=1e-14 * scale), (got, want)
     assert rho2 == pytest.approx(_r(y1, 0.0, 1.0), rel=1e-13)
-    # The box integrand is even in x, on the box and near the log point i.
-    integrand = starprod._box_integrand(y1, y2, True)
-    x_min, x_max, s_min, s_max = starprod._log_point_box(y1, y2, 0.01 * spec.abs_tol)
-    assert x_min == 0.0
+    # The polar integrand is even in theta, on the whole disc and near i.
+    radius = starprod._log_point_radius(y1, y2, 0.01 * spec.abs_tol)
+    integrand = starprod._polar_integrand(y1, y2, radius)
     rng = np.random.default_rng(7)
-    x = np.concatenate([rng.uniform(0.0, x_max, 500), rng.uniform(0.0, 0.6, 500)])
-    s = np.concatenate([rng.uniform(s_min, s_max, 500), rng.uniform(-0.6, 0.6, 500)])
-    assert np.array_equal(integrand(x, s), integrand(-x, s))
-    # lambda_star's half box, doubled, against the full box of the same frame.
+    s = np.concatenate([rng.uniform(0.0, 1.0, 500), rng.uniform(0.0, 0.1, 500)])
+    theta = rng.uniform(0.0, math.pi, 1000)
+    assert np.array_equal(integrand(s, theta), integrand(s, -theta))
+    # lambda_star's half box 0 <= theta <= pi in (s, theta), doubled,
+    # against the full circle 0 <= theta <= 2 pi.
     halves = []
     integrate = starprod.adaptive_integrate
 
     def recording(f, *args, **kwargs):
-        halves.append(integrate(f, *args, **kwargs))
-        return halves[-1]
+        halves.append((args, integrate(f, *args, **kwargs)))
+        return halves[-1][1]
 
     monkeypatch.setattr(starprod, "adaptive_integrate", recording)
     lambda_star(pair, spec)
-    [(half, e_half)] = halves
+    [(box, (half, e_half))] = halves
+    assert box == (0.0, 1.0, 0.0, math.pi)
     full, e_full = integrate(
-        integrand,
-        -x_max,
-        x_max,
-        s_min,
-        s_max,
-        abs_tol=spec.abs_tol,
-        rel_tol=spec.rel_tol,
-        max_cells=spec.max_cells,
-        initial=(max(8, math.ceil(2 * x_max)), max(6, math.ceil(s_max - s_min))),
+        integrand, 0.0, 1.0, 0.0, 2 * math.pi,
+        abs_tol=spec.abs_tol, rel_tol=spec.rel_tol, max_cells=spec.max_cells, initial=(4, 8),
     )
     assert abs(2 * half - full) <= 2 * e_half + e_full, (2 * half, full, 2 * e_half, e_full)
 
@@ -310,11 +304,27 @@ def test_geodesic_pair_within_its_error_of_the_polar_oracle(vectors, spec):
     assert abs(res.value - ref) <= res.err
 
 
+def _k_lambda_star(t, v, root, spec):
+    """(value, err) of k lambda_star(x0 . a): the 2-D route's z_hat(T, v), with
+    x0 the first of T's k orbit representatives and a the given root of v."""
+    reps = pair_orbit_reps(*t)
+    a = starprod._square_root(np.array(v, dtype=float), root)
+    res = lambda_star(PairConfig.from_vectors(*pair_action(reps[0], a.ravel())), spec)
+    return len(reps) * res.value, len(reps) * res.err
+
+
+def _assert_z_hat_at_each_root_matches_the_other_roots_pair(lat, t, v, spec):
+    """z_hat (the formula) at each root of v within the sum of the error bars
+    of k lambda_star (the 2-D route) at the other root."""
+    t1, m, t2 = t
+    for root, other in (("symmetric", "triangular"), ("triangular", "symmetric")):
+        got = z_hat_indefinite(lat, ((t1, m), (m, t2)), v, spec, square_root=root)
+        value, err = _k_lambda_star(t, v, other, spec)
+        assert abs(got.value - value) <= got.err + err, (root, got, value, err)
+
+
 def test_z_hat_roots_agree_on_the_former_fault(lat_d1, spec):
-    t_mat = ((1, 0), (0, -1))
-    sym = z_hat_indefinite(lat_d1, t_mat, V_FAULT, spec, square_root="symmetric")
-    tri = z_hat_indefinite(lat_d1, t_mat, V_FAULT, spec, square_root="triangular")
-    assert abs(sym.value - tri.value) <= sym.err + tri.err
+    _assert_z_hat_at_each_root_matches_the_other_roots_pair(lat_d1, (1, 0, -1), V_FAULT, spec)
 
 
 # --- archimedean classes ------------------------------------------------------
@@ -339,9 +349,8 @@ def test_z_hat_sig11_stability_and_a_independence(lat_d1, spec):
     t_mat = ((1, 0), (0, -1))
     v = ((1.3, 0.3), (0.3, 0.8))
     sym = z_hat_indefinite(lat_d1, t_mat, v, spec, square_root="symmetric")
-    tri = z_hat_indefinite(lat_d1, t_mat, v, spec, square_root="triangular")
     assert sym.orbits == 2
-    assert abs(sym.value - tri.value) <= sym.err + tri.err
+    _assert_z_hat_at_each_root_matches_the_other_roots_pair(lat_d1, (1, 0, -1), v, spec)
     tight = QuadratureSpec(rel_tol=4e-6, abs_tol=4e-8, max_cells=40000)
     ref = z_hat_indefinite(lat_d1, t_mat, v, tight)
     assert abs(sym.value - ref.value) <= sym.err + ref.err
@@ -360,12 +369,9 @@ def test_z_hat_zero_diagonal_gram(lat_d1, spec):
 
 
 def test_z_hat_sig02_instance(lat_d1, spec):
-    t_mat = ((-1, 0), (0, -1))
     v = ((1.0, 0.2), (0.2, 1.5))
-    sym = z_hat_indefinite(lat_d1, t_mat, v, spec, square_root="symmetric")
-    tri = z_hat_indefinite(lat_d1, t_mat, v, spec, square_root="triangular")
-    assert sym.orbits == 2
-    assert abs(sym.value - tri.value) <= sym.err + tri.err
+    assert z_hat_indefinite(lat_d1, ((-1, 0), (0, -1)), v, spec).orbits == 2
+    _assert_z_hat_at_each_root_matches_the_other_roots_pair(lat_d1, (-1, 0, -1), v, spec)
 
 
 def _seeded_v(seed):
@@ -509,9 +515,8 @@ def test_z_hat_within_errors_of_lambda_star_on_the_heights_inputs(t, v, lat_d1, 
         got = z_hat_indefinite(lat_d1, ((t1, m), (m, t2)), v, spec, square_root=root)
         assert got.orbits == len(reps)
         if reps:
-            a = starprod._square_root(np.array(v), root)
-            star = lambda_star(PairConfig.from_vectors(*pair_action(reps[0], a.ravel())), spec)
-            assert abs(got.value - len(reps) * star.value) <= got.err + len(reps) * star.err
+            value, err = _k_lambda_star(t, v, root, spec)
+            assert abs(got.value - value) <= got.err + err
 
 
 def test_z_hat_roots_agree_where_a_gram_entry_is_zero(lat_d1, spec):
@@ -548,16 +553,16 @@ def test_lambda_of_gram_preconditions(gram, spec):
 
 # --- work and values pinned --------------------------------------------------
 
-# Integrand points of each adaptive_integrate call, disc angles (those in
-# [0, pi] that were evaluated) and value of lambda_star and z_hat at the
-# default spec.  A change to the quadrature or the kernels that keeps their
-# nodes keeps these counts, and the values to rounding.  z_hat integrates
-# the formula of lambda_of_gram, which evaluates no omega kernel (None).
+# Integrand points of each adaptive_integrate call and value of lambda_star
+# and z_hat at the default spec.  A change to the quadrature or the kernels
+# that keeps their nodes keeps these counts, and the values to rounding.
+# lambda_star evaluates omega at its integrand's points alone; z_hat
+# integrates the formula of lambda_of_gram, which evaluates no omega kernel.
 PINNED_WORK = {
-    "cm-cm": ([4480], 17, 0.16824952405858506),
-    "cm-geodesic": ([3200], 9, 0.010261227187471205),
-    "geodesic-geodesic": ([3840], 0, -4.4948533014605066e-11),
-    "z_hat": ([1280], None, 0.004652082601014367),
+    "cm-cm": ([2560], 0.16824952470535462),
+    "cm-geodesic": ([1280], 0.010261227234873722),
+    "geodesic-geodesic": ([3840], -4.4948533014605066e-11),
+    "z_hat": ([1280], 0.004652082601014367),
 }
 
 
@@ -599,39 +604,7 @@ def test_lambda_work_and_value_pinned(case, lat_d1, monkeypatch):
     monkeypatch.setattr(starprod, "adaptive_integrate", counting_integrate)
     monkeypatch.setattr(starprod, "ddc_xi_vec", counting_ddc)
     res = _pinned_call(case, lat_d1)
-    want_points, want_angles, want_value = PINNED_WORK[case]
-    radii = starprod._R_FULL.size + starprod._R_HALF.size
+    want_points, want_value = PINNED_WORK[case]
     assert points == want_points
-    if want_angles is None:
-        assert omega[0] == 0
-    else:
-        # omega is evaluated at the integrand's points and at radii x angles of the disc.
-        assert omega[0] - sum(points) == radii * want_angles
+    assert omega[0] == (0 if case == "z_hat" else sum(points))
     assert res.value == pytest.approx(want_value, rel=1e-13, abs=0.0)
-
-
-def test_disc_tables_are_the_polar_formula_at_the_doubling_angles():
-    # The angles in [0, pi] of the circle's 8 angles k 2 pi / 8 and of each
-    # doubling's midpoints; a level's weights make its ring mean the mean
-    # over the whole circle of a function even in theta.
-    r = np.concatenate([starprod._R_FULL, starprod._R_HALF])[:, None]
-    angles, weights, m = [np.arange(5) * (math.pi / 4)], [np.array([1, 2, 2, 2, 1]) / 8], 8
-    while 2 * m <= starprod._MAX_ANGLES:
-        angles.append((np.arange(m // 2) + 0.5) * (2 * math.pi / m))
-        weights.append(np.full(m // 2, 2 / m))
-        m *= 2
-    assert m == starprod._MAX_ANGLES
-    assert len(starprod._DISC_NODES) == len(angles)
-    for (u, v, w), theta, want_w in zip(starprod._DISC_NODES, angles, weights):
-        assert np.all((0 <= theta) & (theta <= math.pi))
-        den = np.cosh(r) - np.sinh(r) * np.cos(theta)
-        want_u, want_v = (np.sinh(r) * np.sin(theta) / den).ravel(), (1.0 / den).ravel()
-        assert u.shape == v.shape == want_u.shape
-        assert np.all(np.abs(u - want_u) <= np.spacing(np.abs(want_u)))
-        assert np.all(np.abs(v - want_v) <= np.spacing(want_v))
-        assert np.array_equal(w, want_w)
-        assert not (u.flags.writeable or v.flags.writeable or w.flags.writeable)
-    # Each level's mean of an even trigonometric polynomial of low degree is
-    # its mean over the circle, 1/2 for cos^2.
-    for theta, w in zip(angles, weights):
-        assert np.cos(theta) ** 2 @ w == pytest.approx(0.5, abs=1e-15)
