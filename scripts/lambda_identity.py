@@ -11,7 +11,10 @@ other tree's `src/`, and compares the results:
   moved by its isometry of round 0 at seeds 1, 2 and 3;
 - z_hat_indefinite(d1, T, v) at every (T, v) of ZHAT_SET and at the known
   failing input, by the symmetric and by the triangular root of v;
-- lambda_star on 100 draws of checks.random_pair from a fixed seed.
+- lambda_star on 100 draws of checks.random_pair from a fixed seed;
+- lambda_star on ULTRAPARALLEL, pairs of two negative vectors whose
+  geodesics do not cross (a gram of signature (1,1) with both norms
+  negative), each in both orders.  random_pair draws no such pair.
 
 The calls are grouped by divisor geometry (cm-cm, cm-geo, geo-geo by the
 signs of the pair's norms; z_hat by the signature of T, (1,1) having pairs
@@ -41,6 +44,18 @@ from big_xi_identity import HERE, _relative_change, _run_tree
 
 SEEDS = (1, 2, 3)
 RANDOM_PAIRS = 100
+# Each pair's two geodesics by endpoints r1 < r2 and norm t < 0: side by
+# side, then one inside the other.
+ULTRAPARALLEL = (
+    ((-1.5, -0.1, -0.3), (0.1, 1.6, -0.35)),
+    ((-2.0, -0.4, -0.8), (0.2, 1.0, -0.5)),
+    ((-1.0, 0.0, -1.2), (0.3, 2.5, -0.6)),
+    ((-3.0, -1.0, -0.4), (-0.8, 0.5, -0.7)),
+    ((-2.0, 2.0, -0.3), (-1.2, 1.0, -0.25)),
+    ((-1.5, 1.5, -0.9), (-0.5, 0.4, -0.6)),
+    ((0.0, 4.0, -0.5), (1.0, 2.0, -1.5)),
+    ((-2.5, 0.5, -1.0), (-1.0, -0.2, -0.45)),
+)
 # A pair's geometry by its number of positive norms.
 GEOMETRIES = ("geo-geo", "cm-geo", "cm-cm")
 
@@ -106,6 +121,12 @@ def _collect(seeds: list[int]) -> dict:
         pair = checks.random_pair(rng)
         groups[f"random pairs {geometry(pair)}"].append(call(f"draw {k} {pair}", starprod.lambda_star, pair))
     out.update(groups)
+    out["ultraparallel pairs"] = []
+    for k, ends in enumerate(ULTRAPARALLEL):
+        x1, x2 = (checks.vector_with_geodesic(*e) for e in ends)
+        for label, pair in ((f"{k}", (x1, x2)), (f"{k} swapped", (x2, x1))):
+            pair = starprod.PairConfig.from_vectors(*pair)
+            out["ultraparallel pairs"].append(call(f"ultraparallel {label} {pair}", starprod.lambda_star, pair))
     return out
 
 

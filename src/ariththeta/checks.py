@@ -171,14 +171,16 @@ def suite_o2_invariance(lat: TraceZeroLattice, seed: int, spec: QuadratureSpec) 
 def suite_symmetry(lat: TraceZeroLattice, seed: int, spec: QuadratureSpec) -> list[Row]:
     """Swap rows, then gram-only rows (a pair's ambient conjugate against its gram).
 
-    lambda_star writes a pair with a positive vector in a frame built from
-    its gram alone, so lambda_star on two pairs whose frames agree would
-    agree to rounding.  A gram-only row therefore compares lambda_star of
-    the conjugated pair, by the 2-D route, with lambda_of_gram of the
-    pair's gram, by the formula in its eigenvalues: two routes that share
-    no code.  So does the swap row of a CM-geodesic pair, whose positive
-    vector carries the delta term in either order; the swap rows of other
-    pairs compare lambda_star in the two orders, which are two frames.
+    lambda_star writes every pair in a frame built from its gram alone, so
+    lambda_star on two pairs with the same gram agrees to rounding.  A
+    gram-only row therefore compares lambda_star of the conjugated pair, by
+    the 2-D route, with lambda_of_gram of the pair's gram, by the formula
+    in its eigenvalues: two routes that share no code.  So does the swap
+    row of a CM-geodesic pair, whose positive vector carries the delta term
+    in either order, so that both orders have one frame.  The swap rows of
+    other pairs compare lambda_star in the two orders, which are two
+    frames: the delta term on the other vector (CM-CM pairs), or the other
+    geodesic through i first (pairs of crossing geodesics).
     """
     rng = random.Random(seed * 7 + 2)
     rows: list[Row] = []

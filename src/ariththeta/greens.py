@@ -175,11 +175,11 @@ def beta1_vec(r: np.ndarray) -> np.ndarray:
     error below 2e-15 on (0, 700], as for beta1, and 0 above 700.  An entry
     that is not > 0, NaN included, raises NonpositiveArgument.
 
-    This kernel is for quadrature batches.  The median lambda_star call
-    in the heights benchmark has 1,280 points, its polar start grid of
-    4 x 4 cells, evaluated as one batch: on a 2-core x86-64 host such a
-    batch takes 0.055 to 0.056 ms (a geodesic pair's full box of 3,840,
-    0.11 to 0.12 ms), while one point alone takes 43 to 64 us.
+    This kernel is for quadrature batches.  Every lambda_star call starts
+    from its polar start grid of 4 x 4 cells, 1,280 points evaluated as
+    one batch, and the median call in the heights benchmark stops there:
+    on a 2-core x86-64 host such a batch takes 0.055 to 0.056 ms, while
+    one point alone takes 43 to 64 us.
     So big_xi and xi, a few terms per call, use the scalar beta1, which
     takes 0.8 to 1.1 us a call on r in [12.6, 40].  mpmath is the oracle of
     both kernels.
@@ -237,22 +237,6 @@ def cm_point(x) -> UHPoint:
     if t <= 0:
         raise PreconditionViolation("D_x is empty unless Q(x) > 0")
     return UHPoint(alpha / gamma, math.sqrt(t) / abs(gamma))
-
-
-def geodesic_endpoints(x) -> tuple[float, float] | None:
-    """Real endpoints of the fixed geodesic of x when Q(x) < 0, else None.
-
-    For gamma = 0 the 'geodesic' is the vertical line over -beta/(2 alpha);
-    the second endpoint is reported as math.inf.
-    """
-    alpha, beta, gamma = (float(c) for c in x)
-    t = q_value((alpha, beta, gamma))
-    if t >= 0:
-        return None
-    if gamma == 0.0:
-        return (-beta / (2 * alpha), math.inf)
-    disc = math.sqrt(-t)
-    return ((alpha - disc) / gamma, (alpha + disc) / gamma)
 
 
 def xi(x, z: UHPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> float:

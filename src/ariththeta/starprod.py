@@ -10,19 +10,21 @@ at the divisor of x2 when Q(x2) > 0 (attached to x1's divisor instead when
 only Q(x1) > 0, and absent when both norms are negative).  Both sheets of D
 contribute; for real vectors they agree, hence the overall factor 2.
 
-Lambda depends on the pair only through its gram, so a pair with a positive
-vector is integrated in a frame written from its gram (_disc_frame), where
-the log point of xi of the positive vector is i and both vectors have
-alpha = 0.  The integrand f is then integrated once, in geodesic polar
-coordinates (r, theta) about i, over the disc r <= D whose exterior holds a
-proved share of the tolerance (_log_point_radius).  r = D s^2 makes the
-r log r of xi at i smooth in s, and with alpha = 0, f is even under
-z -> -conj(z), which is theta -> -theta, so the box
-[0, 1] x [0, pi] in (s, theta) is integrated and doubled.  Pairs of two
-negative vectors have no singular point: one geodesic is moved to the
-imaginary axis and f is integrated over a box in z = e^s (x + i), in full,
-since neither of their symmetries (a half-turn about the crossing point, a
-reflection in the common perpendicular) maps it onto itself.
+Lambda depends on the pair only through its gram, so every pair is
+integrated in a frame written from its gram alone, with a special point at
+i: the log point of xi of the positive vector (_disc_frame, both vectors
+with alpha = 0), or the crossing point of two geodesics (_crossing_frame).
+Two negative vectors whose geodesics do not cross are replaced by the gram
+diag(-a, b) of their eigenvalues, since Lambda is O(2)-invariant, and that
+has a positive vector.  The integrand f is then integrated once, in
+geodesic polar coordinates (r, theta) about i, over the disc r <= D whose
+exterior holds a proved share of the tolerance (_log_point_radius,
+_crossing_radius).  r = D s^2 makes the r log r of xi at i smooth in s.
+In the disc frame f is even under z -> -conj(z), which is
+theta -> -theta; in the crossing frame the half-turn about i, which is
+theta -> theta + pi, maps each vector to its negative, so f has period pi.
+Either way the box [0, 1] x [0, pi] in (s, theta) is integrated and
+doubled.
 
 The archimedean class z_hat(T, v) sums Lambda(x . a) over the unit-group
 orbits of pairs x with gram T, where v = a a^T.  Every x . a has the gram
@@ -60,12 +62,11 @@ from .greens import (
     QuadratureSpec,
     beta1,
     ddc_xi_vec,
-    geodesic_endpoints,
     xi_vec,
 )
 from .lattice import TraceZeroLattice
 from .quadrature import adaptive_integrate
-from .splitorbits import apply3, conj_action, q_value
+from .splitorbits import q_value
 
 Vec3 = tuple[float, float, float]
 
@@ -131,39 +132,46 @@ def _log_point_radius(y1: Vec3, y2: Vec3, eps: float) -> float:
     return math.asinh(math.sqrt(max(1.0, math.log(m * math.pi / (a * a * eps)) / a)))
 
 
-def _geodesic_box(y1: Vec3, y2: Vec3, eps: float) -> tuple[float, float, float, float]:
-    """Box in (x, s) outside which the integral of |omega(y1) xi(y2)| is at
-    most eps, when y1's geodesic is the imaginary axis and Q(y2) < 0.
+def _crossing_radius(gram, eps: float) -> float:
+    """Radius D of the ball B(i, D) outside which the integral of
+    |omega(y1) xi(y2)| is at most eps, in the _crossing_frame of the gram.
 
-    There R(y1) = |t1| (1 + x^2), so with a1 = 2 pi |t1|,
-    |omega(y1)| <= (2 |t1| x^2 + 1/(2 pi)) e^{-a1 (1 + x^2)}, whose integral
-    over x is at most e^{-a1} / sqrt(pi a1).  For y2 = (alpha, beta, gamma),
-    2 sqrt(R(y2)) = |gamma e^s (x + i)^2 - 2 alpha (x + i) - beta e^{-s}|.
-    With N = 2|alpha| + 2 sqrt(R*) + sqrt|beta gamma| and c = sqrt(1 + x^2),
-    R(y2) >= R* (1 + sigma)^2 at s = log(N / |gamma|) + sigma and at
-    s = -log(c N / |beta|) - sigma, sigma >= 0, so beyond those the
-    integral of xi(y2) <= E_1(2 pi R) <= e^{-2 pi R} / (2 pi R) over s is at
-    most T = e^{-2 pi R*} / (8 pi^2 R*^2) on either side.  Between them
-    xi(y2) <= E_1(2 pi |t2|), so its integral over s is at most
-    P + E_1(2 pi |t2|) log(1 + |x|) with P = E_1(2 pi |t2|) log(N^2 / |beta gamma|) + 2 T.
-    R* makes the s tails of |x| <= X below eps / 2, and X, by
-    int_X^oo x^3 e^{-a1 x^2} dx <= e^{-a1 X^2 / 2} / a1^2, the part |x| > X.
+    A negative vector y whose geodesic passes through i at the angle phi
+    has R(y) = |Q(y)| cosh^2 d = |Q(y)| (1 + X) at distance d from it, with
+    X = sinh^2 d = sinh^2 r sin^2(theta - phi) at (r, theta) (a right
+    triangle).  The geodesics meet at the angle of y1 and y2 in their
+    negative plane, of cosine +-m / sqrt(t1 t2), and sin^2 t + sin^2(t - phi)
+    = 1 - cos phi cos(2 t - phi), so X1 + X2 >= kappa sinh^2 r with
+    kappa = 1 - |m| / sqrt(t1 t2) > 0.  With a_k = 2 pi |t_k|,
+    |omega(y1)| <= e^{-a1 (1 + X1)} (2 |t1| X1 + 1/(2 pi)) and
+    xi(y2) <= e^{-a2 (1 + X2)} / a2 (E_1(x) <= e^{-x}/x); so with
+    y = sinh r, X1 <= y^2 and c = kappa min(a1, a2),
+    |omega(y1) xi(y2)| <= e^{-a1 - a2} (1/2 + a1 y^2) e^{-c y^2} / (pi a2).
+    With sinh r dr <= dy, Y = sinh D >= 1, int_Y^oo e^{-c y^2} dy <=
+    e^{-c Y^2} / (2 c) and int_Y^oo y^2 e^{-c y^2} dy <=
+    e^{-c Y^2} (Y / (2 c) + 1 / (4 c^2)), the mass beyond D is at most
+    K Y e^{-c Y^2}, K = e^{-a1 - a2} (1 + 2 a1 + a1 / c) / (2 a2 c), below
+    eps once c Y^2 - log Y >= L = log(K / eps).  The tangent of log at x0
+    gives log Y <= (log x0 + Y^2 / x0 - 1) / 2; at x0 = max(1, L) / c,
+    where c - 1 / (2 x0) >= c / 2, that holds once
+    (c - 1 / (2 x0)) Y^2 >= L + (log x0 - 1) / 2.
     """
-    t1 = abs(q_value(y1))
-    a1 = TWO_PI * t1
-    al, be, ga = (abs(c) for c in y2)
-    if be * ga == 0.0:
-        raise QuadratureFailure("the two geodesics share an endpoint")
-    r_star = max(1.0, math.log(math.exp(-a1) / (2.0 * math.pi**2.5 * math.sqrt(a1) * eps)) / TWO_PI)
-    n = 2.0 * al + 2.0 * math.sqrt(r_star) + math.sqrt(be * ga)
-    e1 = beta1(TWO_PI * abs(q_value(y2)))
-    p = e1 * math.log(n * n / (be * ga)) + 2.0 * math.exp(-TWO_PI * r_star) / (8.0 * math.pi**2 * r_star**2)
-    c = 4.0 * (2.0 * t1 + 1.0 / TWO_PI) * (p + e1) * math.exp(-a1) / (a1 * a1 * eps)
-    x = math.sqrt(max(1.0, 2.0 * math.log(c) / a1))
-    return -x, x, -math.log(math.sqrt(1.0 + x * x) * n / be), math.log(n / ga)
+    (t1, m), (_, t2) = gram
+    a1, a2 = TWO_PI * -t1, TWO_PI * -t2
+    c = (1.0 - abs(m) / math.sqrt(t1 * t2)) * min(a1, a2)
+    big_l = -a1 - a2 + math.log((1.0 + 2.0 * a1 + a1 / c) / (2.0 * a2 * c * eps))
+    x0 = max(1.0, big_l) / c
+    return math.asinh(math.sqrt(max(1.0, (big_l + 0.5 * (math.log(x0) - 1.0)) / (c - 0.5 / x0))))
 
 
-def _disc_frame(pair: PairConfig) -> tuple[Vec3, Vec3, float]:
+def _eigenvalues(q1: float, m: float, q2: float) -> list[float]:
+    """[lo, hi] of ((q1, m), (m, q2)): the larger modulus without cancellation, the other as det / it."""
+    mean, radius = 0.5 * (q1 + q2), math.hypot(0.5 * (q1 - q2), m)
+    big = mean + radius if mean >= 0 else mean - radius
+    return sorted((big, (q1 * q2 - m * m) / big))
+
+
+def _disc_frame(gram) -> tuple[Vec3, Vec3, float]:
     """(y1, y2, rho^2): a pair with a positive vector, written anew from its gram alone.
 
     y2 is the positive vector that carries the delta term (x2 when
@@ -176,24 +184,28 @@ def _disc_frame(pair: PairConfig) -> tuple[Vec3, Vec3, float]:
     is theta -> -theta in polar coordinates about i:
     R((alpha, beta, gamma), -conj(z)) = R((-alpha, beta, gamma), z).
     """
-    (q1, m), (_, q2) = pair.gram
+    (q1, m), (_, q2) = gram
     t1, t2 = (q1, q2) if q2 > 0 else (q2, q1)
     s, rho2 = math.sqrt(t2), (m * m - t1 * t2) / t2
     rho, c = math.sqrt(rho2), -m / s
     return (0.0, rho + c, rho - c), (0.0, -s, s), rho2
 
 
-def _box_integrand(y1: Vec3, y2: Vec3):
-    """omega(y1) xi(y2) at z = e^s (x + i), as a function of arrays (x, s)."""
+def _crossing_frame(gram) -> tuple[Vec3, Vec3]:
+    """(y1, y2): two negative vectors whose geodesics cross (t1, t2 < 0 < det T),
+    written anew from their gram alone.
 
-    def integrand(x, s):
-        v = np.exp(s)
-        u = x * v
-        vals = ddc_xi_vec(y1, u, v)
-        vals *= xi_vec(y2, u, v)
-        return vals
-
-    return integrand
+    y1 = (0, s, s), s = sqrt(-t1), and y2 = (mu, nu, nu), nu = -m / s and
+    mu = sqrt(det T / -t1), have Q(y1) = t1, (y1, y2) / 2 = -s nu = m and
+    Q(y2) = -mu^2 - nu^2 = t2.  R((alpha, beta, gamma), i) + Q = (beta - gamma)^2 / 4
+    is 0 for both, so both geodesics pass through i.  The half-turn
+    z -> -1/z, theta -> theta + pi about i, maps (alpha, beta, gamma) to
+    (-alpha, -gamma, -beta), so y_k to -y_k, and R(-y, z) = R(y, z): the
+    integrand has period pi in theta.
+    """
+    (t1, m), (_, t2) = gram
+    s = math.sqrt(-t1)
+    return (0.0, s, s), (math.sqrt((t1 * t2 - m * m) / -t1), -m / s, -m / s)
 
 
 def _polar_integrand(y1: Vec3, y2: Vec3, radius: float):
@@ -226,20 +238,27 @@ def lambda_star(pair: PairConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> Lambda
     entries, and depends on the pair only through its gram matrix; those
     properties are the calibration suite for this routine.
 
-    A pair with a positive vector is integrated in the frame _disc_frame
-    writes from its gram: the delta term is xi(y1) at i, E_1(2 pi rho^2),
-    and omega(y1) xi(y2) sinh r is integrated over 0 <= r <= D,
-    0 <= theta <= pi in r = D s^2, by one adaptive integral from a 4 x 4
-    start grid to half the absolute tolerance and half the cells, with the
-    same relative tolerance, so that twice its value and error stop by the
-    full circle's rule.  The integrand is even in theta, so the half
-    circle, doubled, is the whole disc.  A pair of two negative vectors is
-    integrated over the full box of _geodesic_box.  Either way, with
-    tol = max(abs_tol, 1e-4 rel_tol), the part of the plane left out
-    carries at most tol / 100 (the radius and the box are proved so), and
-    err is twice the sum of the quadrature's error and tol / 20.
+    The pair is written anew in a frame built from its gram, with a special
+    point at i, and omega(y1) xi(y2) sinh r is integrated over
+    0 <= r <= D, 0 <= theta <= pi in r = D s^2, by one adaptive integral
+    from a 4 x 4 start grid to half the absolute tolerance and half the
+    cells, with the same relative tolerance, so that twice its value and
+    error stop by the full circle's rule: the half circle, doubled, is the
+    whole disc, since the integrand is even in theta (_disc_frame) or has
+    period pi (_crossing_frame).  The frames:
+    - a pair with a positive vector: _disc_frame, with its log point at i,
+      the delta term xi(y1) at i, E_1(2 pi rho^2), and _log_point_radius;
+    - two negative vectors whose geodesics cross (det T > 0):
+      _crossing_frame, with no delta term, and _crossing_radius;
+    - two whose geodesics do not cross (det T < 0): Lambda is
+      O(2)-invariant, so _disc_frame of the gram diag(-a, b) of its
+      eigenvalues.  (Geodesics with a shared endpoint span a plane that
+      holds an isotropic vector: their gram is singular, and refused.)
+    With tol = max(abs_tol, 1e-4 rel_tol), the part of the plane beyond D
+    carries at most tol / 100 (each radius is proved so), and err is twice
+    the sum of the quadrature's error and tol / 20.
     """
-    (q1, _), (_, q2) = pair.gram
+    (q1, m), (_, q2) = pair.gram
     if abs(pair.det) < 1e-12 * (1 + abs(q1) + abs(q2)) ** 2:
         raise PreconditionViolation("gram matrix is singular")
     if min(abs(q1), abs(q2)) < 1e-12 * (1 + abs(q1) + abs(q2)):
@@ -249,43 +268,30 @@ def lambda_star(pair: PairConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> Lambda
         raise PreconditionViolation("pair has an isotropic component")
     tol_here = max(spec.abs_tol, 1e-4 * spec.rel_tol)
     abs_tol = max(spec.abs_tol, 1e-9)
-    if q1 > 0 or q2 > 0:
+    if q1 < 0 and q2 < 0 and pair.det > 0:
+        y1, y2 = _crossing_frame(pair.gram)
+        delta, radius = 0.0, _crossing_radius(pair.gram, 0.01 * tol_here)
+    else:
         # The delta term attaches to x2's divisor when Q(x2) > 0, else to
-        # x1's; the frame puts that divisor at i.
-        y1, y2, rho2 = _disc_frame(pair)
+        # x1's; the frame puts that divisor at i.  Two negative vectors here
+        # have geodesics that do not cross: diag(lo, hi) has a positive vector.
+        gram = pair.gram if q1 > 0 or q2 > 0 else np.diag(_eigenvalues(q1, m, q2)).tolist()
+        y1, y2, rho2 = _disc_frame(gram)
         # Coinciding divisors need no test of their own: rho^2 = |det T| / t2,
         # so past the singular-gram check, when both norms are positive,
         # rho^2 >= 1e-12 (1 + q1 + q2)^2 / q2 > 4e-12 q1.
         if rho2 < spec.singular_r_floor:
             raise OnSingularLocus(f"R(x, z) = {rho2} below the underflow floor")
-        delta = beta1(TWO_PI * rho2)
-        # The integrand is even in theta: integrate 0 <= theta <= pi, then double.
-        integrand = _polar_integrand(y1, y2, _log_point_radius(y1, y2, 0.01 * tol_here))
-        box, fold, initial = (0.0, 1.0, 0.0, math.pi), 2, (4, 4)
-    else:
-        # Move y1's geodesic to the imaginary axis by a hyperbolic isometry
-        # (the integral is invariant exactly).
-        lo, hi = sorted(geodesic_endpoints(pair.x1))
-        move = conj_action((1.0, -lo, 0.0, 1.0) if math.isinf(hi) else (1.0, -lo, -1.0, hi))
-        y1, y2 = apply3(move, pair.x1), apply3(move, pair.x2)
-        delta = 0.0
-        # In z = e^s (x + i) the measure is dx ds and x = sinh of the distance
-        # to the imaginary axis, so 1 x 1 start cells are of unit hyperbolic
-        # size where the integrand lives.
-        integrand, box = _box_integrand(y1, y2), _geodesic_box(y1, y2, 0.01 * tol_here)
-        fold, initial = 1, (max(8, math.ceil(box[1] - box[0])), max(6, math.ceil(box[3] - box[2])))
+        delta, radius = beta1(TWO_PI * rho2), _log_point_radius(y1, y2, 0.01 * tol_here)
     try:
+        # Integrate 0 <= theta <= pi, then double.
         value, err = adaptive_integrate(
-            integrand,
-            *box,
-            abs_tol=abs_tol / fold,
-            rel_tol=spec.rel_tol,
-            max_cells=spec.max_cells // fold,
-            initial=initial,
+            _polar_integrand(y1, y2, radius), 0.0, 1.0, 0.0, math.pi,
+            abs_tol=abs_tol / 2, rel_tol=spec.rel_tol, max_cells=spec.max_cells // 2, initial=(4, 4),
         )
     except QuadratureFailure as exc:
         raise QuadratureFailure(f"lambda_star smooth integral: {exc}") from exc
-    return LambdaResult(value=2.0 * (delta + fold * value), err=2.0 * (fold * err + 0.05 * tol_here))
+    return LambdaResult(value=2.0 * (delta + 2 * value), err=2.0 * (2 * err + 0.05 * tol_here))
 
 
 def _log_e1_bound(x: float) -> float:
@@ -339,11 +345,15 @@ def lambda_of_gram(gram, spec: QuadratureSpec = DEFAULT_SPEC) -> LambdaResult:
     and e^{-alpha} e^{-u - beta t} u^{1/2} c^{-3/2} s^{-1/2} / (2 sqrt(pi) t)
     in (0,2).  Each tail below is at most eps = abs_tol / 10^4 by the choice
     of its cut-off U (of u) or T (of t), and the error adds the bound at
-    the cut-off taken.
-    - (1,1), t > T: s <= c and c >= alpha + beta t give
-      s^{1/2} c^{-3/2} <= 1 / (alpha + beta t), and int_0^oo u^{-1/2} e^{-u} =
-      sqrt(pi), so the tail is at most
-      e^{-alpha} log(1 + a / (b T)) / (4 pi a) <= e^{-alpha} / (4 pi b T).
+    the cut-off taken; the (1,1) tail in t has a leading term of known
+    sign, which the value adds, and the error adds the bound of the rest.
+    - (1,1), t > T: g = s^{1/2} c^{-3/2} = s^{-1} (1 + alpha / s)^{-3/2},
+      s >= beta t and (1 + x)^{-3/2} >= 1 - 3x/2 give
+      0 <= 1 / (beta t) - g <= (u + 3 alpha / 2) / (beta t)^2.  With
+      int_0^oo u^{-1/2} e^{-u} du = sqrt(pi) and
+      int_0^oo u^{1/2} e^{-u} du = sqrt(pi) / 2, the tail is
+      -e^{-alpha} / (2 beta T), at most e^{-alpha} / (4 pi b T) in modulus,
+      plus a rest in [0, e^{-alpha} (1 + 3 alpha) / (8 beta^2 T^2)].
     - (1,1), u > U: s^{1/2} c^{-3/2} <= 1/c <= 1/s <= 1 / (2 sqrt(beta t u)),
       int_1^oo t^{-3/2} dt = 2
       and int_U^oo e^{-u} du / u <= e^{-U} / U bound it by
@@ -366,11 +376,7 @@ def lambda_of_gram(gram, spec: QuadratureSpec = DEFAULT_SPEC) -> LambdaResult:
     det = q1 * q2 - m * m
     if abs(det) < 1e-12 * (1 + abs(q1) + abs(q2)) ** 2:
         raise PreconditionViolation("gram matrix is singular")
-    # The eigenvalue of larger modulus without cancellation, the other as det / it.
-    mean = 0.5 * (q1 + q2)
-    radius = math.hypot(0.5 * (q1 - q2), m)
-    big = mean + radius if mean >= 0 else mean - radius
-    lo, hi = sorted((big, det / big))
+    lo, hi = _eigenvalues(q1, m, q2)
     if lo > 0:
         raise PreconditionViolation("a positive definite gram has no pair in signature (1, 2)")
     eps = 1e-4 * spec.abs_tol
@@ -381,8 +387,9 @@ def lambda_of_gram(gram, spec: QuadratureSpec = DEFAULT_SPEC) -> LambdaResult:
         sigma = min(1.0, math.sqrt(beta))
         big_u = max(1.0, -alpha - math.log(2.0 * math.pi * math.sqrt(2.0 * b) * eps))
         tau = max(1.0, -alpha - math.log(4.0 * math.pi * b * eps))
+        tail = -math.exp(-alpha - tau) / (2.0 * beta)
         tails = math.exp(-alpha) * (
-            math.log1p(math.exp(math.log(a / b) - tau)) / (4.0 * math.pi * a)
+            (1.0 + 3.0 * alpha) * math.exp(-2.0 * tau) / (8.0 * beta * beta)
             + math.exp(-big_u) / (2.0 * math.pi * math.sqrt(2.0 * b) * big_u)
         )
 
@@ -396,7 +403,7 @@ def lambda_of_gram(gram, spec: QuadratureSpec = DEFAULT_SPEC) -> LambdaResult:
     else:
         a, b = -hi, -lo
         alpha, beta = TWO_PI * a, TWO_PI * b
-        delta = 0.0
+        delta = tail = 0.0
         sigma = min(1.0, math.sqrt(alpha))
         big_u = max(1.0, -alpha + _log_e1_bound(beta) - math.log(2.0 * _SQRT_PI * eps))
         big_t = max(math.e, (_log_e1_bound(alpha) - math.log(2.0 * _SQRT_PI * beta**1.5 * eps)) / beta)
@@ -428,7 +435,7 @@ def lambda_of_gram(gram, spec: QuadratureSpec = DEFAULT_SPEC) -> LambdaResult:
         )
     except QuadratureFailure as exc:
         raise QuadratureFailure(f"lambda_of_gram: {exc}") from exc
-    return LambdaResult(value=2.0 * (delta + value), err=2.0 * (err + tails))
+    return LambdaResult(value=2.0 * (delta + value + tail), err=2.0 * (err + tails))
 
 
 def z_hat_indefinite(

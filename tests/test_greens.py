@@ -31,7 +31,6 @@ from ariththeta.greens import (
     big_xi,
     cm_point,
     ddc_xi_vec,
-    geodesic_endpoints,
     r_value,
     xi,
 )
@@ -235,11 +234,9 @@ def test_r_isometry_invariance():
         assert abs(r0 - r1) <= 1e-10 * (1 + r0)
 
 
-def test_cm_point_and_geodesics():
+def test_cm_point():
     p = cm_point(CM_VECTOR)
     assert abs(p.u) < 1e-15 and abs(p.v - 1) < 1e-15
-    ends = geodesic_endpoints((1.0, 0.0, 0.0))  # Q = -1, imaginary axis
-    assert ends == (0.0, math.inf) or ends[0] == 0.0
     with pytest.raises(PreconditionViolation):
         cm_point((1.0, 0.0, 0.0))
 

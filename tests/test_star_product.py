@@ -214,16 +214,17 @@ ORACLE_PAIRS = [
 ]
 
 
-def _drawn_pairs(seed: int, per_kind: int = 2) -> list:
-    """The first random_pair draws with two positive norms and with one."""
+def _drawn_pairs(seed: int, per_kind: int = 2, geometry: int | None = None) -> list:
+    """The first random_pair draws with two positive norms and with one, or
+    with the given number of positive norms alone."""
     rng = random.Random(seed)
-    kinds = {2: [], 1: []}
+    kinds = {2: [], 1: []} if geometry is None else {geometry: []}
     while min(len(v) for v in kinds.values()) < per_kind:
         pair = checks.random_pair(rng)
         positives = (pair.gram[0][0] > 0) + (pair.gram[1][1] > 0)
         if positives in kinds and len(kinds[positives]) < per_kind:
             kinds[positives].append(pair)
-    return kinds[2] + kinds[1]
+    return [pair for kind in sorted(kinds, reverse=True) for pair in kinds[kind]]
 
 
 @pytest.mark.parametrize("vectors,documented", ORACLE_PAIRS)
@@ -242,27 +243,41 @@ def test_drawn_pairs_within_their_error_of_the_polar_oracle(spec):
 
 
 # Seeded disc pairs, CM-CM then CM-geodesic, each in both orders, so that
-# either entry carries the delta term.
+# either entry carries the delta term; then pairs of two negative vectors
+# whose geodesics cross, each in both orders.
 FRAME_PAIRS = [p for pair in _drawn_pairs(53) for p in (pair, PairConfig(pair.x2, pair.x1))]
+CROSSING_PAIRS = [p for pair in _drawn_pairs(53, geometry=0) for p in (pair, PairConfig(pair.x2, pair.x1))]
 
 
-@pytest.mark.parametrize("pair", FRAME_PAIRS)
+@pytest.mark.parametrize("pair", FRAME_PAIRS + CROSSING_PAIRS)
 def test_disc_frame_is_even_and_its_half_box_doubles(pair, spec, monkeypatch):
-    y1, y2, rho2 = starprod._disc_frame(pair)
-    assert y1[0] == 0.0 and y2[0] == 0.0
     (q1, m), (_, q2) = pair.gram
-    want = ((q1, m), (m, q2)) if q2 > 0 else ((q2, m), (m, q1))
-    got = PairConfig.from_vectors(y1, y2).gram
-    scale = 1 + abs(q1) + abs(q2) + abs(m)
-    assert np.allclose(got, want, rtol=0.0, atol=1e-14 * scale), (got, want)
-    assert rho2 == pytest.approx(_r(y1, 0.0, 1.0), rel=1e-13)
-    # The polar integrand is even in theta, on the whole disc and near i.
-    radius = starprod._log_point_radius(y1, y2, 0.01 * spec.abs_tol)
-    integrand = starprod._polar_integrand(y1, y2, radius)
     rng = np.random.default_rng(7)
     s = np.concatenate([rng.uniform(0.0, 1.0, 500), rng.uniform(0.0, 0.1, 500)])
     theta = rng.uniform(0.0, math.pi, 1000)
-    assert np.array_equal(integrand(s, theta), integrand(s, -theta))
+    if q1 < 0 and q2 < 0:
+        y1, y2 = starprod._crossing_frame(pair.gram)
+        want = pair.gram
+        # Both geodesics pass through i, where R = -Q is least.
+        assert _r(y1, 0.0, 1.0) == pytest.approx(-q1, rel=1e-13)
+        assert _r(y2, 0.0, 1.0) == pytest.approx(-q2, rel=1e-13)
+        radius = starprod._crossing_radius(pair.gram, 0.01 * spec.abs_tol)
+        integrand = starprod._polar_integrand(y1, y2, radius)
+        # The half-turn about i is theta -> theta + pi: period pi, up to the
+        # rounding of cos(theta + pi).
+        assert np.allclose(integrand(s, theta + math.pi), integrand(s, theta), rtol=1e-9, atol=0.0)
+    else:
+        y1, y2, rho2 = starprod._disc_frame(pair.gram)
+        assert y1[0] == 0.0 and y2[0] == 0.0
+        want = ((q1, m), (m, q2)) if q2 > 0 else ((q2, m), (m, q1))
+        assert rho2 == pytest.approx(_r(y1, 0.0, 1.0), rel=1e-13)
+        # The polar integrand is even in theta, on the whole disc and near i.
+        radius = starprod._log_point_radius(y1, y2, 0.01 * spec.abs_tol)
+        integrand = starprod._polar_integrand(y1, y2, radius)
+        assert np.array_equal(integrand(s, theta), integrand(s, -theta))
+    got = PairConfig.from_vectors(y1, y2).gram
+    scale = 1 + abs(q1) + abs(q2) + abs(m)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-14 * scale), (got, want)
     # lambda_star's half box 0 <= theta <= pi in (s, theta), doubled,
     # against the full circle 0 <= theta <= 2 pi.
     halves = []
@@ -302,6 +317,29 @@ def test_geodesic_pair_within_its_error_of_the_polar_oracle(vectors, spec):
     ref = geodesic_reference(*vectors)
     res = lambda_star(PairConfig.from_vectors(*vectors), spec)
     assert abs(res.value - ref) <= res.err
+
+
+# Pairs of negative vectors whose geodesics do not cross, by the endpoints
+# and norms of each: two side by side, then one inside the other, both near
+# enough for a value of order 1e-3.  Their gram has signature (1,1) with
+# both norms negative.
+ULTRAPARALLEL_PAIRS = [
+    (checks.vector_with_geodesic(-1.5, -0.1, -0.3), checks.vector_with_geodesic(0.1, 1.6, -0.35)),
+    (checks.vector_with_geodesic(-2.0, 2.0, -0.3), checks.vector_with_geodesic(-1.2, 1.0, -0.25)),
+]
+
+
+@pytest.mark.parametrize("vectors", ULTRAPARALLEL_PAIRS)
+def test_ultraparallel_pair_within_its_error_of_the_oracles(vectors, spec):
+    for x1, x2 in (vectors, vectors[::-1]):
+        pair = PairConfig.from_vectors(x1, x2)
+        (q1, _), (_, q2) = pair.gram
+        assert q1 < 0 and q2 < 0 and pair.det < 0
+        res = lambda_star(pair, spec)
+        ref = geodesic_reference(x1, x2)
+        assert abs(res.value - ref) <= res.err, (res, ref)
+        formula = lambda_of_gram(pair.gram, spec)
+        assert abs(res.value - formula.value) <= res.err + formula.err, (res, formula)
 
 
 def _k_lambda_star(t, v, root, spec):
@@ -561,8 +599,8 @@ def test_lambda_of_gram_preconditions(gram, spec):
 PINNED_WORK = {
     "cm-cm": ([2560], 0.16824952470535462),
     "cm-geodesic": ([1280], 0.010261227234873722),
-    "geodesic-geodesic": ([3840], -4.4948533014605066e-11),
-    "z_hat": ([1280], 0.004652082601014367),
+    "geodesic-geodesic": ([1280], -9.128448032561814e-11),
+    "z_hat": ([1280], 0.004652082441014367),
 }
 
 
