@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Sweep a star-product height over a one-parameter family of rotations.
 
-The value should be flat across the sweep; the printed deviation column makes
-drift obvious.  Usage: python scripts/lambda_invariance.py [n_steps] [seed]
+Each row is lambda_star of the rotated pair, by the 2-D route, beside its
+deviation from lambda_of_gram of the pair's gram, the formula in the gram's
+eigenvalues, and its error bar; a deviation above the summed error bars
+shows at a glance.  Usage: python scripts/lambda_invariance.py [n_steps] [seed]
 """
 
 import math
@@ -13,7 +15,7 @@ import numpy as np
 
 from ariththeta import checks
 from ariththeta.greens import QuadratureSpec
-from ariththeta.starprod import lambda_star
+from ariththeta.starprod import lambda_of_gram, lambda_star
 
 
 def main() -> None:
@@ -22,15 +24,15 @@ def main() -> None:
     rng = random.Random(seed)
     spec = QuadratureSpec()
     pair = checks.random_pair(rng)
-    base = lambda_star(pair, spec)
+    base = lambda_of_gram(pair.gram, spec)
     print(f"base pair gram = {pair.gram}")
-    print(f"{'theta':>8}  {'Lambda':>14}  {'|delta|':>10}")
-    print(f"{0.0:8.4f}  {base.value:14.8f}  {0.0:10.2e}")
-    for k in range(1, n + 1):
+    print(f"lambda_of_gram = {base.value:.8f} (err {base.err:.2e})")
+    print(f"{'theta':>8}  {'Lambda':>14}  {'|delta|':>10}  {'err':>10}")
+    for k in range(n + 1):
         th = 2 * math.pi * k / (n + 1)
         rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
         moved = lambda_star(checks.rotate_pair(pair, rot), spec)
-        print(f"{th:8.4f}  {moved.value:14.8f}  {abs(moved.value - base.value):10.2e}")
+        print(f"{th:8.4f}  {moved.value:14.8f}  {abs(moved.value - base.value):10.2e}  {moved.err:10.2e}")
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -33,8 +34,10 @@ def _emit(args, op: str, rows) -> None:
 
 
 def _numbers(kind, count: int, positive_definite: bool = False):
-    """argparse type: exactly `count` comma-separated values of `kind`,
-    with positive_definite forming a positive definite matrix "a,b,c" = ((a, b), (b, c))."""
+    """argparse type: exactly `count` comma-separated values of `kind`, finite
+    floats for float, with positive_definite forming a positive definite matrix
+    "a,b,c" = ((a, b), (b, c))."""
+    finite = "finite " if kind is float else ""
     shape = " forming a positive definite matrix" if positive_definite else ""
 
     def parse(text: str) -> tuple:
@@ -43,12 +46,14 @@ def _numbers(kind, count: int, positive_definite: bool = False):
             if len(parts) != count:
                 raise ValueError
             values = tuple(kind(c) for c in parts)
+            if finite and not all(map(math.isfinite, values)):
+                raise ValueError
             if positive_definite and not (values[0] > 0 and values[0] * values[2] > values[1] ** 2):
                 raise ValueError
             return values
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"expected {count} comma-separated {kind.__name__}s{shape}, got {text!r}"
+                f"expected {count} comma-separated {finite}{kind.__name__}s{shape}, got {text!r}"
             ) from None
 
     return parse

@@ -53,10 +53,6 @@ class SingularEvaluation(ArithThetaError):
     """A truncated Green-function sum met a lattice vector whose divisor contains z."""
 
 
-class SingularConfiguration(ArithThetaError):
-    """Star product demanded for two Green functions with a common divisor."""
-
-
 class QuadratureFailure(ArithThetaError):
     """Adaptive quadrature could not certify the requested tolerance."""
 

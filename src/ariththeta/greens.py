@@ -176,10 +176,10 @@ def beta1_vec(r: np.ndarray) -> np.ndarray:
     that is not > 0, NaN included, raises NonpositiveArgument.
 
     This kernel is for quadrature batches.  Every lambda_star call starts
-    from its polar start grid of 4 x 4 cells, 1,280 points evaluated as
-    one batch, and the median call in the heights benchmark stops there:
-    on a 2-core x86-64 host such a batch takes 0.055 to 0.056 ms, while
-    one point alone takes 43 to 64 us.
+    from its polar start grid of 4 x 2 cells, 640 points evaluated as one
+    batch, and every call in the heights benchmark stops there: on a
+    2-core x86-64 host such a batch takes 0.044 ms, while one point alone
+    takes 41 us.
     So big_xi and xi, a few terms per call, use the scalar beta1, which
     takes 0.8 to 1.1 us a call on r in [12.6, 40].  mpmath is the oracle of
     both kernels.

@@ -10,21 +10,12 @@ at the divisor of x2 when Q(x2) > 0 (attached to x1's divisor instead when
 only Q(x1) > 0, and absent when both norms are negative).  Both sheets of D
 contribute; for real vectors they agree, hence the overall factor 2.
 
-Lambda depends on the pair only through its gram, so every pair is
-integrated in a frame written from its gram alone, with a special point at
-i: the log point of xi of the positive vector (_disc_frame, both vectors
-with alpha = 0), or the crossing point of two geodesics (_crossing_frame).
-Two negative vectors whose geodesics do not cross are replaced by the gram
-diag(-a, b) of their eigenvalues, since Lambda is O(2)-invariant, and that
-has a positive vector.  The integrand f is then integrated once, in
-geodesic polar coordinates (r, theta) about i, over the disc r <= D whose
-exterior holds a proved share of the tolerance (_log_point_radius,
-_crossing_radius).  r = D s^2 makes the r log r of xi at i smooth in s.
-In the disc frame f is even under z -> -conj(z), which is
-theta -> -theta; in the crossing frame the half-turn about i, which is
-theta -> theta + pi, maps each vector to its negative, so f has period pi.
-Either way the box [0, 1] x [0, pi] in (s, theta) is integrated and
-doubled.
+Lambda depends on the pair only through its gram and is invariant under
+O(2) rotations of the pair, so lambda_star integrates every pair as the
+orthogonal pair of its gram's eigenvalues, with the CM point of its positive
+vector or the crossing point of its geodesics at i: once, in geodesic polar
+coordinates about i, over a quarter of the disc r <= D whose exterior holds
+a proved share of the tolerance.
 
 The archimedean class z_hat(T, v) sums Lambda(x . a) over the unit-group
 orbits of pairs x with gram T, where v = a a^T.  Every x . a has the gram
@@ -116,36 +107,36 @@ class ZhatResult:
         return self.value
 
 
-def _log_point_radius(y1: Vec3, y2: Vec3, eps: float) -> float:
+def _log_point_radius(a: float, b: float, eps: float) -> float:
     """Radius D of the ball B(i, D) outside which the integral of
-    |omega(y1) xi(y2)| is at most eps, when xi(y2) has its log point at i.
+    |omega(y1) xi(y2)| is at most eps, for Q(y1) = -a < 0 and Q(y2) = b > 0
+    with the log point of xi(y2) at i.
 
-    |omega(y1)| <= M = 2 |Q(y1)| + 0.3 (the density is e^{-2 pi R} times
+    |omega(y1)| <= M = 2 a + 0.3 (the density is e^{-2 pi R} times
     2 (R + Q) - 1/(2 pi), and 2 R e^{-2 pi R} <= 1/(pi e)), and
-    xi(y2) = E_1(a sinh^2 d) with a = 2 pi Q(y2).  With E_1(x) <= e^{-x}/x,
+    xi(y2) = E_1(c sinh^2 d) with c = 2 pi b.  With E_1(x) <= e^{-x}/x,
     Y = sinh D >= 1 and sinh d dd <= d(sinh d), the mass beyond D is at most
-    M pi e^{-a Y^2} / (a^2 Y^2), which is below eps once
-    a Y^2 >= log(M pi / (a^2 eps)).
+    M pi e^{-c Y^2} / (c^2 Y^2), which is below eps once
+    c Y^2 >= log(M pi / (c^2 eps)).
     """
-    m = 2.0 * abs(q_value(y1)) + 0.3
-    a = TWO_PI * q_value(y2)
-    return math.asinh(math.sqrt(max(1.0, math.log(m * math.pi / (a * a * eps)) / a)))
+    m = 2.0 * a + 0.3
+    c = TWO_PI * b
+    return math.asinh(math.sqrt(max(1.0, math.log(m * math.pi / (c * c * eps)) / c)))
 
 
-def _crossing_radius(gram, eps: float) -> float:
+def _crossing_radius(a: float, b: float, eps: float) -> float:
     """Radius D of the ball B(i, D) outside which the integral of
-    |omega(y1) xi(y2)| is at most eps, in the _crossing_frame of the gram.
+    |omega(y1) xi(y2)| is at most eps, for Q(y1) = -a, Q(y2) = -b and
+    geodesics that cross at i at a right angle (lambda_star's frame).
 
-    A negative vector y whose geodesic passes through i at the angle phi
-    has R(y) = |Q(y)| cosh^2 d = |Q(y)| (1 + X) at distance d from it, with
-    X = sinh^2 d = sinh^2 r sin^2(theta - phi) at (r, theta) (a right
-    triangle).  The geodesics meet at the angle of y1 and y2 in their
-    negative plane, of cosine +-m / sqrt(t1 t2), and sin^2 t + sin^2(t - phi)
-    = 1 - cos phi cos(2 t - phi), so X1 + X2 >= kappa sinh^2 r with
-    kappa = 1 - |m| / sqrt(t1 t2) > 0.  With a_k = 2 pi |t_k|,
-    |omega(y1)| <= e^{-a1 (1 + X1)} (2 |t1| X1 + 1/(2 pi)) and
+    At (r, theta), R(y1) = a (1 + X1) and R(y2) = b (1 + X2) with X1, X2 the
+    squares p^2, q^2 of sinh r sin theta and sinh r cos theta in some
+    order (a negative vector has R = |Q| cosh^2 d at distance d from its
+    geodesic, and sinh d = sinh r |sin| of the angle from it, a right
+    triangle), so X1 + X2 = sinh^2 r exactly.  With a1 = 2 pi a,
+    a2 = 2 pi b, |omega(y1)| <= e^{-a1 (1 + X1)} (2 a X1 + 1/(2 pi)) and
     xi(y2) <= e^{-a2 (1 + X2)} / a2 (E_1(x) <= e^{-x}/x); so with
-    y = sinh r, X1 <= y^2 and c = kappa min(a1, a2),
+    y = sinh r, X1 <= y^2 and c = min(a1, a2),
     |omega(y1) xi(y2)| <= e^{-a1 - a2} (1/2 + a1 y^2) e^{-c y^2} / (pi a2).
     With sinh r dr <= dy, Y = sinh D >= 1, int_Y^oo e^{-c y^2} dy <=
     e^{-c Y^2} / (2 c) and int_Y^oo y^2 e^{-c y^2} dy <=
@@ -156,9 +147,8 @@ def _crossing_radius(gram, eps: float) -> float:
     where c - 1 / (2 x0) >= c / 2, that holds once
     (c - 1 / (2 x0)) Y^2 >= L + (log x0 - 1) / 2.
     """
-    (t1, m), (_, t2) = gram
-    a1, a2 = TWO_PI * -t1, TWO_PI * -t2
-    c = (1.0 - abs(m) / math.sqrt(t1 * t2)) * min(a1, a2)
+    a1, a2 = TWO_PI * a, TWO_PI * b
+    c = min(a1, a2)
     big_l = -a1 - a2 + math.log((1.0 + 2.0 * a1 + a1 / c) / (2.0 * a2 * c * eps))
     x0 = max(1.0, big_l) / c
     return math.asinh(math.sqrt(max(1.0, (big_l + 0.5 * (math.log(x0) - 1.0)) / (c - 0.5 / x0))))
@@ -169,43 +159,6 @@ def _eigenvalues(q1: float, m: float, q2: float) -> list[float]:
     mean, radius = 0.5 * (q1 + q2), math.hypot(0.5 * (q1 - q2), m)
     big = mean + radius if mean >= 0 else mean - radius
     return sorted((big, (q1 * q2 - m * m) / big))
-
-
-def _disc_frame(gram) -> tuple[Vec3, Vec3, float]:
-    """(y1, y2, rho^2): a pair with a positive vector, written anew from its gram alone.
-
-    y2 is the positive vector that carries the delta term (x2 when
-    Q(x2) > 0, else x1) and y1 the other, with gram ((t1, m), (m, t2)) in
-    that order: y2 = (0, -s, s) with s = sqrt(t2), whose log point is i, and
-    y1 = (0, rho + c, rho - c) with c = -m / s and
-    rho^2 = (m^2 - t1 t2) / t2 = -det T / t2 > 0, since a plane holding a
-    positive vector has det T < 0 in signature (1, 2).  rho^2 = R(y1, i).
-    Both have alpha = 0, so both R's are even under z -> -conj(z), which
-    is theta -> -theta in polar coordinates about i:
-    R((alpha, beta, gamma), -conj(z)) = R((-alpha, beta, gamma), z).
-    """
-    (q1, m), (_, q2) = gram
-    t1, t2 = (q1, q2) if q2 > 0 else (q2, q1)
-    s, rho2 = math.sqrt(t2), (m * m - t1 * t2) / t2
-    rho, c = math.sqrt(rho2), -m / s
-    return (0.0, rho + c, rho - c), (0.0, -s, s), rho2
-
-
-def _crossing_frame(gram) -> tuple[Vec3, Vec3]:
-    """(y1, y2): two negative vectors whose geodesics cross (t1, t2 < 0 < det T),
-    written anew from their gram alone.
-
-    y1 = (0, s, s), s = sqrt(-t1), and y2 = (mu, nu, nu), nu = -m / s and
-    mu = sqrt(det T / -t1), have Q(y1) = t1, (y1, y2) / 2 = -s nu = m and
-    Q(y2) = -mu^2 - nu^2 = t2.  R((alpha, beta, gamma), i) + Q = (beta - gamma)^2 / 4
-    is 0 for both, so both geodesics pass through i.  The half-turn
-    z -> -1/z, theta -> theta + pi about i, maps (alpha, beta, gamma) to
-    (-alpha, -gamma, -beta), so y_k to -y_k, and R(-y, z) = R(y, z): the
-    integrand has period pi in theta.
-    """
-    (t1, m), (_, t2) = gram
-    s = math.sqrt(-t1)
-    return (0.0, s, s), (math.sqrt((t1 * t2 - m * m) / -t1), -m / s, -m / s)
 
 
 def _polar_integrand(y1: Vec3, y2: Vec3, radius: float):
@@ -234,64 +187,62 @@ def _polar_integrand(y1: Vec3, y2: Vec3, radius: float):
 def lambda_star(pair: PairConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> LambdaResult:
     """Archimedean height Lambda of a nonsingular pair, with an error estimate.
 
-    Invariant under O(2) rotations of the pair and symmetric in its two
-    entries, and depends on the pair only through its gram matrix; those
-    properties are the calibration suite for this routine.
-
-    The pair is written anew in a frame built from its gram, with a special
-    point at i, and omega(y1) xi(y2) sinh r is integrated over
-    0 <= r <= D, 0 <= theta <= pi in r = D s^2, by one adaptive integral
-    from a 4 x 4 start grid to half the absolute tolerance and half the
-    cells, with the same relative tolerance, so that twice its value and
-    error stop by the full circle's rule: the half circle, doubled, is the
-    whole disc, since the integrand is even in theta (_disc_frame) or has
-    period pi (_crossing_frame).  The frames:
-    - a pair with a positive vector: _disc_frame, with its log point at i,
-      the delta term xi(y1) at i, E_1(2 pi rho^2), and _log_point_radius;
-    - two negative vectors whose geodesics cross (det T > 0):
-      _crossing_frame, with no delta term, and _crossing_radius;
-    - two whose geodesics do not cross (det T < 0): Lambda is
-      O(2)-invariant, so _disc_frame of the gram diag(-a, b) of its
-      eigenvalues.  (Geodesics with a shared endpoint span a plane that
-      holds an isotropic vector: their gram is singular, and refused.)
-    With tol = max(abs_tol, 1e-4 rel_tol), the part of the plane beyond D
-    carries at most tol / 100 (each radius is proved so), and err is twice
-    the sum of the quadrature's error and tol / 20.
+    Lambda depends on the pair only through its gram, is O(2)-invariant and
+    is symmetric in its entries, so the pair is replaced by the orthogonal
+    pair with gram diag(lo, hi), the gram's eigenvalues (lambda_of_gram's
+    frame): y1 = (0, sqrt(a), sqrt(a)), a = -lo, whose geodesic |z| = 1
+    passes through i, and
+    - if hi > 0 (every pair with a positive vector, and two negative vectors
+      whose geodesics do not cross), y2 = (0, -sqrt(b), sqrt(b)), b = hi,
+      whose CM point is i: the delta term is xi(y1)(i) = E_1(2 pi a), and D
+      is _log_point_radius;
+    - if hi < 0, y2 = (sqrt(b), 0, 0), b = -hi, whose geodesic u = 0 crosses
+      y1's at i at a right angle: no delta term, and D is _crossing_radius.
+    omega(y1) xi(y2) sinh r is integrated over r <= D in geodesic polar
+    coordinates (r, theta) about i, r = D s^2.  Both R's are even in u and
+    invariant under z -> 1/conj(z), which are theta -> -theta and
+    theta -> pi - theta, so one adaptive integral takes the quarter
+    [0, 1] x [0, pi/2] of (s, theta) from a 4 x 2 start grid to a quarter of
+    the absolute tolerance and of the cells, with the same relative
+    tolerance, and counts it four times: four times its value and error stop
+    by the full circle's rule.  With tol = max(abs_tol, 1e-4 rel_tol), the
+    plane beyond D carries at most tol / 100 (each radius is proved so), and
+    err is twice the sum of the quadrature's error and tol / 20.
     """
     (q1, m), (_, q2) = pair.gram
-    if abs(pair.det) < 1e-12 * (1 + abs(q1) + abs(q2)) ** 2:
+    if not all(map(math.isfinite, (q1, m, q2, pair.det))):
+        raise PreconditionViolation(f"gram and its determinant must be finite, got {pair.gram!r}")
+    scale = 1 + abs(q1) + abs(q2)
+    # A product, as in lambda_of_gram: a float power raises OverflowError where it reads inf.
+    if abs(pair.det) < 1e-12 * scale * scale:
         raise PreconditionViolation("gram matrix is singular")
-    if min(abs(q1), abs(q2)) < 1e-12 * (1 + abs(q1) + abs(q2)):
+    if min(abs(q1), abs(q2)) < 1e-12 * scale:
         # xi is a Green function only for anisotropic vectors; an isotropic
         # component can be avoided by scaling the pair (e.g. by a square root
         # of a generic v), never by this routine.
         raise PreconditionViolation("pair has an isotropic component")
     tol_here = max(spec.abs_tol, 1e-4 * spec.rel_tol)
     abs_tol = max(spec.abs_tol, 1e-9)
-    if q1 < 0 and q2 < 0 and pair.det > 0:
-        y1, y2 = _crossing_frame(pair.gram)
-        delta, radius = 0.0, _crossing_radius(pair.gram, 0.01 * tol_here)
+    lo, hi = _eigenvalues(q1, m, q2)
+    a, b = -lo, abs(hi)
+    y1 = (0.0, math.sqrt(a), math.sqrt(a))
+    if hi > 0:
+        # a = R(y1, i) = |det T| / hi.
+        if a < spec.singular_r_floor:
+            raise OnSingularLocus(f"R(x, z) = {a} below the underflow floor")
+        y2 = (0.0, -math.sqrt(b), math.sqrt(b))
+        delta, radius = beta1(TWO_PI * a), _log_point_radius(a, b, 0.01 * tol_here)
     else:
-        # The delta term attaches to x2's divisor when Q(x2) > 0, else to
-        # x1's; the frame puts that divisor at i.  Two negative vectors here
-        # have geodesics that do not cross: diag(lo, hi) has a positive vector.
-        gram = pair.gram if q1 > 0 or q2 > 0 else np.diag(_eigenvalues(q1, m, q2)).tolist()
-        y1, y2, rho2 = _disc_frame(gram)
-        # Coinciding divisors need no test of their own: rho^2 = |det T| / t2,
-        # so past the singular-gram check, when both norms are positive,
-        # rho^2 >= 1e-12 (1 + q1 + q2)^2 / q2 > 4e-12 q1.
-        if rho2 < spec.singular_r_floor:
-            raise OnSingularLocus(f"R(x, z) = {rho2} below the underflow floor")
-        delta, radius = beta1(TWO_PI * rho2), _log_point_radius(y1, y2, 0.01 * tol_here)
+        y2 = (math.sqrt(b), 0.0, 0.0)
+        delta, radius = 0.0, _crossing_radius(a, b, 0.01 * tol_here)
     try:
-        # Integrate 0 <= theta <= pi, then double.
         value, err = adaptive_integrate(
-            _polar_integrand(y1, y2, radius), 0.0, 1.0, 0.0, math.pi,
-            abs_tol=abs_tol / 2, rel_tol=spec.rel_tol, max_cells=spec.max_cells // 2, initial=(4, 4),
+            _polar_integrand(y1, y2, radius), 0.0, 1.0, 0.0, 0.5 * math.pi,
+            abs_tol=abs_tol / 4, rel_tol=spec.rel_tol, max_cells=spec.max_cells // 4, initial=(4, 2),
         )
     except QuadratureFailure as exc:
         raise QuadratureFailure(f"lambda_star smooth integral: {exc}") from exc
-    return LambdaResult(value=2.0 * (delta + 2 * value), err=2.0 * (2 * err + 0.05 * tol_here))
+    return LambdaResult(value=2.0 * (delta + 4 * value), err=2.0 * (4 * err + 0.05 * tol_here))
 
 
 def _log_e1_bound(x: float) -> float:
@@ -305,12 +256,12 @@ def lambda_of_gram(gram, spec: QuadratureSpec = DEFAULT_SPEC) -> LambdaResult:
 
     Lambda depends on a pair only through its gram S and is invariant under
     O(2) rotations of the pair, so Lambda(S) = Lambda(diag(l1, l2)) with l1,
-    l2 the eigenvalues of S.  Put the orthogonal pair so that the CM point
-    of its positive vector (signature (1,1)) or the crossing point of its
-    two geodesics ((0,2)) is i, and take geodesic polar coordinates
-    (r, theta) about i with p = sinh r sin theta, q = sinh r cos theta;
-    then dmu = dp dq / sqrt(1 + p^2 + q^2) and, with y2 the vector that
-    carries the delta term,
+    l2 the eigenvalues of S.  Put the orthogonal pair as lambda_star does,
+    so that the CM point of its positive vector (signature (1,1)) or the
+    crossing point of its two geodesics ((0,2)) is i, and take geodesic
+    polar coordinates (r, theta) about i with p = sinh r sin theta,
+    q = sinh r cos theta; then dmu = dp dq / sqrt(1 + p^2 + q^2) and, with
+    y2 the vector that carries the delta term,
 
         (1,1), eigenvalues -a < 0 < b:  R(y1) = a (1 + p^2), R(y2) = b (p^2 + q^2);
         (0,2), eigenvalues -a, -b:      R(y1) = a (1 + p^2), R(y2) = b (1 + q^2).
@@ -374,7 +325,9 @@ def lambda_of_gram(gram, spec: QuadratureSpec = DEFAULT_SPEC) -> LambdaResult:
         raise PreconditionViolation(f"gram must be finite and symmetric, got {gram!r}")
     m = 0.5 * (m + m_low)
     det = q1 * q2 - m * m
-    if abs(det) < 1e-12 * (1 + abs(q1) + abs(q2)) ** 2:
+    if not math.isfinite(det):
+        raise PreconditionViolation(f"the determinant of the gram must be finite, got {gram!r}")
+    if abs(det) < 1e-12 * (1 + abs(q1) + abs(q2)) * (1 + abs(q1) + abs(q2)):
         raise PreconditionViolation("gram matrix is singular")
     lo, hi = _eigenvalues(q1, m, q2)
     if lo > 0:

@@ -98,7 +98,7 @@ def test_criterion_4_o2_invariance(lat_d1, spec):
     _report(
         4,
         not bad and elapsed < 600.0,
-        f"20 rotation instances within 5e-3 (1 + |L|) in {elapsed:.1f}s",
+        f"20 rotation instances within the summed error bars of lambda_of_gram in {elapsed:.1f}s",
     )
 
 

@@ -72,6 +72,13 @@ def test_lambda_cli(capsys):
     assert "err <=" in out
 
 
+def test_lambda_cli_weight_beyond_float_range_is_a_typed_error(capsys):
+    # v = 1e200 I moves the pair to norms of about 1e200, whose gram's
+    # determinant is beyond float range.
+    assert main(["lambda", "--x1", "1,0,0", "--x2", "0,1,-1", "--v", "1e200,0,1e200"]) == 1
+    assert "PreconditionViolation" in capsys.readouterr().err
+
+
 def test_lambda_cli_with_weight(capsys, lat_d1):
     # --v moves the pair to [x1 x2] a for the square root a of v; scipy's
     # sqrtm gives the same root, so the same height to the printed digits.
@@ -169,6 +176,8 @@ def test_usage_error_exit_2():
         ["hurwitz", "--n", "-3"],
         ["classify", "--T", "1,2,1", "--D", "6"],
         ["lambda", "--x1", "0,1,1", "--x2", "1,0,0", "--v", "1,2,1"],
+        ["lambda", "--x1", "1,0,0", "--x2", "0,1,-1", "--v", "inf,0,1"],
+        ["lambda", "--x1", "1,0,0", "--x2", "0,1,-1", "--v", "1,0,inf"],
         ["theta-deg", "--max-t", "-3"],
         ["theta-deg", "--max-t", "2", "--v", "1"],
         ["green", "--t", "-1", "--v", "-1", "--z", "0,1"],

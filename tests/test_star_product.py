@@ -14,11 +14,7 @@ from scipy.special import exp1
 
 import ariththeta as at
 from ariththeta import checks
-from ariththeta.errors import (
-    PreconditionViolation,
-    SingularConfiguration,
-    UnsupportedDiscriminant,
-)
+from ariththeta.errors import PreconditionViolation, UnsupportedDiscriminant
 from ariththeta import starprod
 from ariththeta.greens import QuadratureSpec
 from ariththeta.splitorbits import pair_action, pair_orbit_reps
@@ -41,7 +37,7 @@ def test_lambda_singular_configuration(spec):
     x1 = (0.0, 1.0, -1.0)
     x2 = (0.0, 2.0, -2.0)
     pair = PairConfig(x1=x1, x2=x2)
-    with pytest.raises((SingularConfiguration, PreconditionViolation)):
+    with pytest.raises(PreconditionViolation):
         lambda_star(pair, spec)
 
 
@@ -66,14 +62,18 @@ def test_lambda_mixed_and_negative_signatures(spec):
     assert math.isfinite(r3.value)
 
 
+# lambda_star computes a pair and its rotations and conjugates in one frame,
+# so these compare it with lambda_of_gram, the formula in the eigenvalues.
+
+
 def test_lambda_rotation_instances(spec):
     rng = random.Random(2024)
     for _ in range(6):
         pair = checks.random_pair(rng)
         rot = checks.random_rotation(rng)
-        base = lambda_star(pair, spec)
+        base = lambda_of_gram(pair.gram, spec)
         moved = lambda_star(checks.rotate_pair(pair, rot), spec)
-        assert abs(moved.value - base.value) <= 5e-3 * (1 + abs(base.value))
+        assert abs(moved.value - base.value) <= moved.err + base.err
 
 
 def test_lambda_depends_only_on_gram(spec):
@@ -81,7 +81,7 @@ def test_lambda_depends_only_on_gram(spec):
     for _ in range(6):
         pair = checks.random_pair(rng)
         other = checks.conjugate_pair(pair, rng)
-        a = lambda_star(pair, spec)
+        a = lambda_of_gram(pair.gram, spec)
         b = lambda_star(other, spec)
         assert abs(a.value - b.value) <= a.err + b.err
 
@@ -235,67 +235,99 @@ def test_lambda_within_its_error_of_the_polar_oracle(vectors, documented, spec):
     assert abs(res.value - ref) <= res.err
 
 
+def _reference(pair) -> float:
+    """polar_reference of a pair with a positive vector, else geodesic_reference."""
+    (q1, _), (_, q2) = pair.gram
+    return (polar_reference if q1 > 0 or q2 > 0 else geodesic_reference)(pair.x1, pair.x2)
+
+
 def test_drawn_pairs_within_their_error_of_the_polar_oracle(spec):
-    for pair in _drawn_pairs(31) + _drawn_pairs(47, per_kind=1):
-        ref = polar_reference(pair.x1, pair.x2)
-        res = lambda_star(pair, spec)
-        assert abs(res.value - ref) <= res.err, (pair, res, ref)
+    # lambda_star computes a pair and every partner with its gram's
+    # eigenvalues in one frame, while the scipy oracles integrate in the
+    # partner's own coordinates: they carry the O(2), swap and gram-only
+    # claims.  An oracle call takes about 0.15 s, so each drawn pair has one
+    # partner, rotated, swapped and conjugated in turn, and the pair and the
+    # partner are both compared with the partner's oracle; then two drawn
+    # pairs of crossing geodesics with their own.
+    rng = random.Random(59)
+    kinds = (
+        lambda pair: checks.rotate_pair(pair, checks.random_rotation(rng)),
+        lambda pair: PairConfig(pair.x2, pair.x1),
+        lambda pair: checks.conjugate_pair(pair, rng),
+    )
+    drawn = _drawn_pairs(31) + _drawn_pairs(47, per_kind=1)
+    cases = [(pair, kinds[k % 3](pair)) for k, pair in enumerate(drawn)]
+    for pair, partner in cases + [(pair, pair) for pair in _drawn_pairs(61, geometry=0)]:
+        ref = _reference(partner)
+        for p in (pair, partner):
+            res = lambda_star(p, spec)
+            assert abs(res.value - ref) <= res.err, (p, res, ref)
 
 
-# Seeded disc pairs, CM-CM then CM-geodesic, each in both orders, so that
-# either entry carries the delta term; then pairs of two negative vectors
-# whose geodesics cross, each in both orders.
+# Seeded pairs with a positive vector, CM-CM then CM-geodesic, each in both
+# orders; then pairs of two negative vectors whose geodesics cross, each in
+# both orders.
 FRAME_PAIRS = [p for pair in _drawn_pairs(53) for p in (pair, PairConfig(pair.x2, pair.x1))]
 CROSSING_PAIRS = [p for pair in _drawn_pairs(53, geometry=0) for p in (pair, PairConfig(pair.x2, pair.x1))]
 
 
 @pytest.mark.parametrize("pair", FRAME_PAIRS + CROSSING_PAIRS)
 def test_disc_frame_is_even_and_its_half_box_doubles(pair, spec, monkeypatch):
-    (q1, m), (_, q2) = pair.gram
-    rng = np.random.default_rng(7)
-    s = np.concatenate([rng.uniform(0.0, 1.0, 500), rng.uniform(0.0, 0.1, 500)])
-    theta = rng.uniform(0.0, math.pi, 1000)
-    if q1 < 0 and q2 < 0:
-        y1, y2 = starprod._crossing_frame(pair.gram)
-        want = pair.gram
-        # Both geodesics pass through i, where R = -Q is least.
-        assert _r(y1, 0.0, 1.0) == pytest.approx(-q1, rel=1e-13)
-        assert _r(y2, 0.0, 1.0) == pytest.approx(-q2, rel=1e-13)
-        radius = starprod._crossing_radius(pair.gram, 0.01 * spec.abs_tol)
-        integrand = starprod._polar_integrand(y1, y2, radius)
-        # The half-turn about i is theta -> theta + pi: period pi, up to the
-        # rounding of cos(theta + pi).
-        assert np.allclose(integrand(s, theta + math.pi), integrand(s, theta), rtol=1e-9, atol=0.0)
-    else:
-        y1, y2, rho2 = starprod._disc_frame(pair.gram)
-        assert y1[0] == 0.0 and y2[0] == 0.0
-        want = ((q1, m), (m, q2)) if q2 > 0 else ((q2, m), (m, q1))
-        assert rho2 == pytest.approx(_r(y1, 0.0, 1.0), rel=1e-13)
-        # The polar integrand is even in theta, on the whole disc and near i.
-        radius = starprod._log_point_radius(y1, y2, 0.01 * spec.abs_tol)
-        integrand = starprod._polar_integrand(y1, y2, radius)
-        assert np.array_equal(integrand(s, theta), integrand(s, -theta))
-    got = PairConfig.from_vectors(y1, y2).gram
-    scale = 1 + abs(q1) + abs(q2) + abs(m)
-    assert np.allclose(got, want, rtol=0.0, atol=1e-14 * scale), (got, want)
-    # lambda_star's half box 0 <= theta <= pi in (s, theta), doubled,
-    # against the full circle 0 <= theta <= 2 pi.
-    halves = []
-    integrate = starprod.adaptive_integrate
+    # lambda_star's frame is the orthogonal pair of the gram's eigenvalues,
+    # its integrand is the same on the four quarters of the disc r <= D, and
+    # its quarter box, counted four times, is the half box doubled and the
+    # full circle.
+    frames, boxes = [], []
+    integrand_of, integrate = starprod._polar_integrand, starprod.adaptive_integrate
+
+    def recording_integrand(y1, y2, radius):
+        frames.append((y1, y2, radius))
+        return integrand_of(y1, y2, radius)
 
     def recording(f, *args, **kwargs):
-        halves.append((args, integrate(f, *args, **kwargs)))
-        return halves[-1][1]
+        boxes.append((args, kwargs["initial"], integrate(f, *args, **kwargs)))
+        return boxes[-1][-1]
 
+    monkeypatch.setattr(starprod, "_polar_integrand", recording_integrand)
     monkeypatch.setattr(starprod, "adaptive_integrate", recording)
-    lambda_star(pair, spec)
-    [(box, (half, e_half))] = halves
-    assert box == (0.0, 1.0, 0.0, math.pi)
+    res = lambda_star(pair, spec)
+    [(y1, y2, radius)] = frames
+    [(box, initial, (quarter, e_quarter))] = boxes
+    assert box == (0.0, 1.0, 0.0, math.pi / 2) and initial == (4, 2)
+    (q1, m), (_, q2) = pair.gram
+    lo, hi = starprod._eigenvalues(q1, m, q2)
+    scale = 1 + abs(q1) + abs(q2) + abs(m)
+    assert abs(lo + hi - (q1 + q2)) <= 1e-14 * scale and abs(lo * hi - pair.det) <= 1e-14 * scale**2
+    got = PairConfig.from_vectors(y1, y2).gram
+    assert np.allclose(got, ((lo, 0.0), (0.0, hi)), rtol=0.0, atol=1e-14 * scale), (got, lo, hi)
+    # y1's geodesic passes through i, where R = -Q is least; so does y2's
+    # for crossing geodesics, and otherwise i is y2's CM point, and the
+    # delta term is xi(y1) at i.
+    assert _r(y1, 0.0, 1.0) == pytest.approx(-lo, rel=1e-13)
+    if q1 < 0 and q2 < 0:
+        assert hi < 0 and _r(y2, 0.0, 1.0) == pytest.approx(-hi, rel=1e-13)
+        assert res.value == 8 * quarter
+    else:
+        assert hi > 0 and _r(y2, 0.0, 1.0) == 0.0
+        assert res.value == pytest.approx(2 * (exp1(2 * math.pi * -lo) + 4 * quarter), rel=1e-13)
+    rng = np.random.default_rng(7)
+    s = np.concatenate([rng.uniform(0.0, 1.0, 500), rng.uniform(0.0, 0.1, 500)])
+    theta = rng.uniform(0.0, math.pi / 2, 1000)
+    integrand = integrand_of(y1, y2, radius)
+    # Even in theta, bit for bit; and the same at pi - theta, up to the
+    # rounding of pi - theta.
+    assert np.array_equal(integrand(s, theta), integrand(s, -theta))
+    assert np.allclose(integrand(s, math.pi - theta), integrand(s, theta), rtol=1e-9, atol=0.0)
+    half, e_half = integrate(
+        integrand, 0.0, 1.0, 0.0, math.pi,
+        abs_tol=spec.abs_tol / 2, rel_tol=spec.rel_tol, max_cells=spec.max_cells // 2, initial=(4, 4),
+    )
     full, e_full = integrate(
         integrand, 0.0, 1.0, 0.0, 2 * math.pi,
         abs_tol=spec.abs_tol, rel_tol=spec.rel_tol, max_cells=spec.max_cells, initial=(4, 8),
     )
-    assert abs(2 * half - full) <= 2 * e_half + e_full, (2 * half, full, 2 * e_half, e_full)
+    assert abs(4 * quarter - 2 * half) <= 4 * e_quarter + 2 * e_half, (4 * quarter, 2 * half)
+    assert abs(4 * quarter - full) <= 4 * e_quarter + e_full, (4 * quarter, full, 4 * e_quarter, e_full)
 
 
 # Two pairs of negative vectors on which a rectangle sized by the geodesics'
@@ -397,6 +429,24 @@ def test_z_hat_sig11_stability_and_a_independence(lat_d1, spec):
 def test_lambda_rejects_isotropic_component(spec):
     with pytest.raises(PreconditionViolation):
         lambda_star(PairConfig.from_vectors((0.0, 1.0, 0.0), (1.0, 0.0, 1.0)), spec)
+
+
+@pytest.mark.parametrize("x2", [(math.nan, 1.0, -1.0), (0.0, math.inf, -1.0), (1.0, 0.0, -math.inf)])
+def test_lambda_refuses_a_pair_that_is_not_finite(x2, spec):
+    with pytest.raises(PreconditionViolation, match="finite"):
+        lambda_star(PairConfig.from_vectors((1.0, 0.0, 0.0), x2), spec)
+
+
+@pytest.mark.parametrize(
+    "x1,x2",
+    [
+        ((1e160, 0.0, 0.0), (0.0, 1e160, -1.0)),  # finite gram, determinant beyond float range
+        ((1e100, 0.0, 0.0), (0.0, 1.0, -1.0)),  # (1 + |q1| + |q2|)^2 beyond float range
+    ],
+)
+def test_lambda_refuses_a_gram_beyond_float_range(x1, x2, spec):
+    with pytest.raises(PreconditionViolation):
+        lambda_star(PairConfig.from_vectors(x1, x2), spec)
 
 
 def test_z_hat_zero_diagonal_gram(lat_d1, spec):
@@ -582,6 +632,8 @@ def test_z_hat_roots_agree_where_a_gram_entry_is_zero(lat_d1, spec):
         ((1.0, 0.5), (0.4, -1.0)),  # not symmetric
         ((math.nan, 0.0), (0.0, -1.0)),
         ((1.0, 0.0), (0.0, math.inf)),
+        ((1e300, 0.0), (0.0, -1e300)),  # the determinant overflows
+        ((1e200, 0.0), (0.0, -1e-200)),  # (1 + |q1| + |q2|)^2 overflows
     ],
 )
 def test_lambda_of_gram_preconditions(gram, spec):
@@ -597,9 +649,9 @@ def test_lambda_of_gram_preconditions(gram, spec):
 # lambda_star evaluates omega at its integrand's points alone; z_hat
 # integrates the formula of lambda_of_gram, which evaluates no omega kernel.
 PINNED_WORK = {
-    "cm-cm": ([2560], 0.16824952470535462),
-    "cm-geodesic": ([1280], 0.010261227234873722),
-    "geodesic-geodesic": ([1280], -9.128448032561814e-11),
+    "cm-cm": ([640], 0.16824952385108952),
+    "cm-geodesic": ([640], 0.010261227041676028),
+    "geodesic-geodesic": ([640], -4.4000547968083064e-11),
     "z_hat": ([1280], 0.004652082441014367),
 }
 
